@@ -44,8 +44,10 @@ from .mesh_fem import (
     FieldLoadError,
     InnerDivergence,
     Mesh,
+    MeshLoadError,
     MeshMismatch,
     SingularSystem,
+    WeakForm,
     build_mesh,
     h1_error,
     h1_norm,

@@ -2,9 +2,10 @@
 
 Subcommands: solve, verify, check-conditions, simulate, bench.  Exit codes
 form a stable contract: 0 success, 1 configuration error, 2 no contraction,
-3 inadmissible constants.  All randomness flows from the single config seed
-(overridable with --seed); outputs carry no timestamps, so identical
-config + seed reproduce byte-identical files.
+3 inadmissible constants, 4 a verification or self-check failed.  All
+randomness flows from the single config seed (overridable with --seed);
+outputs carry no timestamps, so identical config + seed reproduce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_CONTRACTION = 2
 EXIT_INADMISSIBLE = 3
+EXIT_CHECK_FAILED = 4
 
 
 def _load(args) -> RunConfig:
@@ -211,7 +213,7 @@ def cmd_verify(args) -> int:
                     f"{float(p[0])!r},{float(p[1])!r},{float(f)!r},{float(m)!r},"
                     f"{float(s)!r},{int(ok)}\n"
                 )
-    return EXIT_OK if (residual.passed and probecmp.passed) else 4
+    return EXIT_OK if (residual.passed and probecmp.passed) else EXIT_CHECK_FAILED
 
 
 def cmd_check_conditions(args) -> int:
@@ -224,7 +226,7 @@ def cmd_check_conditions(args) -> int:
     creport = probeval.check_conditions_C(cfg.domain, cfg.coeffs.q_at, _mc_params(cfg))
     print(creport)
     ok = report.passed and creport.all_clear
-    return EXIT_OK if ok else 4
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_simulate(args) -> int:
@@ -286,7 +288,7 @@ def cmd_bench(args) -> int:
         and abs(star.mean + div * T) <= 3.0 * star.standard_error + 0.1
         and abs(s0) <= 1e-12
     )
-    return EXIT_OK if ok else 4
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

@@ -131,6 +131,27 @@ class Expr:
     def __str__(self) -> str:
         return print_expr(self)
 
+    def is_zero(self) -> bool:
+        """True when the expression is 0 by its form alone.
+
+        Conservative: a number equal to 0, the negation of a zero, a sum or
+        difference of zeros, and a product with a zero factor are zero;
+        anything else is not known to be zero.
+        """
+        return _is_zero(self.root)
+
+
+def _is_zero(node: Node) -> bool:
+    if isinstance(node, Num):
+        return node.value == 0.0
+    if isinstance(node, Neg):
+        return _is_zero(node.child)
+    if isinstance(node, BinOp) and node.op in "+-":
+        return _is_zero(node.left) and _is_zero(node.right)
+    if isinstance(node, BinOp) and node.op == "*":
+        return _is_zero(node.left) or _is_zero(node.right)
+    return False
+
 
 # ---------------------------------------------------------------------------
 # parser: precedence  ^  >  unary -  >  * /  >  + -   with right-assoc ^
@@ -433,9 +454,7 @@ class CoefficientSet:
 
     @property
     def b_is_zero(self) -> bool:
-        rng = np.random.default_rng(12345)
-        probe = np.vstack([np.zeros((1, self.dim)), rng.uniform(-1, 1, (32, self.dim))])
-        return bool(np.all(self.b_at(probe) == 0.0))
+        return all(e.is_zero() for e in self.b)
 
 
 # ---------------------------------------------------------------------------

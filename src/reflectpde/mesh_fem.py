@@ -19,6 +19,7 @@ iteration measured in the discrete dual norm of H^1.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -446,117 +447,115 @@ def h1_error(fn: FemFunction, reference) -> float:
 # solves
 
 
-def solve_g_lifting(mesh: Mesh, g_field) -> FemFunction:
+_DAMPING = 0.5  # relaxation of the inner fixed point
+
+
+def solve_g_lifting(mesh: Mesh, g_quad) -> FemFunction:
     """Riesz lift of the divergence functional: find G with
 
         (grad G, grad v) + (G, v) = (g, grad v)   for all P1 test v.
 
-    ``g_field(points) -> (m, 2)`` is evaluated at the element quadrature points.
+    ``g_quad`` is g at the element quadrature points ``mesh.quad_x``, shape (m, 6, 2).
     """
-    g_quad = np.asarray(g_field(mesh.quad_x.reshape(-1, 2)), dtype=float).reshape(
-        mesh.quad_w.shape + (2,)
-    )
-    rhs = mesh.gradient_load(g_quad)
-    sys = (mesh.stiffness() + mesh.mass()).tocsc()
-    try:
-        lu = spla.splu(sys)
-    except RuntimeError as exc:  # pragma: no cover - coercive by construction
-        raise SingularSystem(str(exc)) from exc
-    return FemFunction(mesh, lu.solve(rhs))
+    return FemFunction(mesh, mesh.gram_solve(mesh.gradient_load(g_quad)))
+
+
+class WeakForm:
+    """The discretized weak form of one (mesh, coefficients) pair.
+
+    The left-hand side is assembled on first use and factorized once, on the
+    first solve.  The divergence part (g, grad v) of the right-hand side is
+    passed in as a load vector, so a caller freezing g evaluates it once.
+    """
+
+    def __init__(self, mesh: Mesh, coeffs):
+        self.mesh = mesh
+        self.coeffs = coeffs
+
+    @cached_property
+    def lhs(self):
+        mesh = self.mesh
+        qx = mesh.quad_x.reshape(-1, 2)
+        nq = mesh.quad_w.shape
+        q_quad = np.asarray(self.coeffs.q_at(qx), dtype=float).reshape(nq)
+        b_quad = np.asarray(self.coeffs.b_at(qx), dtype=float).reshape(nq + (2,))
+        lhs = 0.5 * mesh.stiffness() - mesh.weighted_mass(q_quad)
+        if np.any(b_quad != 0.0):
+            lhs = lhs - mesh.convection(b_quad)
+        return lhs
+
+    @cached_property
+    def _lu(self):
+        try:
+            return spla.splu(self.lhs.tocsc())
+        except RuntimeError as exc:
+            raise SingularSystem(str(exc)) from exc
+
+    def _state(self, values):
+        """Points, field values and gradients at the quadrature points, flattened."""
+        mesh = self.mesh
+        y = mesh.quad_values(values).reshape(-1)
+        z = np.repeat(mesh.tri_gradients(values), len(_QW), axis=0)
+        return mesh.quad_x.reshape(-1, 2), y, z
+
+    def divergence(self, values):
+        """g(., u, grad u) at ``mesh.quad_x`` for the nodal ``values``, shape (m, 6, 2)."""
+        g = self.coeffs.g_at(*self._state(values))
+        return np.asarray(g, dtype=float).reshape(self.mesh.quad_x.shape)
+
+    def load(self, values, g_load):
+        """Right-hand side with f and h at the nodal ``values``, plus ``g_load``."""
+        mesh = self.mesh
+        f = self.coeffs.f_at(*self._state(values))
+        h = self.coeffs.h_at(mesh.edge_x.reshape(-1, 2), mesh.edge_values(values).reshape(-1))
+        f_quad = np.asarray(f, dtype=float).reshape(mesh.quad_w.shape)
+        h_edge = np.asarray(h, dtype=float).reshape(mesh.edge_w.shape)
+        return mesh.load(f_quad) + g_load + 0.5 * mesh.boundary_load(h_edge)
+
+    def residual(self, values, g_load) -> float:
+        """Dual norm of H^1 of the weak-form residual at the nodal ``values``."""
+        return self.mesh.dual_norm(self.lhs @ values - self.load(values, g_load))
+
+    def solve(self, g_load, inner_tol: float = 1e-10, u0=None, budget: int = 200) -> FemFunction:
+        """Solve with the divergence load ``g_load`` frozen.
+
+        The implicit dependence of f and h on the solution is resolved by a
+        damped fixed-point iteration; raises :class:`InnerDivergence` when the
+        residual (dual norm of H^1) fails to reach ``inner_tol`` within
+        ``budget`` steps.
+        """
+        u = np.zeros(self.mesh.n_nodes) if u0 is None else np.array(u0, dtype=float)
+        resid = float("inf")
+        for _ in range(budget):
+            rhs = self.load(u, g_load)
+            resid = self.mesh.dual_norm(self.lhs @ u - rhs)
+            if not np.isfinite(resid):
+                raise InnerDivergence("inner iteration diverged (non-finite residual)", resid)
+            if resid <= inner_tol:
+                return FemFunction(self.mesh, u)
+            u = (1.0 - _DAMPING) * u + _DAMPING * self._lu.solve(rhs)
+        raise InnerDivergence(
+            f"inner iteration did not reach tol={inner_tol:g} in {budget} steps", resid
+        )
 
 
 def solve_semilinear_g_frozen(
-    mesh: Mesh,
-    coeffs,
-    g_frozen=None,
-    inner_tol: float = 1e-10,
-    u0=None,
-    damping: float = 0.5,
-    budget: int = 200,
+    mesh: Mesh, coeffs, g_quad=None, inner_tol: float = 1e-10, u0=None, budget: int = 200
 ) -> FemFunction:
     """One outer step: solve the problem with the divergence field frozen.
 
     ``coeffs`` provides vectorized ``f_at(x, y, z)``, ``h_at(x, y)``,
-    ``q_at(x)``, ``b_at(x)``; ``g_frozen(points) -> (m, 2)`` or None.  The
-    implicit dependence of f and h on the solution is resolved by a damped
-    fixed-point iteration; raises :class:`InnerDivergence` when the residual
-    (dual norm of H^1) fails to reach ``inner_tol`` within ``budget`` steps.
+    ``q_at(x)``, ``b_at(x)``; ``g_quad`` is the frozen g at ``mesh.quad_x``,
+    shape (m, 6, 2), or None for g = 0.  See :meth:`WeakForm.solve`.
     """
-    qx = mesh.quad_x.reshape(-1, 2)
-    nq = mesh.quad_w.shape
-    q_quad = np.asarray(coeffs.q_at(qx), dtype=float).reshape(nq)
-    b_quad = np.asarray(coeffs.b_at(qx), dtype=float).reshape(nq + (2,))
-    ex = mesh.edge_x.reshape(-1, 2)
-
-    lhs = 0.5 * mesh.stiffness() - mesh.weighted_mass(q_quad)
-    if np.any(b_quad != 0.0):
-        lhs = lhs - mesh.convection(b_quad)
-    try:
-        lu = spla.splu(lhs.tocsc())
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc)) from exc
-
-    if g_frozen is not None:
-        g_quad = np.asarray(g_frozen(qx), dtype=float).reshape(nq + (2,))
-        g_vec = mesh.gradient_load(g_quad)
-    else:
-        g_vec = np.zeros(mesh.n_nodes)
-
-    u = np.zeros(mesh.n_nodes) if u0 is None else np.array(u0, dtype=float)
-
-    def rhs_of(vals):
-        yq = mesh.quad_values(vals)
-        zq = np.broadcast_to(
-            mesh.tri_gradients(vals)[:, None, :], nq + (2,)
-        ).reshape(-1, 2)
-        f_quad = np.asarray(
-            coeffs.f_at(qx, yq.reshape(-1), zq), dtype=float
-        ).reshape(nq)
-        ye = mesh.edge_values(vals)
-        h_edge = np.asarray(coeffs.h_at(ex, ye.reshape(-1)), dtype=float).reshape(
-            mesh.edge_w.shape
-        )
-        return mesh.load(f_quad) + g_vec + 0.5 * mesh.boundary_load(h_edge)
-
-    resid = float("inf")
-    for _ in range(budget):
-        rhs = rhs_of(u)
-        resid = mesh.dual_norm(lhs @ u - rhs)
-        if not np.isfinite(resid):
-            raise InnerDivergence("inner iteration diverged (non-finite residual)", resid)
-        if resid <= inner_tol:
-            return FemFunction(mesh, u)
-        u = (1.0 - damping) * u + damping * lu.solve(rhs)
-    raise InnerDivergence(
-        f"inner iteration did not reach tol={inner_tol:g} in {budget} steps", resid
-    )
+    g_load = np.zeros(mesh.n_nodes) if g_quad is None else mesh.gradient_load(g_quad)
+    return WeakForm(mesh, coeffs).solve(g_load, inner_tol=inner_tol, u0=u0, budget=budget)
 
 
-def residual_dual_norm(mesh: Mesh, coeffs, u: FemFunction, g_field=None) -> float:
-    """Dual norm of the full nonlinear weak-form residual at ``u``.
-
-    Evaluates f, h, and (unless ``g_field`` overrides it) g at the current
-    solution rather than at a frozen iterate.
-    """
-    qx = mesh.quad_x.reshape(-1, 2)
-    nq = mesh.quad_w.shape
-    yq = mesh.quad_values(u.values).reshape(-1)
-    zq = np.broadcast_to(mesh.tri_gradients(u.values)[:, None, :], nq + (2,)).reshape(-1, 2)
-    q_quad = np.asarray(coeffs.q_at(qx), dtype=float).reshape(nq)
-    b_quad = np.asarray(coeffs.b_at(qx), dtype=float).reshape(nq + (2,))
-    lhs = 0.5 * mesh.stiffness() - mesh.weighted_mass(q_quad)
-    if np.any(b_quad != 0.0):
-        lhs = lhs - mesh.convection(b_quad)
-    f_quad = np.asarray(coeffs.f_at(qx, yq, zq), dtype=float).reshape(nq)
-    if g_field is None:
-        g_quad = np.asarray(coeffs.g_at(qx, yq, zq), dtype=float).reshape(nq + (2,))
-    else:
-        g_quad = np.asarray(g_field(qx), dtype=float).reshape(nq + (2,))
-    ex = mesh.edge_x.reshape(-1, 2)
-    ye = mesh.edge_values(u.values).reshape(-1)
-    h_edge = np.asarray(coeffs.h_at(ex, ye), dtype=float).reshape(mesh.edge_w.shape)
-    rhs = mesh.load(f_quad) + mesh.gradient_load(g_quad) + 0.5 * mesh.boundary_load(h_edge)
-    return mesh.dual_norm(lhs @ u.values - rhs)
+def residual_dual_norm(mesh: Mesh, coeffs, u: FemFunction) -> float:
+    """Dual norm of the full nonlinear weak-form residual, with f, h and g at ``u``."""
+    form = WeakForm(mesh, coeffs)
+    return form.residual(u.values, mesh.gradient_load(form.divergence(u.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -577,25 +576,29 @@ def export_mesh(mesh: Mesh, path):
             out.write(f"{a} {b}\n")
 
 
+class MeshLoadError(ValueError):
+    """Mesh file malformed or truncated."""
+
+
 def import_mesh(path) -> Mesh:
     with open(path) as src:
-        header = src.readline().split()
-        if header[:1] != ["mesh-p1"]:
-            raise ValueError(f"{path}: not a mesh file")
-        tag, n = src.readline().split()
-        assert tag == "nodes"
-        nodes = np.array(
-            [src.readline().split()[1:] for _ in range(int(n))], dtype=float
-        )
-        tag, m = src.readline().split()
-        assert tag == "triangles"
-        tris = np.array(
-            [src.readline().split()[1:] for _ in range(int(m))], dtype=np.int64
-        )
-        tag, k = src.readline().split()
-        assert tag == "boundary_edges"
-        edges = np.array([src.readline().split() for _ in range(int(k))], dtype=np.int64)
+        if src.readline().split()[:1] != ["mesh-p1"]:
+            raise MeshLoadError(f"{path}: not a mesh file")
+        nodes = _read_section(src, path, "nodes", 1, 2, float)
+        tris = _read_section(src, path, "triangles", 1, 3, np.int64)
+        edges = _read_section(src, path, "boundary_edges", 0, 2, np.int64)
     return Mesh(nodes, tris, edges)
+
+
+def _read_section(src, path, tag, skip, width, dtype):
+    """Rows of a ``tag count`` section, each with ``skip`` leading index columns."""
+    head = src.readline().split()
+    if len(head) != 2 or head[0] != tag or not head[1].isdigit():
+        raise MeshLoadError(f"{path}: expected '{tag} <count>', got {' '.join(head)!r}")
+    rows = [src.readline().split()[skip:] for _ in range(int(head[1]))]
+    if any(len(row) != width for row in rows):
+        raise MeshLoadError(f"{path}: section {tag!r} is truncated or malformed")
+    return np.array(rows, dtype=dtype)
 
 
 def export_field(fn: FemFunction, path):

@@ -82,27 +82,24 @@ def run_picard(
     ratios exceed 1 three times in a row and ``override`` is not set.
     """
     mesh = mesh if mesh is not None else mesh_fem.build_mesh(domain, h_mesh)
+    form = mesh_fem.WeakForm(mesh, coeffs)
     gamma = consts.gamma if getattr(consts, "derived_filled", False) else float("nan")
     u = FemFunction(mesh, np.zeros(mesh.n_nodes))
     trace = PicardTrace(
         iterates=[u], increments=[], ratios=[], gamma=gamma,
         converged=False, n_iterations=0,
     )
+    # g at the latest iterate: its residual's divergence part, and the next step's frozen field
+    g_load = mesh.gradient_load(form.divergence(u.values))
     bad_run = 0
     for n in range(1, max_iter + 1):
         u_prev = trace.iterates[-1]
-
-        def g_frozen(x, _u=u_prev):
-            val, grad = _u.value_grad_at(x)
-            return coeffs.g_at(np.atleast_2d(x), val, grad)
-
-        u_new = mesh_fem.solve_semilinear_g_frozen(
-            mesh, coeffs, g_frozen, inner_tol=inner_tol, u0=u_prev.values
-        )
+        u_new = form.solve(g_load, inner_tol=inner_tol, u0=u_prev.values)
+        g_load = mesh.gradient_load(form.divergence(u_new.values))
         inc = h1_norm(u_new - u_prev)
         trace.iterates.append(u_new)
         trace.increments.append(inc)
-        trace.residuals.append(mesh_fem.residual_dual_norm(mesh, coeffs, u_new))
+        trace.residuals.append(form.residual(u_new.values, g_load))
         trace.n_iterations = n
         if n >= 2:
             prev = trace.increments[-2]
@@ -118,7 +115,9 @@ def run_picard(
         if inc <= tol:
             trace.converged = True
             break
-    trace.final_residual = mesh_fem.residual_dual_norm(mesh, coeffs, trace.solution)
+    trace.final_residual = (
+        trace.residuals[-1] if trace.residuals else form.residual(u.values, g_load)
+    )
     return trace
 
 

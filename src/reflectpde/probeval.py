@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Domain, boundary_quadrature, interior_grid
-from .mesh_fem import FemFunction, Mesh, build_mesh, solve_g_lifting, solve_semilinear_g_frozen
+from .mesh_fem import (
+    FemFunction, Mesh, WeakForm, build_mesh, solve_g_lifting, solve_semilinear_g_frozen,
+)
 from .reflectsim import Estimate, PathObserver, run_paths
 
 DEFAULT_C_BD = 0.5
@@ -228,9 +230,7 @@ class ResidualObserver(PathObserver):
         self.res_samples: list = []
         self.qv_samples: list = []
         self.mg_samples: list = []
-        probe = np.linspace(-0.5, 0.5, 8)[:, None] * np.ones((1, coeffs.dim))
-        gp = coeffs.g_at(probe, probe[:, 0], probe)
-        self._g_zero = bool(np.all(gp == 0.0))
+        self._g_zero = all(e.is_zero() for e in coeffs.g)
 
     def start_chunk(self, indices, x0):
         val, grad = self.u.value_grad_at(x0)
@@ -401,24 +401,21 @@ def fk_linear_frozen(
 
 def fk_frozen_with_divergence(
     domain: Domain,
-    mesh: Mesh,
     x0,
     q,
     f_frozen,
     h_frozen,
-    g_frozen,
+    G: FemFunction,
     params: McParams,
     c_bd: float = DEFAULT_C_BD,
     decay_fit: DecayFit | None = None,
 ) -> Estimate:
     """FK evaluation of the frozen problem including a divergence field g.
 
-    The divergence term is removed by the Riesz lift G of g: the shifted
-    unknown v = u - 2G solves the g-free problem with data
+    The divergence term is removed by the Riesz lift G of g (solve_g_lifting):
+    the shifted unknown v = u - 2G solves the g-free problem with data
     F + 2 q G + G and the same H, so u(x0) = fk(F + 2qG + G, H) + 2 G(x0).
     """
-    G = solve_g_lifting(mesh, g_frozen)
-
     def f_tilde(x):
         gv = G.value_at(x)
         return np.asarray(f_frozen(x), dtype=float) + (2.0 * np.asarray(q(x)) + 1.0) * gv
@@ -820,18 +817,14 @@ def compare_frozen_at_probes(
         val = u.value_at(x)
         return coeffs.h_at(np.atleast_2d(x), val)
 
-    def Gfield(x):
-        val, grad = u.value_grad_at(x)
-        return coeffs.g_at(np.atleast_2d(x), val, grad)
-
+    G = solve_g_lifting(u.mesh, WeakForm(u.mesh, coeffs).divergence(u.values))
     fem_vals = u.value_at(probes)
     fit = estimate_decay(domain, coeffs.q_at, params, x0=probes[0], power=1)
     means, ses = [], []
     for i, p in enumerate(probes):
         sub = McParams(params.n_paths, params.horizon, params.step, params.seed + 7 * i)
         est = fk_frozen_with_divergence(
-            domain, u.mesh, p, coeffs.q_at, F, H, Gfield, sub, c_bd=c_bd,
-            decay_fit=fit,
+            domain, p, coeffs.q_at, F, H, G, sub, c_bd=c_bd, decay_fit=fit,
         )
         means.append(est.mean)
         ses.append(est.standard_error)

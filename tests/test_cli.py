@@ -175,6 +175,17 @@ def test_verify_zero_field_fails(tmp_path):
     assert code != 0
 
 
+def test_verify_bad_mesh_file_is_a_load_error(tmp_path, capsys):
+    cfg = write(tmp_path, BASE_A)
+    mesh = tmp_path / "mesh.txt"
+    mesh.write_text("mesh-p1 1\nnodes 1\n0 0.0 0.0\ntriangels 0\nboundary_edges 0\n")
+    field = tmp_path / "field.csv"
+    field.write_text("node,x,y,value\n0,0.0,0.0,0.0\n")
+    code = main(["verify", "--config", cfg, "--field", str(field), "--mesh", str(mesh)])
+    assert code == 1
+    assert "triangles" in capsys.readouterr().err
+
+
 def test_simulate_dumps(tmp_path):
     cfg = write(tmp_path, BASE_A)
     out = tmp_path / "paths"

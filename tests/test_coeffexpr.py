@@ -53,6 +53,17 @@ def test_exp_times_var():
     assert eval_expr(e, {"x1": 3.0}) == 3.0
 
 
+def test_is_zero_decided_from_the_form():
+    names = ("x1", "x2", "y")
+    for src in ("0", "0.0", "-0", "0 + -(0)", "0 - 0", "0*x1", "sin(x1)*(0 - 0)"):
+        assert parse_expr(src, names).is_zero(), src
+    for src in ("x1 - x2", "x1 - x1", "0.1*tanh(y - x1)", "0/x1", "sin(0)", "0^2", "1e-300"):
+        assert not parse_expr(src, names).is_zero(), src
+    assert CoefficientSet.from_strings(2, f="0", g=["0", "0"], h="0", q="-1").b_is_zero
+    drift = CoefficientSet.from_strings(2, f="0", g=["0", "0"], h="0", q="-1", b=["0", "x1*0 + x2"])
+    assert not drift.b_is_zero
+
+
 def test_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("x1 +", ("x1",))

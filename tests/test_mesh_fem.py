@@ -9,6 +9,7 @@ from reflectpde.mesh_fem import (
     FieldLoadError,
     InnerDivergence,
     Mesh,
+    MeshLoadError,
     MeshMismatch,
     build_mesh,
     export_field,
@@ -131,23 +132,22 @@ def test_mesh_mismatch(meshes):
 
 
 def test_g_lifting_zero(meshes):
-    G = solve_g_lifting(meshes[0.1], lambda x: np.zeros_like(x))
+    G = solve_g_lifting(meshes[0.1], np.zeros_like(meshes[0.1].quad_x))
     assert np.max(np.abs(G.values)) < 1e-12
 
 
 def test_g_lifting_residual(meshes):
     mesh = meshes[0.05]
-    G = solve_g_lifting(mesh, lambda x: x)
-    g_quad = mesh.quad_x.reshape(-1, 2).reshape(mesh.quad_w.shape + (2,))
-    rhs = mesh.gradient_load(g_quad)
+    G = solve_g_lifting(mesh, mesh.quad_x)
+    rhs = mesh.gradient_load(mesh.quad_x)
     sys = mesh.stiffness() + mesh.mass()
     assert mesh.dual_norm(sys @ G.values - rhs) <= 1e-10
 
 
 def test_g_lifting_refinement_self_oracle(meshes):
     # reference solve at h/2; H^1 difference must be O(h)
-    G1 = solve_g_lifting(meshes[0.05], lambda x: x)
-    G2 = solve_g_lifting(meshes[0.025], lambda x: x)
+    G1 = solve_g_lifting(meshes[0.05], meshes[0.05].quad_x)
+    G2 = solve_g_lifting(meshes[0.025], meshes[0.025].quad_x)
 
     def as_callable(fn):
         def wrapped(points):
@@ -165,7 +165,7 @@ def test_g_lifting_refinement_self_oracle(meshes):
 
 def test_g_lifting_bounded_under_refinement(meshes):
     sups = [
-        np.max(np.abs(solve_g_lifting(meshes[h], lambda x: x).values))
+        np.max(np.abs(solve_g_lifting(meshes[h], meshes[h].quad_x).values))
         for h in (0.1, 0.05, 0.025)
     ]
     assert max(sups) / min(sups) < 1.05
@@ -208,10 +208,7 @@ def test_galerkin_orthogonality(meshes):
         2, f="x1 + 0.3*x2", g=["x2", "x1"], h="x1", q="-1"
     )
     mesh = meshes[0.05]
-    u = solve_semilinear_g_frozen(
-        mesh, c, g_frozen=lambda x: np.stack([x[:, 1], x[:, 0]], axis=1),
-        inner_tol=1e-12,
-    )
+    u = solve_semilinear_g_frozen(mesh, c, g_quad=mesh.quad_x[..., ::-1], inner_tol=1e-12)
     res = residual_dual_norm(mesh, c, u)
     assert res <= 1e-10
 
@@ -260,6 +257,21 @@ def test_mesh_and_field_roundtrip(tmp_path, meshes, corpus_a):
     assert np.array_equal(mesh2.triangles, mesh.triangles)
     u2 = import_field(fpath, mesh2)
     assert np.array_equal(u2.values, u.values)
+
+
+def test_mesh_load_errors(tmp_path, meshes):
+    good = tmp_path / "mesh.txt"
+    export_mesh(meshes[0.1], good)
+    text = good.read_text()
+    bad_tag = tmp_path / "bad_tag.txt"
+    bad_tag.write_text(text.replace("triangles ", "triangels "))
+    truncated = tmp_path / "truncated.txt"
+    truncated.write_text(text[: len(text) // 2])
+    not_mesh = tmp_path / "not_mesh.txt"
+    not_mesh.write_text("node,x,y,value\n")
+    for path in (bad_tag, truncated, not_mesh):
+        with pytest.raises(MeshLoadError):
+            import_mesh(path)
 
 
 def test_field_load_errors(tmp_path, meshes):

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from reflectpde import mesh_fem
 from reflectpde.coeffexpr import CoefficientSet, StructureConstants
-from reflectpde.mesh_fem import h1_error, h1_norm
+from reflectpde.mesh_fem import (
+    FemFunction,
+    Mesh,
+    build_mesh,
+    h1_error,
+    h1_norm,
+    solve_semilinear_g_frozen,
+)
 from reflectpde.picard import (
     NoContraction,
     PicardTrace,
@@ -13,6 +21,13 @@ from reflectpde.picard import (
 )
 from reflectpde.probeval import McParams
 from .conftest import exact_solution
+
+
+def located_g_quad(mesh, coeffs, u):
+    """g(., u, grad u) at ``mesh.quad_x``, with u evaluated by point location."""
+    val, grad = u.value_grad_at(mesh.quad_x.reshape(-1, 2))
+    g = coeffs.g_at(mesh.quad_x.reshape(-1, 2), val, grad)
+    return np.asarray(g, dtype=float).reshape(mesh.quad_x.shape)
 
 
 def test_frozen_g_converges_in_two_steps(disk, corpus_a, consts_k0):
@@ -46,16 +61,10 @@ def test_convergence_rate_across_meshes(disk, corpus_b, consts_k01, meshes):
 def test_discrete_fixed_point(disk, corpus_b, consts_k01, meshes):
     trace = run_picard(disk, corpus_b, consts_k01, h_mesh=0.05, tol=1e-9, mesh=meshes[0.05])
     # one extra outer step changes the iterate by at most the tolerance scale
-    from reflectpde.mesh_fem import solve_semilinear_g_frozen
-
     u = trace.solution
-
-    def g_frozen(x):
-        val, grad = u.value_grad_at(x)
-        return corpus_b.g_at(np.atleast_2d(x), val, grad)
-
     u_next = solve_semilinear_g_frozen(
-        meshes[0.05], corpus_b, g_frozen, inner_tol=1e-10, u0=u.values
+        meshes[0.05], corpus_b, located_g_quad(meshes[0.05], corpus_b, u),
+        inner_tol=1e-10, u0=u.values,
     )
     assert h1_norm(u_next - u) <= 10 * 1e-9
 
@@ -142,3 +151,42 @@ def test_trace_export_csv(tmp_path, disk, corpus_a, consts_k0):
     assert lines[0] == "iteration,increment,ratio,residual"
     assert len(lines) == 1 + trace.n_iterations
     assert len(trace.residuals) == trace.n_iterations
+
+
+def test_picard_factorizes_once_and_locates_no_points(monkeypatch, disk, corpus_b, consts_k01):
+    mesh = build_mesh(disk, 0.1)  # fresh: no cached Gram factorization
+    calls = {"splu": 0, "find_triangles": 0}
+    splu, find_triangles = mesh_fem.spla.splu, Mesh.find_triangles
+
+    def counting_splu(*args, **kwargs):
+        calls["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def counting_find_triangles(self, points):
+        calls["find_triangles"] += 1
+        return find_triangles(self, points)
+
+    monkeypatch.setattr(mesh_fem.spla, "splu", counting_splu)
+    monkeypatch.setattr(Mesh, "find_triangles", counting_find_triangles)
+    trace = run_picard(disk, corpus_b, consts_k01, h_mesh=0.1, tol=1e-9, mesh=mesh)
+    assert trace.converged and trace.n_iterations >= 3
+    assert calls == {"splu": 2, "find_triangles": 0}  # left-hand side and Gram matrix
+    assert trace.final_residual == trace.residuals[-1]
+
+
+def test_picard_matches_located_reference(disk, corpus_b, consts_k01, meshes):
+    mesh = meshes[0.1]
+    trace = run_picard(disk, corpus_b, consts_k01, h_mesh=0.1, tol=1e-9, mesh=mesh)
+    # reference: freeze g through point location at the quadrature points,
+    # with one full solve per outer step
+    u = FemFunction(mesh, np.zeros(mesh.n_nodes))
+    for n in range(1, 51):
+        u_new = solve_semilinear_g_frozen(
+            mesh, corpus_b, located_g_quad(mesh, corpus_b, u), inner_tol=1e-10, u0=u.values
+        )
+        inc = h1_norm(u_new - u)
+        u = u_new
+        if inc <= 1e-9:
+            break
+    assert trace.n_iterations == n
+    assert np.max(np.abs(trace.solution.values - u.values)) <= 1e-12

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from reflectpde import probeval
 from reflectpde.coeffexpr import CoefficientSet
-from reflectpde.mesh_fem import FemFunction, solve_semilinear_g_frozen
+from reflectpde.mesh_fem import FemFunction, solve_g_lifting, solve_semilinear_g_frozen
 from reflectpde.probeval import (
     AdmissibilityError,
     McParams,
+    ResidualObserver,
     calibrate_boundary_constant,
     check_conditions_C,
     compare_frozen_at_probes,
@@ -16,6 +18,7 @@ from reflectpde.probeval import (
     fk_pure_boundary,
     martingale_residual_test,
 )
+from .conftest import F_A, H_A
 
 Q_MINUS_ONE = lambda x: -np.ones(len(x))  # noqa: E731
 ONE = lambda x: np.ones(len(x))  # noqa: E731
@@ -97,12 +100,12 @@ def test_fk_with_divergence_against_fem(disk, meshes):
         2, f="1 - x1", g=["x1", "x2"], h="0.5 + x2", q="-1"
     )
     mesh = meshes[0.05]
-    u = solve_semilinear_g_frozen(mesh, coeffs, g_frozen=lambda x: x, inner_tol=1e-11)
+    u = solve_semilinear_g_frozen(mesh, coeffs, g_quad=mesh.quad_x, inner_tol=1e-11)
     x0 = np.array([0.2, -0.1])
     p = params(n=1500, T=10.0, h=1e-3, seed=8)
     est = fk_frozen_with_divergence(
-        disk, mesh, x0, Q_MINUS_ONE,
-        lambda x: 1 - x[:, 0], lambda x: 0.5 + x[:, 1], lambda x: x, p,
+        disk, x0, Q_MINUS_ONE, lambda x: 1 - x[:, 0], lambda x: 0.5 + x[:, 1],
+        solve_g_lifting(mesh, mesh.quad_x), p,
     )
     fem_val = float(u.value_at(x0[None, :])[0])
     assert est.mean == pytest.approx(fem_val, abs=3 * est.standard_error + 0.06)
@@ -216,8 +219,26 @@ def test_residual_requires_zero_drift(disk, meshes, consts_k0):
         martingale_residual_test(disk, u, coeffs, consts_k0, params(n=10, T=0.5))
 
 
-def test_probe_comparison_smoke(disk, meshes, corpus_a):
+def test_residual_observer_keeps_star_term(meshes, corpus_a, corpus_b):
+    # g vanishing on the diagonal x1 = x2 = y = z1 = z2 is not g = 0
+    u = FemFunction(meshes[0.1], np.zeros(meshes[0.1].n_nodes))
+    for g1 in ("x1 - x2", "0.1*tanh(y - z1)"):
+        coeffs = CoefficientSet.from_strings(2, f=F_A, g=[g1, "0"], h=H_A, q="-1")
+        assert not ResidualObserver(u, coeffs, 10)._g_zero, g1
+    assert ResidualObserver(u, corpus_a, 10)._g_zero
+    assert not ResidualObserver(u, corpus_b, 10)._g_zero
+
+
+def test_probe_comparison_smoke(monkeypatch, disk, meshes, corpus_a):
     u = solve_semilinear_g_frozen(meshes[0.05], corpus_a, inner_tol=1e-11)
     p = params(n=600, T=10.0, h=1e-3, seed=11)
+    lifts = []
+
+    def spy_lift(mesh, g_quad):
+        lifts.append(g_quad.shape)
+        return solve_g_lifting(mesh, g_quad)
+
+    monkeypatch.setattr(probeval, "solve_g_lifting", spy_lift)
     cmp = compare_frozen_at_probes(disk, u, corpus_a, p, allowance=0.08)
     assert cmp.passed, str(cmp)
+    assert lifts == [u.mesh.quad_x.shape]  # one lift for all probes
