@@ -18,7 +18,7 @@ import numpy as np
 from . import mesh_fem
 from .geometry import Domain
 from .mesh_fem import FemFunction, Mesh, h1_norm
-from .probeval import McParams, TimeIntegralObserver
+from .probeval import SEED_PICARD_INCREMENTS, McParams, TimeIntegralObserver
 from .reflectsim import run_paths
 
 
@@ -211,11 +211,11 @@ def weighted_increment_ratios(
             return val * val + np.einsum("pd,pd->p", grad, grad)
 
         obs = TimeIntegralObserver(
-            coeffs.q_at, weight_field, lam=consts.lam, mu=consts.mu, power=2
+            coeffs.q_at, F=weight_field, lam=consts.lam, mu=consts.mu, power=2
         )
         run_paths(
             domain, params.n_paths, params.horizon, params.step,
-            params.seed + 1000 + n, [obs],
+            params.seed + SEED_PICARD_INCREMENTS + n, [obs],
         )
         norms.append(obs.estimate().mean)
     return [

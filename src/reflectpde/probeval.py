@@ -79,7 +79,32 @@ class DecayFit:
 
 
 # ---------------------------------------------------------------------------
-# observers (engine hooks)
+# seed streams
+#
+# Every Monte-Carlo run draws from its caller's base seed plus an offset, so
+# that the runs of one call use disjoint streams.  The values are part of the
+# reproducibility contract: changing one changes every estimate built on it.
+
+SEED_DECAY_PILOT = 0x5EED        # estimate_decay's pilot run
+SEED_CALIBRATION_PROBES = 0      # calibrate_boundary_constant: + i for probe i
+SEED_SECOND_BOUNDARY_PROBE = 1   # check_conditions_C: the E[int w^2 dL] probe
+SEED_CONDITIONS_GRID = 100       # check_conditions_C: + i for grid start i
+SEED_PROBE_STRIDE = 7            # compare_frozen_at_probes: + 7 i for probe i
+SEED_PICARD_INCREMENTS = 1000    # picard.weighted_increment_ratios: + n for increment n
+
+
+# ---------------------------------------------------------------------------
+# the weighted path functional (engine hook)
+#
+# One observer computes, along every path,
+#
+#     int e^{E} F dt  +  c sum_j e^{E_j} H(X_{j+1}) dL_j  +  e^{E} Phi(X),
+#     E_j = lam t_j + mu L_j + power int_0^{t_j} q,
+#
+# with each of the three terms switched on by passing its function.  The
+# exponent is advanced once per step whatever terms are on; the time and
+# boundary terms accumulate every step and the terminal term is evaluated
+# only where it is read: at marked steps and at the horizon.
 
 
 def _phi1(a: np.ndarray) -> np.ndarray:
@@ -89,119 +114,69 @@ def _phi1(a: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + 0.5 * a, np.expm1(safe) / safe)
 
 
-class _Weighted(PathObserver):
-    """Shared exponent state E_j = lam t_j + mu L_j + power int_0^{t_j} q."""
+class WeightedObserver(PathObserver):
+    """Samples of the weighted path functional at marked steps and at the horizon.
 
-    def __init__(self, q, lam=0.0, mu=0.0, power=1):
-        self.q = q
-        self.lam = lam
-        self.mu = mu
-        self.power = power
-        self._expo = None
-
-    def start_chunk(self, indices, x0):
-        self._expo = np.zeros(len(indices))
-
-    def _advance(self, ctx, q_prev):
-        self._expo += (self.lam + self.power * q_prev) * ctx.h + self.mu * ctx.dl
-
-
-class BoundaryIntegralObserver(_Weighted):
-    """Accumulates sum_j w_j f(X_{j+1}) c dL_j with left-node weights w_j."""
-
-    def __init__(self, q, f, lam=0.0, mu=0.0, power=1, c=1.0, snapshot_steps=()):
-        super().__init__(q, lam, mu, power)
-        self.f = f
-        self.c = c
-        self.snapshot_steps = set(snapshot_steps)
-        self.samples: list = []
-        self.snapshots: dict = {}
-        self._acc = None
-
-    def start_chunk(self, indices, x0):
-        super().start_chunk(indices, x0)
-        self._acc = np.zeros(len(indices))
-
-    def step(self, ctx):
-        q_prev = np.asarray(self.q(ctx.x_prev), dtype=float)
-        if ctx.hit.any():
-            hit = ctx.hit
-            w = np.exp(self._expo[hit])
-            fv = np.asarray(self.f(ctx.x_new[hit]), dtype=float)
-            self._acc[hit] += w * fv * self.c * ctx.dl[hit]
-        self._advance(ctx, q_prev)
-        if ctx.j + 1 in self.snapshot_steps:
-            self.snapshots.setdefault(ctx.j + 1, []).append(self._acc.copy())
-
-    def end_chunk(self, x_final):
-        self.samples.append(self._acc)
-
-    def estimate(self) -> Estimate:
-        return Estimate.from_samples(np.concatenate(self.samples))
-
-    def snapshot_estimate(self, step) -> Estimate:
-        return Estimate.from_samples(np.concatenate(self.snapshots[step]))
-
-
-class TimeIntegralObserver(_Weighted):
-    """Accumulates int w_t f(X_t) dt with the exponential in-step rule.
-
-    Per step the weight factor int_{t_j}^{t_{j+1}} e^{E(s)} ds is taken as
+    The time term uses the exponential in-step rule: per step the weight
+    factor int_{t_j}^{t_{j+1}} e^{E(s)} ds is taken as
     e^{E_j} h phi1((lam + power q_j) h), which is exact for frozen q and makes
-    constant-q integrands reproduce their closed forms to rounding error.
+    constant-q integrands reproduce their closed forms to rounding error.  The
+    boundary term takes left-node weights and H at the projection foot.  The
+    time and boundary terms keep separate accumulators and are summed only
+    when a value is recorded.  ``estimate(step)`` reads a marked step and
+    ``estimate()`` the horizon.
     """
 
-    def __init__(self, q, f, lam=0.0, mu=0.0, power=1, snapshot_steps=()):
-        super().__init__(q, lam, mu, power)
-        self.f = f
-        self.snapshot_steps = set(snapshot_steps)
-        self.samples: list = []
-        self.snapshots: dict = {}
-        self._acc = None
+    def __init__(self, q, F=None, H=None, Phi=None, c=1.0, lam=0.0, mu=0.0, power=1,
+                 marks=()):
+        self.q, self.F, self.H, self.Phi, self.c = q, F, H, Phi, c
+        self.lam, self.mu, self.power = lam, mu, power
+        self._values: dict = {step: [] for step in (*marks, None)}
 
     def start_chunk(self, indices, x0):
-        super().start_chunk(indices, x0)
-        self._acc = np.zeros(len(indices))
+        n = len(indices)
+        self._expo = np.zeros(n)
+        self._time = None if self.F is None else np.zeros(n)
+        self._bnd = None if self.H is None else np.zeros(n)
 
     def step(self, ctx):
-        q_prev = np.asarray(self.q(ctx.x_prev), dtype=float)
-        a = (self.lam + self.power * q_prev) * ctx.h
-        fv = np.asarray(self.f(ctx.x_prev), dtype=float)
-        self._acc += fv * np.exp(self._expo) * ctx.h * _phi1(a)
-        self._advance(ctx, q_prev)
-        if ctx.j + 1 in self.snapshot_steps:
-            self.snapshots.setdefault(ctx.j + 1, []).append(self._acc.copy())
+        a = (self.lam + self.power * np.asarray(self.q(ctx.x_prev), dtype=float)) * ctx.h
+        if self._time is not None:
+            fv = np.asarray(self.F(ctx.x_prev), dtype=float)
+            self._time += fv * np.exp(self._expo) * ctx.h * _phi1(a)
+        if self._bnd is not None and ctx.hit.any():
+            hit = ctx.hit
+            hv = np.asarray(self.H(ctx.x_new[hit]), dtype=float)
+            self._bnd[hit] += np.exp(self._expo[hit]) * hv * self.c * ctx.dl[hit]
+        self._expo += a + self.mu * ctx.dl
+        if ctx.j + 1 in self._values:
+            self._values[ctx.j + 1].append(self._value(ctx.x_new))
 
     def end_chunk(self, x_final):
-        self.samples.append(self._acc)
+        self._values[None].append(self._value(x_final))
 
-    def estimate(self) -> Estimate:
-        return Estimate.from_samples(np.concatenate(self.samples))
+    def _value(self, x) -> np.ndarray:
+        parts = [acc for acc in (self._time, self._bnd) if acc is not None]
+        if self.Phi is not None:
+            parts.append(np.exp(self._expo) * np.asarray(self.Phi(x), dtype=float))
+        return sum(parts[1:], parts[0].copy())
 
-    def snapshot_estimate(self, step) -> Estimate:
-        return Estimate.from_samples(np.concatenate(self.snapshots[step]))
+    def estimate(self, step=None) -> Estimate:
+        return Estimate.from_samples(np.concatenate(self._values[step]))
 
 
-class TerminalObserver(_Weighted):
-    """Records e^{E} f(X) at a set of horizon steps (f=1 probes the decay)."""
+# perfbench's tracer times observers by class name, one span per class; these
+# names keep that split per functional.  Siblings, so no span nests in another.
+class TimeIntegralObserver(WeightedObserver):
+    """A weighted functional with the time integral of F, alone or with a boundary term."""
 
-    def __init__(self, q, f=None, lam=0.0, mu=0.0, power=1, horizons=()):
-        super().__init__(q, lam, mu, power)
-        self.f = f
-        self.horizons = set(horizons)
-        self.records: dict = {h: [] for h in self.horizons}
 
-    def step(self, ctx):
-        q_prev = np.asarray(self.q(ctx.x_prev), dtype=float)
-        self._advance(ctx, q_prev)
-        if ctx.j + 1 in self.horizons:
-            w = np.exp(self._expo)
-            if self.f is not None:
-                w = w * np.asarray(self.f(ctx.x_new), dtype=float)
-            self.records[ctx.j + 1].append(w.copy())
+class BoundaryIntegralObserver(WeightedObserver):
+    """A weighted functional of the boundary local-time integral of H alone."""
 
-    def estimate(self, step) -> Estimate:
-        return Estimate.from_samples(np.concatenate(self.records[step]))
+
+class TerminalObserver(WeightedObserver):
+    """A weighted functional of the terminal value Phi alone (Phi = 1 probes the decay)."""
 
 
 class ResidualObserver(PathObserver):
@@ -302,9 +277,9 @@ def estimate_decay(
     n_pilot = min(params.n_paths, 2000) if n_pilot is None else n_pilot
     n_steps = int(round(params.horizon / params.step))
     marks = [max(1, int(round(n_steps * fr / 8.0))) for fr in range(1, 9)]
-    obs = TerminalObserver(q, None, power=power, horizons=marks)
+    obs = TerminalObserver(q, Phi=lambda x: np.ones(len(x)), power=power, marks=marks)
     run_paths(
-        domain, n_pilot, params.horizon, params.step, params.seed + 0x5EED,
+        domain, n_pilot, params.horizon, params.step, params.seed + SEED_DECAY_PILOT,
         [obs], x0=x0,
     )
     times = np.array(sorted(set(marks))) * params.step
@@ -331,6 +306,12 @@ def _require_decay(fit: DecayFit, context: str):
 # Feynman-Kac estimators
 
 
+def _boundary_max(domain: Domain, data) -> float:
+    """max |data| over the boundary quadrature nodes, for the tail bounds."""
+    nodes = np.stack([node for node, _ in boundary_quadrature(domain, 32)])
+    return float(np.max(np.abs(np.asarray(data(nodes)))))
+
+
 def fk_pure_boundary(
     domain: Domain,
     x0,
@@ -351,13 +332,11 @@ def fk_pure_boundary(
         domain, q, params, x0=x0, power=1
     )
     _require_decay(fit, "fk_pure_boundary")
-    obs = BoundaryIntegralObserver(q, phi, c=c_bd)
+    obs = BoundaryIntegralObserver(q, H=phi, c=c_bd)
     run_paths(domain, params.n_paths, params.horizon, params.step, params.seed, [obs], x0=x0)
     rate = domain.boundary_measure / domain.volume
-    bnodes = np.stack([node for node, _ in boundary_quadrature(domain, 32)])
-    phimax = float(np.max(np.abs(np.asarray(phi(bnodes)))))
     params.truncation_tail_bound = float(
-        abs(c_bd) * phimax * rate * fit.tail_integral(params.horizon)
+        abs(c_bd) * _boundary_max(domain, phi) * rate * fit.tail_integral(params.horizon)
     )
     return obs.estimate()
 
@@ -381,22 +360,15 @@ def fk_linear_frozen(
         domain, q, params, x0=x0, power=1
     )
     _require_decay(fit, "fk_linear_frozen")
-    obs_t = TimeIntegralObserver(q, f_frozen)
-    obs_b = BoundaryIntegralObserver(q, h_frozen, c=c_bd)
-    run_paths(
-        domain, params.n_paths, params.horizon, params.step, params.seed,
-        [obs_t, obs_b], x0=x0,
-    )
-    vt = np.concatenate(obs_t.samples)
-    vb = np.concatenate(obs_b.samples)
-    grid = interior_grid(domain, 32)
-    fmax = float(np.max(np.abs(np.asarray(f_frozen(grid)))))
-    hmax = float(np.max(np.abs(np.asarray(h_frozen(grid)))))
+    obs = TimeIntegralObserver(q, F=f_frozen, H=h_frozen, c=c_bd)
+    run_paths(domain, params.n_paths, params.horizon, params.step, params.seed, [obs], x0=x0)
+    fmax = float(np.max(np.abs(np.asarray(f_frozen(interior_grid(domain, 32))))))
     rate = domain.boundary_measure / domain.volume
     params.truncation_tail_bound = float(
-        (fmax + abs(c_bd) * hmax * rate) * fit.tail_integral(params.horizon)
+        (fmax + abs(c_bd) * _boundary_max(domain, h_frozen) * rate)
+        * fit.tail_integral(params.horizon)
     )
-    return Estimate.from_samples(vt + vb)
+    return obs.estimate()
 
 
 def fk_frozen_with_divergence(
@@ -505,7 +477,10 @@ def calibrate_boundary_constant(
     fit = estimate_decay(domain, q, params, x0=probes[0], power=1)
     means, ses = [], []
     for i, p in enumerate(probes):
-        sub = McParams(params.n_paths, params.horizon, params.step, params.seed + i)
+        sub = McParams(
+            params.n_paths, params.horizon, params.step,
+            params.seed + SEED_CALIBRATION_PROBES + i,
+        )
         est = fk_pure_boundary(domain, p, q, one, sub, c_bd=1.0, decay_fit=fit)
         means.append(est.mean)
         ses.append(est.standard_error)
@@ -599,19 +574,17 @@ def check_conditions_C(
     rate = domain.boundary_measure / domain.volume
 
     def _bnd(start, power, fit, seed_shift):
-        obs = BoundaryIntegralObserver(
-            q, one, power=power, c=c_bd, snapshot_steps=[half]
-        )
+        obs = BoundaryIntegralObserver(q, H=one, power=power, c=c_bd, marks=[half])
         run_paths(
             domain, params.n_paths, params.horizon, params.step,
             params.seed + seed_shift, [obs], x0=start,
         )
         est = obs.estimate()
-        flag, detail = _doubling_flag(obs.snapshot_estimate(half), est)
+        flag, detail = _doubling_flag(obs.estimate(half), est)
         return est, flag, detail, abs(c_bd) * rate * fit.tail_integral(params.horizon)
 
     est1, flag1, det1, tail1 = _bnd(x0, 1, fit1, 0)
-    est2, flag2, det2, tail2 = _bnd(x1, 2, fit2, 1)
+    est2, flag2, det2, tail2 = _bnd(x1, 2, fit2, SEED_SECOND_BOUNDARY_PROBE)
 
     def q_sq(x):
         v = np.asarray(q(x), dtype=float)
@@ -622,13 +595,13 @@ def check_conditions_C(
     worst = None
     qmax2 = float(np.max(q_sq(interior_grid(domain, 64))))
     for i, g0 in enumerate(grid):
-        obs = TimeIntegralObserver(q, q_sq, power=2, snapshot_steps=[half])
+        obs = TimeIntegralObserver(q, F=q_sq, power=2, marks=[half])
         run_paths(
             domain, params.n_paths, params.horizon, params.step,
-            params.seed + 100 + i, [obs], x0=g0,
+            params.seed + SEED_CONDITIONS_GRID + i, [obs], x0=g0,
         )
         est = obs.estimate()
-        flag, detail = _doubling_flag(obs.snapshot_estimate(half), est)
+        flag, detail = _doubling_flag(obs.estimate(half), est)
         grid_vals.append((g0, est, flag))
         if worst is None or est.mean > worst[1].mean:
             worst = (g0, est, flag, detail)
@@ -714,8 +687,7 @@ def martingale_residual_test(
     res_obs = ResidualObserver(u, coeffs, n_res)
     u_sq = lambda x: u.value_at(x) ** 2  # noqa: E731
     term_obs = TerminalObserver(
-        coeffs.q_at, u_sq, lam=consts.lam, mu=consts.mu, power=2,
-        horizons=[n_res, n_total],
+        coeffs.q_at, Phi=u_sq, lam=consts.lam, mu=consts.mu, power=2, marks=[n_res]
     )
     run_paths(
         domain,
@@ -734,7 +706,7 @@ def martingale_residual_test(
     var_r = e_res.variance
     se_var = var_r * math.sqrt(2.0 / max(1, n - 1))
     t1 = term_obs.estimate(n_res)
-    t2 = term_obs.estimate(n_total)
+    t2 = term_obs.estimate()
 
     pass_mean = abs(e_res.mean) <= 3.0 * e_res.standard_error + 1e-12
     pass_var = abs(var_r - e_qv.mean) <= 3.0 * math.hypot(se_var, e_qv.standard_error)
@@ -822,7 +794,9 @@ def compare_frozen_at_probes(
     fit = estimate_decay(domain, coeffs.q_at, params, x0=probes[0], power=1)
     means, ses = [], []
     for i, p in enumerate(probes):
-        sub = McParams(params.n_paths, params.horizon, params.step, params.seed + 7 * i)
+        sub = McParams(
+            params.n_paths, params.horizon, params.step, params.seed + SEED_PROBE_STRIDE * i
+        )
         est = fk_frozen_with_divergence(
             domain, p, coeffs.q_at, F, H, G, sub, c_bd=c_bd, decay_fit=fit,
         )

@@ -3,11 +3,18 @@ import pytest
 
 from reflectpde import probeval
 from reflectpde.coeffexpr import CoefficientSet
+from reflectpde.geometry import Domain
 from reflectpde.mesh_fem import FemFunction, solve_g_lifting, solve_semilinear_g_frozen
 from reflectpde.probeval import (
     AdmissibilityError,
+    BoundaryIntegralObserver,
+    DecayFit,
     McParams,
     ResidualObserver,
+    TerminalObserver,
+    TimeIntegralObserver,
+    WeightedObserver,
+    _phi1,
     calibrate_boundary_constant,
     check_conditions_C,
     compare_frozen_at_probes,
@@ -18,6 +25,7 @@ from reflectpde.probeval import (
     fk_pure_boundary,
     martingale_residual_test,
 )
+from reflectpde.reflectsim import Estimate, PathObserver, run_paths
 from .conftest import F_A, H_A
 
 Q_MINUS_ONE = lambda x: -np.ones(len(x))  # noqa: E731
@@ -47,6 +55,176 @@ def test_admissibility_error_for_flat_weight(disk):
 
 
 # ---------------------------------------------------------------------------
+# the weighted path functional against the three observers it replaced
+#
+# The Ref* classes below are a verbatim copy of the separate time, boundary
+# and terminal observers (renamed only), kept as the reference that the one
+# WeightedObserver must reproduce bit for bit.
+
+
+class _RefWeighted(PathObserver):
+    """Shared exponent state E_j = lam t_j + mu L_j + power int_0^{t_j} q."""
+
+    def __init__(self, q, lam=0.0, mu=0.0, power=1):
+        self.q = q
+        self.lam = lam
+        self.mu = mu
+        self.power = power
+        self._expo = None
+
+    def start_chunk(self, indices, x0):
+        self._expo = np.zeros(len(indices))
+
+    def _advance(self, ctx, q_prev):
+        self._expo += (self.lam + self.power * q_prev) * ctx.h + self.mu * ctx.dl
+
+
+class RefBoundaryIntegralObserver(_RefWeighted):
+    """Accumulates sum_j w_j f(X_{j+1}) c dL_j with left-node weights w_j."""
+
+    def __init__(self, q, f, lam=0.0, mu=0.0, power=1, c=1.0, snapshot_steps=()):
+        super().__init__(q, lam, mu, power)
+        self.f = f
+        self.c = c
+        self.snapshot_steps = set(snapshot_steps)
+        self.samples: list = []
+        self.snapshots: dict = {}
+        self._acc = None
+
+    def start_chunk(self, indices, x0):
+        super().start_chunk(indices, x0)
+        self._acc = np.zeros(len(indices))
+
+    def step(self, ctx):
+        q_prev = np.asarray(self.q(ctx.x_prev), dtype=float)
+        if ctx.hit.any():
+            hit = ctx.hit
+            w = np.exp(self._expo[hit])
+            fv = np.asarray(self.f(ctx.x_new[hit]), dtype=float)
+            self._acc[hit] += w * fv * self.c * ctx.dl[hit]
+        self._advance(ctx, q_prev)
+        if ctx.j + 1 in self.snapshot_steps:
+            self.snapshots.setdefault(ctx.j + 1, []).append(self._acc.copy())
+
+    def end_chunk(self, x_final):
+        self.samples.append(self._acc)
+
+    def estimate(self) -> Estimate:
+        return Estimate.from_samples(np.concatenate(self.samples))
+
+    def snapshot_estimate(self, step) -> Estimate:
+        return Estimate.from_samples(np.concatenate(self.snapshots[step]))
+
+
+class RefTimeIntegralObserver(_RefWeighted):
+    """Accumulates int w_t f(X_t) dt with the exponential in-step rule.
+
+    Per step the weight factor int_{t_j}^{t_{j+1}} e^{E(s)} ds is taken as
+    e^{E_j} h phi1((lam + power q_j) h), which is exact for frozen q and makes
+    constant-q integrands reproduce their closed forms to rounding error.
+    """
+
+    def __init__(self, q, f, lam=0.0, mu=0.0, power=1, snapshot_steps=()):
+        super().__init__(q, lam, mu, power)
+        self.f = f
+        self.snapshot_steps = set(snapshot_steps)
+        self.samples: list = []
+        self.snapshots: dict = {}
+        self._acc = None
+
+    def start_chunk(self, indices, x0):
+        super().start_chunk(indices, x0)
+        self._acc = np.zeros(len(indices))
+
+    def step(self, ctx):
+        q_prev = np.asarray(self.q(ctx.x_prev), dtype=float)
+        a = (self.lam + self.power * q_prev) * ctx.h
+        fv = np.asarray(self.f(ctx.x_prev), dtype=float)
+        self._acc += fv * np.exp(self._expo) * ctx.h * _phi1(a)
+        self._advance(ctx, q_prev)
+        if ctx.j + 1 in self.snapshot_steps:
+            self.snapshots.setdefault(ctx.j + 1, []).append(self._acc.copy())
+
+    def end_chunk(self, x_final):
+        self.samples.append(self._acc)
+
+    def estimate(self) -> Estimate:
+        return Estimate.from_samples(np.concatenate(self.samples))
+
+    def snapshot_estimate(self, step) -> Estimate:
+        return Estimate.from_samples(np.concatenate(self.snapshots[step]))
+
+
+class RefTerminalObserver(_RefWeighted):
+    """Records e^{E} f(X) at a set of horizon steps (f=1 probes the decay)."""
+
+    def __init__(self, q, f=None, lam=0.0, mu=0.0, power=1, horizons=()):
+        super().__init__(q, lam, mu, power)
+        self.f = f
+        self.horizons = set(horizons)
+        self.records: dict = {h: [] for h in self.horizons}
+
+    def step(self, ctx):
+        q_prev = np.asarray(self.q(ctx.x_prev), dtype=float)
+        self._advance(ctx, q_prev)
+        if ctx.j + 1 in self.horizons:
+            w = np.exp(self._expo)
+            if self.f is not None:
+                w = w * np.asarray(self.f(ctx.x_new), dtype=float)
+            self.records[ctx.j + 1].append(w.copy())
+
+    def estimate(self, step) -> Estimate:
+        return Estimate.from_samples(np.concatenate(self.records[step]))
+
+
+@pytest.mark.parametrize("domain", [Domain.disk(), Domain.ellipse(1.5, 1.0)],
+                         ids=["disk", "ellipse"])
+@pytest.mark.parametrize("weights", [{}, {"lam": 0.3, "mu": -0.2, "power": 2}],
+                         ids=["plain", "lam_mu_power"])
+def test_weighted_observer_matches_reference(domain, weights):
+    n_steps, marks = 300, [1, 120, 299]
+    q = lambda x: -1.0 - 0.5 * x[:, 0] ** 2  # noqa: E731
+    F = lambda x: 1.0 + x[:, 0] * x[:, 1]  # noqa: E731
+    H = lambda x: 0.5 + x[:, 1]  # noqa: E731
+    Phi = lambda x: x[:, 0] ** 2 + 0.1  # noqa: E731
+    c = 0.47
+    ref = {
+        "time": RefTimeIntegralObserver(q, F, snapshot_steps=marks, **weights),
+        "bnd": RefBoundaryIntegralObserver(q, H, c=c, snapshot_steps=marks, **weights),
+        "one": RefTerminalObserver(q, None, horizons=marks + [n_steps], **weights),
+        "term": RefTerminalObserver(q, Phi, horizons=marks + [n_steps], **weights),
+    }
+    new = {
+        "time": TimeIntegralObserver(q, F=F, marks=marks, **weights),
+        "bnd": BoundaryIntegralObserver(q, H=H, c=c, marks=marks, **weights),
+        "one": TerminalObserver(q, Phi=ONE, marks=marks, **weights),
+        "term": TerminalObserver(q, Phi=Phi, marks=marks, **weights),
+        "fh": WeightedObserver(q, F=F, H=H, c=c, marks=marks, **weights),
+        "fhphi": WeightedObserver(q, F=F, H=H, Phi=Phi, c=c, marks=marks, **weights),
+    }
+    run_paths(domain, 150, n_steps * 2e-3, 2e-3, seed=13,
+              observers=list(ref.values()) + list(new.values()),
+              x0=np.array([0.8, 0.1]), chunk_size=64)
+    assert new["bnd"].estimate().mean != 0.0  # the paths reach the boundary
+    for key in ("time", "bnd"):
+        assert new[key].estimate() == ref[key].estimate()
+        for m in marks:
+            assert new[key].estimate(m) == ref[key].snapshot_estimate(m)
+    for key in ("one", "term"):
+        assert new[key].estimate() == ref[key].estimate(n_steps)
+        for m in marks:
+            assert new[key].estimate(m) == ref[key].estimate(m)
+    vt, vb = np.concatenate(ref["time"].samples), np.concatenate(ref["bnd"].samples)
+    assert new["fh"].estimate() == Estimate.from_samples(vt + vb)
+    for m in marks:
+        st = np.concatenate(ref["time"].snapshots[m])
+        sb = np.concatenate(ref["bnd"].snapshots[m])
+        assert new["fh"].estimate(m) == Estimate.from_samples(st + sb)
+        phi = np.concatenate(ref["term"].records[m])
+        assert new["fhphi"].estimate(m) == Estimate.from_samples(st + sb + phi)
+
+
+# ---------------------------------------------------------------------------
 # Feynman-Kac estimators
 
 
@@ -56,6 +234,32 @@ def test_fk_zero_data_is_zero(disk):
     assert est.mean == 0.0 and est.standard_error == 0.0
     est = fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, ZERO, ZERO, p)
     assert est.mean == 0.0 and est.standard_error == 0.0
+
+
+def test_fk_linear_tail_bound_takes_h_on_the_boundary(disk):
+    # H = |x|^8 is 1 on the unit circle and smaller everywhere inside
+    fit = DecayFit(C=2.0, theta=1.5, power=1, times=np.ones(1), values=np.ones(1))
+    p = params(n=20, T=0.5, h=1e-2)
+    H = lambda x: (x[:, 0] ** 2 + x[:, 1] ** 2) ** 4  # noqa: E731
+    fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, ZERO, H, p, c_bd=0.5, decay_fit=fit)
+    rate = disk.boundary_measure / disk.volume
+    assert p.truncation_tail_bound == pytest.approx(
+        0.5 * 1.0 * rate * fit.tail_integral(0.5), rel=1e-12
+    )
+
+
+def test_fk_linear_evaluates_q_once_per_step(disk):
+    calls = []
+
+    def q(x):
+        calls.append(len(x))
+        return -np.ones(len(x))
+
+    # a given fit skips the decay pilot; 20 engine steps in one chunk of 30 paths
+    fit = DecayFit(C=1.0, theta=1.0, power=1, times=np.ones(1), values=np.ones(1))
+    p = params(n=30, T=0.2, h=1e-2)
+    fk_linear_frozen(disk, np.zeros(2), q, ONE, ONE, p, decay_fit=fit)
+    assert len(calls) == 20
 
 
 def test_fk_unit_source_exact(disk):
@@ -144,10 +348,10 @@ def test_conditions_monotone_in_horizon(disk):
     from reflectpde.reflectsim import run_paths
 
     obs = BoundaryIntegralObserver(
-        Q_MINUS_ONE, ONE, c=0.5, snapshot_steps=[1500]
+        Q_MINUS_ONE, H=ONE, c=0.5, marks=[1500]
     )
     run_paths(disk, 300, 6.0, 2e-3, seed=21, observers=[obs], x0=np.zeros(2))
-    half = obs.snapshot_estimate(1500)
+    half = obs.estimate(1500)
     full = obs.estimate()
     assert half.mean <= full.mean + 1e-15
 
