@@ -46,6 +46,7 @@ from .mesh_fem import (
     Mesh,
     MeshLoadError,
     MeshMismatch,
+    PointLocationError,
     SingularSystem,
     WeakForm,
     build_mesh,

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .geometry import Domain
 
@@ -68,6 +68,10 @@ class MeshMismatch(ValueError):
     """Fields live on different meshes."""
 
 
+class PointLocationError(ValueError):
+    """A point lies farther than h_max outside the mesh."""
+
+
 class Mesh:
     """Conforming P1 triangulation, immutable after construction.
 
@@ -80,36 +84,26 @@ class Mesh:
         self.nodes = np.asarray(nodes, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.boundary_edges = np.asarray(boundary_edges, dtype=np.int64)
-        self._orient()
         self._precompute()
         self._cache: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
-    def _orient(self):
-        p = self.nodes[self.triangles]
+    def _precompute(self):
+        p = self.nodes[self.triangles]                       # (m, 3, 2)
         e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         flip = det < 0
-        if flip.any():
-            tri = self.triangles.copy()
-            tri[flip, 1], tri[flip, 2] = self.triangles[flip, 2], self.triangles[flip, 1]
-            self.triangles = tri
-
-    def _precompute(self):
-        p = self.nodes[self.triangles]                       # (m, 3, 2)
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        if flip.any():  # orient counter-clockwise; swapping two vertices negates det exactly
+            self.triangles = self.triangles.copy()
+            self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
+            p, det = self.nodes[self.triangles], np.abs(det)
         self.areas = 0.5 * det
         if np.any(self.areas <= 0):
             raise BadResolution("degenerate (zero-area) triangle in mesh")
         # gradient of barycentric basis i: rotate opposite edge by 90 deg / (2A)
-        grads = np.empty((len(p), 3, 2))
-        for i in range(3):
-            a, b = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
-            grads[:, i, 0] = a[:, 1] - b[:, 1]
-            grads[:, i, 1] = b[:, 0] - a[:, 0]
+        a, b = np.roll(p, -1, axis=1), np.roll(p, -2, axis=1)  # vertices i + 1 and i + 2
+        grads = np.stack([a[..., 1] - b[..., 1], b[..., 0] - a[..., 0]], axis=-1)
         self.grads = grads / (2.0 * self.areas)[:, None, None]
         self.quad_x = np.einsum("qi,mid->mqd", _QL, p)       # (m, 6, 2)
         self.quad_w = self.areas[:, None] * _QW[None, :]     # (m, 6)
@@ -203,14 +197,93 @@ class Mesh:
 
     # -- point location --------------------------------------------------------
 
-    def _locator(self):
-        if "locator" not in self._cache:
-            self._cache["locator"] = _TriLocator(self)
-        return self._cache["locator"]
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        """(m, 3): the triangle across the edge opposite local vertex i, or -1 on the boundary."""
+        edges = np.sort(self.triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
+        key = edges[:, 0] * self.n_nodes + edges[:, 1]
+        order = np.argsort(key, kind="stable")
+        same = key[order[1:]] == key[order[:-1]]  # the two sides of an interior edge
+        a, b = order[:-1][same], order[1:][same]
+        nb = np.full(len(key), -1, dtype=np.int64)
+        nb[a], nb[b] = b // 3, a // 3
+        return nb.reshape(-1, 3)
 
-    def find_triangles(self, points) -> np.ndarray:
-        """Triangle index containing (or nearest to) each point."""
-        return self._locator().query(np.atleast_2d(points))
+    @cached_property
+    def _centroids(self):
+        return cKDTree(self.nodes[self.triangles].mean(axis=1))
+
+    @cached_property
+    def _frames(self):
+        """(6, m): first vertex and gradients of barycentrics 1 and 2, one row each."""
+        return np.vstack([self.nodes[self.triangles[:, 0]].T, self.grads[:, 1:].reshape(-1, 4).T])
+
+    def _barycentric(self, x, y, t):
+        """Barycentric coordinates (l0, l1, l2) of the points (x, y) in triangles ``t``."""
+        x0, y0, a1, b1, a2, b2 = self._frames[:, t]
+        dx, dy = x - x0, y - y0
+        l1 = a1 * dx + b1 * dy
+        l2 = a2 * dx + b2 * dy
+        return 1.0 - l1 - l2, l1, l2
+
+    @cached_property
+    def _boundary(self):
+        """Per boundary edge: outward unit normal, offset, and its triangle and neighbours."""
+        t, i = np.nonzero(self.neighbors < 0)
+        normal = -self.grads[t, i] / np.linalg.norm(self.grads[t, i], axis=1)[:, None]
+        offset = np.einsum("kd,kd->k", normal, self.nodes[self.triangles[t, (i + 1) % 3]])
+        near = np.column_stack([t, self.neighbors[t]])
+        return normal, offset, np.where(near < 0, t[:, None], near)
+
+    def find_triangles(self, points, hint=None) -> np.ndarray:
+        """Index of the triangle containing each point, found by a walk.
+
+        Each walk starts from ``hint`` (say, a path's triangle at its last step) or from
+        the nearest centroid, and crosses the edge of the most negative barycentric until
+        the point is contained (to 1e-13) or that edge is on the boundary, assumed convex.
+        A point outside the mesh gets, of the triangle of the boundary edge it lies
+        farthest beyond and that triangle's neighbours, the one whose smallest
+        barycentric is largest; beyond ``h_max`` it raises PointLocationError.  So the
+        answer depends on the point alone, save on shared edges.  A walk that cycles
+        (on a non-Delaunay mesh) ends in the triangle of the best such score overall.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        x, y = pts[:, 0], pts[:, 1]
+        t = self._centroids.query(pts)[1] if hint is None else np.array(hint, dtype=np.int64)
+        out, idx, xs, ys, ts = np.zeros(len(pts), dtype=bool), np.arange(len(pts)), x, y, t
+        for _ in range(4 * math.isqrt(len(self.triangles)) + 16):
+            l0, l1, l2 = self._barycentric(xs, ys, ts)
+            l01 = np.minimum(l0, l1)
+            walking = np.minimum(l01, l2) < -1e-13  # slack for rounding on shared edges
+            side = np.where(l2 < l01, 2, l1 < l0)
+            idx = idx[walking]
+            if not idx.size:
+                break
+            nxt = self.neighbors.ravel()[3 * ts[walking] + side[walking]]
+            inside = nxt >= 0
+            if not inside.all():
+                out[idx[~inside]] = True
+                idx, nxt = idx[inside], nxt[inside]
+            t[idx] = ts = nxt
+            xs, ys = x[idx], y[idx]
+        else:  # the walk cycled
+            m = len(self.triangles)
+            t[idx] = self._best_score(x[idx], y[idx], np.broadcast_to(np.arange(m), (len(idx), m)))
+        normal, offset, near = self._boundary
+        rows = np.flatnonzero(out)
+        for s in range(0, len(rows), 1024):  # bounded blocks of (points, boundary edges)
+            part = rows[s:s + 1024]
+            gap = pts[part] @ normal.T - offset
+            if gap.max() > self.h_max:
+                raise PointLocationError(f"a point lies {gap.max():.3g} > h_max outside the mesh")
+            t[part] = self._best_score(x[part], y[part], near[gap.argmax(axis=1)])
+        return t
+
+    def _best_score(self, x, y, cand):
+        """For each point, the candidate triangle (a row of ``cand``) where its smallest
+        barycentric is largest."""
+        l0, l1, l2 = self._barycentric(x[:, None], y[:, None], cand)
+        return cand[np.arange(len(cand)), np.minimum(np.minimum(l0, l1), l2).argmax(axis=1)]
 
     def quad_values(self, values):
         """P1 field values at the domain quadrature points, shape (m, 6)."""
@@ -223,69 +296,6 @@ class Mesh:
     def tri_gradients(self, values):
         """Piecewise-constant gradient per triangle, shape (m, 2)."""
         return np.einsum("mi,mid->md", values[self.triangles], self.grads)
-
-
-class _TriLocator:
-    """Uniform-grid bucket index over triangles for O(1) point location."""
-
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-        p = mesh.nodes[mesh.triangles]
-        self.lo = mesh.nodes.min(axis=0) - 1e-9
-        hi = mesh.nodes.max(axis=0) + 1e-9
-        self.cell = max(mesh.h_max, 1e-12)
-        self.shape = np.maximum(1, np.ceil((hi - self.lo) / self.cell).astype(int))
-        tlo = ((p.min(axis=1) - self.lo) / self.cell).astype(int)
-        thi = ((p.max(axis=1) - self.lo) / self.cell).astype(int)
-        buckets: dict = {}
-        for t in range(len(p)):
-            for ix in range(tlo[t, 0], min(thi[t, 0], self.shape[0] - 1) + 1):
-                for iy in range(tlo[t, 1], min(thi[t, 1], self.shape[1] - 1) + 1):
-                    buckets.setdefault((ix, iy), []).append(t)
-        maxc = max(len(v) for v in buckets.values())
-        self.cand = -np.ones((self.shape[0], self.shape[1], maxc), dtype=np.int64)
-        for (ix, iy), lst in buckets.items():
-            self.cand[ix, iy, : len(lst)] = lst
-
-    def _best_of(self, points, cand):
-        m = self.mesh
-        safe = np.maximum(cand, 0)
-        p0 = m.nodes[m.triangles[safe, 0]]                   # (n, maxc, 2)
-        d = points[:, None, :] - p0
-        # barycentric coordinates via the cached basis gradients
-        g1 = m.grads[safe, 1]
-        g2 = m.grads[safe, 2]
-        l1 = np.einsum("ncd,ncd->nc", g1, d)
-        l2 = np.einsum("ncd,ncd->nc", g2, d)
-        l0 = 1.0 - l1 - l2
-        score = np.minimum(np.minimum(l0, l1), l2)
-        score = np.where(cand < 0, -np.inf, score)
-        best = np.argmax(score, axis=1)
-        return cand[np.arange(len(points)), best]
-
-    def query(self, points) -> np.ndarray:
-        ij = np.clip(
-            ((points - self.lo) / self.cell).astype(int), 0, self.shape - 1
-        )
-        out = self._best_of(points, self.cand[ij[:, 0], ij[:, 1]])
-        missing = np.nonzero(out < 0)[0]
-        # exterior points can land in empty cells; widen the search ring
-        for row in missing:
-            found = -1
-            for ring in (1, 2, 4):
-                x0 = max(0, ij[row, 0] - ring)
-                x1 = min(self.shape[0], ij[row, 0] + ring + 1)
-                y0 = max(0, ij[row, 1] - ring)
-                y1 = min(self.shape[1], ij[row, 1] + ring + 1)
-                cand = np.unique(self.cand[x0:x1, y0:y1])
-                cand = cand[cand >= 0]
-                if cand.size:
-                    found = self._best_of(points[row][None, :], cand[None, :])[0]
-                    break
-            if found < 0:
-                raise ValueError("point location failed: point far outside the mesh")
-            out[row] = found
-        return out
 
 
 class FemFunction:
@@ -308,29 +318,24 @@ class FemFunction:
             raise MeshMismatch("fields live on different meshes")
         return FemFunction(self.mesh, self.values + other.values)
 
-    def value_grad_at(self, points):
+    def value_grad_at(self, points, tri=None):
         """Field value and (piecewise-constant) gradient at arbitrary points.
 
-        Points slightly outside the mesh polygon (e.g. on the curved boundary)
-        are evaluated by linear extension of the nearest triangle.
+        ``tri`` gives the points' triangles when the caller knows them; else
+        :meth:`Mesh.find_triangles` locates the points.  On an edge shared by
+        two triangles the gradient may come from either.  Points slightly
+        outside the mesh polygon (e.g. on the curved boundary) are evaluated
+        by linear extension of their boundary triangle.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        t = self.mesh.find_triangles(pts)
-        tri = self.mesh.triangles[t]
-        p0 = self.mesh.nodes[tri[:, 0]]
-        g1 = self.mesh.grads[t, 1]
-        g2 = self.mesh.grads[t, 2]
-        d = pts - p0
-        l1 = np.einsum("nd,nd->n", g1, d)
-        l2 = np.einsum("nd,nd->n", g2, d)
-        l0 = 1.0 - l1 - l2
-        v = self.values[tri]
+        t = self.mesh.find_triangles(pts) if tri is None else tri
+        l0, l1, l2 = self.mesh._barycentric(pts[:, 0], pts[:, 1], t)
+        v = self.values[self.mesh.triangles[t]]
         val = l0 * v[:, 0] + l1 * v[:, 1] + l2 * v[:, 2]
-        grad = np.einsum("ni,nid->nd", v, self.mesh.grads[t])
-        return val, grad
+        return val, np.einsum("ni,nid->nd", v, self.mesh.grads[t])
 
-    def value_at(self, points):
-        return self.value_grad_at(points)[0]
+    def value_at(self, points, tri=None):
+        return self.value_grad_at(points, tri)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +400,9 @@ def build_mesh(domain: Domain, h_target: float, node_budget: int = 200_000) -> M
 def min_angle(mesh: Mesh) -> float:
     """Smallest interior angle over all triangles, in degrees."""
     p = mesh.nodes[mesh.triangles]
-    ang = []
-    for i in range(3):
-        u = p[:, (i + 1) % 3] - p[:, i]
-        v = p[:, (i + 2) % 3] - p[:, i]
-        c = np.einsum("md,md->m", u, v) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        )
-        ang.append(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
-    return float(np.min(ang))
+    u, v = p[:, [1, 2, 0]] - p, p[:, [2, 0, 1]] - p
+    c = np.einsum("mid,mid->mi", u, v) / (np.linalg.norm(u, axis=2) * np.linalg.norm(v, axis=2))
+    return float(np.min(np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))))
 
 
 # ---------------------------------------------------------------------------

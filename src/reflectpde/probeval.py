@@ -114,6 +114,42 @@ def _phi1(a: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + 0.5 * a, np.expm1(safe) / safe)
 
 
+class _StepMemo:
+    """``fn`` evaluated once per input array.
+
+    The engine hands every observer of a step the same ``x_prev`` array, so
+    functions of it called by several observers, or by an observer and its
+    data, share one evaluation.  The array is held, so its identity is not
+    reused; the engine does not modify it in place.
+    """
+
+    def __init__(self, fn):
+        self.fn, self._x, self._v = fn, None, None
+
+    def __call__(self, x):
+        if x is not self._x:
+            self._x, self._v = x, np.asarray(self.fn(x), dtype=float)
+        return self._v
+
+
+class PathLocator:
+    """Triangles of points that move along paths, for ``FemFunction.value_grad_at``.
+
+    Each call walks from the triangles of the previous call when it has as
+    many points: the same paths one step on.  Any other call (a tail-bound
+    grid, a new chunk) starts without a hint.  A hint shortens the walk and
+    never changes its answer, so a stale one costs time only.
+    """
+
+    def __init__(self, mesh: Mesh):
+        self.mesh, self._tri = mesh, None
+
+    def __call__(self, x):
+        same = self._tri is not None and len(self._tri) == len(x)
+        self._tri = self.mesh.find_triangles(x, self._tri if same else None)
+        return self._tri
+
+
 class WeightedObserver(PathObserver):
     """Samples of the weighted path functional at marked steps and at the horizon.
 
@@ -196,19 +232,24 @@ class ResidualObserver(PathObserver):
     scheme bias is the field-independent O(sqrt(h_t)) overshoot effect.  The
     observer also accumulates the quadratic-variation predictor
     int |grad u|^2 dr and the explicit martingale sum for diagnostics.
+    Each path keeps its triangle from step to step as the hint of the next
+    point location.  ``q_at`` is evaluated once per step; an observer of the
+    same run that takes it as its q shares that evaluation.
     """
 
     def __init__(self, u: FemFunction, coeffs, n_end: int):
         self.u = u
         self.coeffs = coeffs
         self.n_end = n_end
+        self.q_at = _StepMemo(coeffs.q_at)
         self.res_samples: list = []
         self.qv_samples: list = []
         self.mg_samples: list = []
         self._g_zero = all(e.is_zero() for e in coeffs.g)
 
     def start_chunk(self, indices, x0):
-        val, grad = self.u.value_grad_at(x0)
+        self._tri = self.u.mesh.find_triangles(x0)
+        val, grad = self.u.value_grad_at(x0, self._tri)
         self._u0 = val.copy()
         self._uprev = val
         self._gprev = grad
@@ -224,8 +265,9 @@ class ResidualObserver(PathObserver):
     def step(self, ctx):
         if ctx.j >= self.n_end:
             return
-        val, grad = self.u.value_grad_at(ctx.x_new)
-        q_prev = np.asarray(self.coeffs.q_at(ctx.x_prev), dtype=float)
+        self._tri = self.u.mesh.find_triangles(ctx.x_new, self._tri)
+        val, grad = self.u.value_grad_at(ctx.x_new, self._tri)
+        q_prev = self.q_at(ctx.x_prev)
         f_prev = np.asarray(
             self.coeffs.f_at(ctx.x_prev, self._uprev, self._gprev), dtype=float
         )
@@ -388,10 +430,18 @@ def fk_frozen_with_divergence(
     the shifted unknown v = u - 2G solves the g-free problem with data
     F + 2 q G + G and the same H, so u(x0) = fk(F + 2qG + G, H) + 2 G(x0).
     """
+    q = _StepMemo(q)  # the observer's q evaluation serves f_tilde too
+    locate = PathLocator(G.mesh)
+
     def f_tilde(x):
-        gv = G.value_at(x)
+        gv = G.value_at(x, locate(x))
         return np.asarray(f_frozen(x), dtype=float) + (2.0 * np.asarray(q(x)) + 1.0) * gv
 
+    return _fk_lifted(domain, x0, q, f_tilde, h_frozen, G, params, c_bd, decay_fit)
+
+
+def _fk_lifted(domain, x0, q, f_tilde, h_frozen, G, params, c_bd, decay_fit) -> Estimate:
+    """fk_linear_frozen of the lifted data f_tilde = F + 2 q G + G, shifted by 2 G(x0)."""
     est = fk_linear_frozen(
         domain, x0, q, f_tilde, h_frozen, params, c_bd=c_bd, decay_fit=decay_fit
     )
@@ -686,8 +736,8 @@ def martingale_residual_test(
 
     res_obs = ResidualObserver(u, coeffs, n_res)
     u_sq = lambda x: u.value_at(x) ** 2  # noqa: E731
-    term_obs = TerminalObserver(
-        coeffs.q_at, Phi=u_sq, lam=consts.lam, mu=consts.mu, power=2, marks=[n_res]
+    term_obs = TerminalObserver(  # shares res_obs's q evaluation on [0, t_res]
+        res_obs.q_at, Phi=u_sq, lam=consts.lam, mu=consts.mu, power=2, marks=[n_res]
     )
     run_paths(
         domain,
@@ -781,15 +831,22 @@ def compare_frozen_at_probes(
         probes = interior_grid(domain, 5)
     probes = np.asarray(probes, dtype=float)
 
-    def F(x):
-        val, grad = u.value_grad_at(x)
-        return coeffs.f_at(np.atleast_2d(x), val, grad)
+    G = solve_g_lifting(u.mesh, WeakForm(u.mesh, coeffs).divergence(u.values))
+    q = _StepMemo(coeffs.q_at)  # the observer's q evaluation serves f_tilde too
+    locate = PathLocator(u.mesh)
+
+    def f_tilde(x):
+        """F + 2 q G + G of fk_frozen_with_divergence, with u and G from one location."""
+        tri = locate(x)
+        val, grad = u.value_grad_at(x, tri)
+        f = coeffs.f_at(np.atleast_2d(x), val, grad)
+        gv = G.value_at(x, tri)
+        return np.asarray(f, dtype=float) + (2.0 * np.asarray(q(x)) + 1.0) * gv
 
     def H(x):
         val = u.value_at(x)
         return coeffs.h_at(np.atleast_2d(x), val)
 
-    G = solve_g_lifting(u.mesh, WeakForm(u.mesh, coeffs).divergence(u.values))
     fem_vals = u.value_at(probes)
     fit = estimate_decay(domain, coeffs.q_at, params, x0=probes[0], power=1)
     means, ses = [], []
@@ -797,9 +854,7 @@ def compare_frozen_at_probes(
         sub = McParams(
             params.n_paths, params.horizon, params.step, params.seed + SEED_PROBE_STRIDE * i
         )
-        est = fk_frozen_with_divergence(
-            domain, p, coeffs.q_at, F, H, G, sub, c_bd=c_bd, decay_fit=fit,
-        )
+        est = _fk_lifted(domain, p, q, f_tilde, H, G, sub, c_bd, fit)
         means.append(est.mean)
         ses.append(est.standard_error)
     return ProbeComparison(

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from reflectpde.geometry import Domain, eval_psi
+from reflectpde import PointLocationError as ExportedPointLocationError
+from reflectpde import mesh_fem
+from reflectpde.geometry import Domain, eval_psi, project_points
 from reflectpde.mesh_fem import (
     BadResolution,
     FemFunction,
@@ -11,6 +13,7 @@ from reflectpde.mesh_fem import (
     Mesh,
     MeshLoadError,
     MeshMismatch,
+    PointLocationError,
     build_mesh,
     export_field,
     export_mesh,
@@ -25,6 +28,7 @@ from reflectpde.mesh_fem import (
     solve_g_lifting,
     solve_semilinear_g_frozen,
 )
+from reflectpde.reflectsim import PathObserver, run_paths
 from .conftest import exact_solution
 
 
@@ -298,3 +302,226 @@ def test_point_location_and_eval(meshes):
     v, _ = fn.value_grad_at(outside)
     assert np.all(np.isfinite(v))
     assert np.max(np.abs(v - 1.04)) < 0.1
+
+
+def test_point_far_outside_raises(meshes):
+    mesh = meshes[0.05]
+    fn = FemFunction(mesh, mesh.nodes[:, 0])
+    theta = np.linspace(0, 2 * np.pi, 16)
+    far = 1.5 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    for points in (far, np.vstack([np.zeros((3, 2)), far[:1]])):
+        with pytest.raises(PointLocationError):
+            fn.value_grad_at(points)
+        with pytest.raises(PointLocationError):
+            mesh.find_triangles(points, np.zeros(len(points), dtype=np.int64))
+    assert issubclass(ExportedPointLocationError, ValueError)
+    assert ExportedPointLocationError is PointLocationError
+
+
+# ---------------------------------------------------------------------------
+# point location: the walk against the bucket locator it replaced
+#
+# _TriLocator is a verbatim copy of the uniform-grid bucket locator that
+# Mesh.find_triangles used before the walk.  It takes, among the triangles
+# overlapping the point's grid cell, the one with the largest containment
+# score (the smallest barycentric coordinate).
+
+
+class _TriLocator:
+    """Uniform-grid bucket index over triangles for O(1) point location."""
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        p = mesh.nodes[mesh.triangles]
+        self.lo = mesh.nodes.min(axis=0) - 1e-9
+        hi = mesh.nodes.max(axis=0) + 1e-9
+        self.cell = max(mesh.h_max, 1e-12)
+        self.shape = np.maximum(1, np.ceil((hi - self.lo) / self.cell).astype(int))
+        tlo = ((p.min(axis=1) - self.lo) / self.cell).astype(int)
+        thi = ((p.max(axis=1) - self.lo) / self.cell).astype(int)
+        buckets: dict = {}
+        for t in range(len(p)):
+            for ix in range(tlo[t, 0], min(thi[t, 0], self.shape[0] - 1) + 1):
+                for iy in range(tlo[t, 1], min(thi[t, 1], self.shape[1] - 1) + 1):
+                    buckets.setdefault((ix, iy), []).append(t)
+        maxc = max(len(v) for v in buckets.values())
+        self.cand = -np.ones((self.shape[0], self.shape[1], maxc), dtype=np.int64)
+        for (ix, iy), lst in buckets.items():
+            self.cand[ix, iy, : len(lst)] = lst
+
+    def _best_of(self, points, cand):
+        m = self.mesh
+        safe = np.maximum(cand, 0)
+        p0 = m.nodes[m.triangles[safe, 0]]                   # (n, maxc, 2)
+        d = points[:, None, :] - p0
+        # barycentric coordinates via the cached basis gradients
+        g1 = m.grads[safe, 1]
+        g2 = m.grads[safe, 2]
+        l1 = np.einsum("ncd,ncd->nc", g1, d)
+        l2 = np.einsum("ncd,ncd->nc", g2, d)
+        l0 = 1.0 - l1 - l2
+        score = np.minimum(np.minimum(l0, l1), l2)
+        score = np.where(cand < 0, -np.inf, score)
+        best = np.argmax(score, axis=1)
+        return cand[np.arange(len(points)), best]
+
+    def query(self, points) -> np.ndarray:
+        ij = np.clip(
+            ((points - self.lo) / self.cell).astype(int), 0, self.shape - 1
+        )
+        out = self._best_of(points, self.cand[ij[:, 0], ij[:, 1]])
+        missing = np.nonzero(out < 0)[0]
+        # exterior points can land in empty cells; widen the search ring
+        for row in missing:
+            found = -1
+            for ring in (1, 2, 4):
+                x0 = max(0, ij[row, 0] - ring)
+                x1 = min(self.shape[0], ij[row, 0] + ring + 1)
+                y0 = max(0, ij[row, 1] - ring)
+                y1 = min(self.shape[1], ij[row, 1] + ring + 1)
+                cand = np.unique(self.cand[x0:x1, y0:y1])
+                cand = cand[cand >= 0]
+                if cand.size:
+                    found = self._best_of(points[row][None, :], cand[None, :])[0]
+                    break
+            if found < 0:
+                raise ValueError("point location failed: point far outside the mesh")
+            out[row] = found
+        return out
+
+
+def _scores(mesh, points, t):
+    """Containment score of each point in its triangle: its smallest barycentric."""
+    d = points - mesh.nodes[mesh.triangles[t, 0]]
+    l1 = np.einsum("nd,nd->n", mesh.grads[t, 1], d)
+    l2 = np.einsum("nd,nd->n", mesh.grads[t, 2], d)
+    return np.minimum(np.minimum(1.0 - l1 - l2, l1), l2)
+
+
+def _area2(u, v, w):
+    return (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
+
+
+def _angle(at, u, v):
+    x, y = u - at, v - at
+    return np.arccos(x @ y / np.linalg.norm(x) / np.linalg.norm(y))
+
+
+def _flip_one_edge(mesh):
+    """The mesh with the interior edge flipped whose flip breaks the Delaunay
+    property most, among those whose two new triangles keep positive area."""
+    best = None
+    for t, i in zip(*np.nonzero(mesh.neighbors >= 0)):
+        s = mesh.neighbors[t, i]
+        a, e1, e2 = mesh.triangles[t, [i, (i + 1) % 3, (i + 2) % 3]]
+        b = next(v for v in mesh.triangles[s] if v not in (e1, e2))
+        pa, p1, p2, pb = mesh.nodes[[a, e1, e2, b]]
+        if _area2(pa, p1, pb) <= 1e-12 or _area2(pa, pb, p2) <= 1e-12:
+            continue
+        opposite = _angle(p1, pa, pb) + _angle(p2, pa, pb)  # > pi: not Delaunay
+        if best is None or opposite > best[0]:
+            best = (opposite, t, s, [a, e1, b], [a, b, e2])
+    opposite, t, s, new_t, new_s = best
+    assert opposite > np.pi + 0.1
+    tris = mesh.triangles.copy()
+    tris[t], tris[s] = new_t, new_s
+    flipped = Mesh(mesh.nodes, tris, mesh.boundary_edges)
+    assert np.all(flipped.areas > 0)
+    return flipped
+
+
+CASES = ["disk-0.1", "disk-0.05", "ellipse-0.05", "disk-0.1-flipped"]
+
+
+@pytest.fixture(scope="module")
+def location_cases():
+    disk, ellipse = Domain.disk(), Domain.ellipse(1.5, 1.0)
+    disk_01 = build_mesh(disk, 0.1)
+    meshes = [disk_01, build_mesh(disk, 0.05), build_mesh(ellipse, 0.05), _flip_one_edge(disk_01)]
+    return dict(zip(CASES, zip([disk, disk, ellipse, disk], meshes)))
+
+
+def _check_against_reference(mesh, ref, points, hint=None):
+    fn = FemFunction(mesh, np.sin(3 * mesh.nodes[:, 0]) + mesh.nodes[:, 1] ** 2)
+    t_ref = ref.query(points)
+    t = mesh.find_triangles(points, hint)
+    assert np.max(np.abs(_scores(mesh, points, t) - _scores(mesh, points, t_ref))) <= 1e-12
+    assert np.max(np.abs(fn.value_at(points, t) - fn.value_at(points, t_ref))) <= 1e-12
+    assert np.max(np.abs(fn.value_at(points) - fn.value_at(points, t_ref))) <= 1e-12
+    # the hint changes the walk, not the answer
+    far = np.argmax(np.linalg.norm(mesh.nodes[mesh.triangles[:, 0]], axis=1))
+    for other in (None, t_ref, np.full(len(points), far)):
+        assert np.array_equal(mesh.find_triangles(points, other), t)
+    return t
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_walk_matches_bucket_locator(location_cases, case):
+    domain, mesh = location_cases[case]
+    ref = _TriLocator(mesh)
+    rng = np.random.default_rng(5)
+    half = np.array(domain.semi_axes if domain.kind == "ellipse" else (1.0, 1.0))
+    box = rng.uniform(-1.0, 1.0, (4000, 2)) * half
+    uniform = box[eval_psi(domain, box)[0] > 0]
+    _check_against_reference(mesh, ref, uniform)
+    # feet on the curved boundary lie just outside the mesh polygon
+    theta = rng.uniform(0, 2 * np.pi, 2000)
+    raw = 1.2 * half * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    feet = project_points(domain, raw)[0]
+    assert np.max(np.abs(eval_psi(domain, feet)[0])) < 1e-9
+    _check_against_reference(mesh, ref, feet)
+
+
+class _HintedLocation(PathObserver):
+    """Locates every path position with its previous triangle as the hint."""
+
+    def __init__(self, mesh):
+        self.mesh, self.ref = mesh, _TriLocator(mesh)
+        self.steps = 0
+
+    def start_chunk(self, indices, x0):
+        self.tri = _check_against_reference(self.mesh, self.ref, x0)
+
+    def step(self, ctx):
+        self.tri = _check_against_reference(self.mesh, self.ref, ctx.x_new, self.tri)
+        self.steps += 1
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_walk_along_reflected_paths(location_cases, case):
+    domain, mesh = location_cases[case]
+    obs = _HintedLocation(mesh)
+    run_paths(domain, 200, 0.06, 2e-3, 17, [obs])
+    assert obs.steps == 30
+
+
+def test_neighbor_table(meshes):
+    mesh = meshes[0.1]
+    nb = mesh.neighbors
+    assert np.count_nonzero(nb < 0) == len(mesh.boundary_edges)
+    for t, i in zip(*np.nonzero(nb >= 0)):
+        s = nb[t, i]
+        assert t in nb[s]
+        shared = set(mesh.triangles[t]) - {mesh.triangles[t, i]}
+        assert shared <= set(mesh.triangles[s])
+
+
+def test_orientation_is_counter_clockwise(meshes):
+    mesh = meshes[0.1]
+    mixed = mesh.triangles.copy()
+    mixed[::2] = mixed[::2, ::-1]  # every other triangle clockwise
+    fixed = Mesh(mesh.nodes, mixed, mesh.boundary_edges)
+    assert np.array_equal(fixed.triangles[::2], mixed[::2][:, [0, 2, 1]])
+    assert np.array_equal(fixed.triangles[1::2], mesh.triangles[1::2])
+    assert np.allclose(fixed.areas, mesh.areas, rtol=1e-12, atol=0)
+    assert np.array_equal(fixed.grads[1::2], mesh.grads[1::2])
+
+
+def test_walk_cap_finishes_by_best_score(monkeypatch, meshes):
+    # with the step cap at zero every point takes the exact finish, which must
+    # agree with the walk inside the mesh
+    mesh = meshes[0.05]
+    pts = np.random.default_rng(8).uniform(-0.65, 0.65, (300, 2))
+    walked = mesh.find_triangles(pts)
+    monkeypatch.setattr(mesh_fem.math, "isqrt", lambda n: -4)
+    assert np.array_equal(mesh.find_triangles(pts, np.zeros(len(pts), dtype=np.int64)), walked)

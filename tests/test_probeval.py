@@ -4,7 +4,7 @@ import pytest
 from reflectpde import probeval
 from reflectpde.coeffexpr import CoefficientSet
 from reflectpde.geometry import Domain
-from reflectpde.mesh_fem import FemFunction, solve_g_lifting, solve_semilinear_g_frozen
+from reflectpde.mesh_fem import FemFunction, Mesh, solve_g_lifting, solve_semilinear_g_frozen
 from reflectpde.probeval import (
     AdmissibilityError,
     BoundaryIntegralObserver,
@@ -315,6 +315,22 @@ def test_fk_with_divergence_against_fem(disk, meshes):
     assert est.mean == pytest.approx(fem_val, abs=3 * est.standard_error + 0.06)
 
 
+def test_fk_with_divergence_evaluates_q_once_per_step(disk, meshes):
+    calls = []
+
+    def q(x):
+        calls.append(len(x))
+        return -np.ones(len(x))
+
+    # a given fit skips the decay pilot; 20 engine steps in one chunk of 30 paths
+    fit = DecayFit(C=1.0, theta=1.0, power=1, times=np.ones(1), values=np.ones(1))
+    G = solve_g_lifting(meshes[0.1], meshes[0.1].quad_x)
+    fk_frozen_with_divergence(disk, np.zeros(2), q, ONE, ONE, G, params(n=30, T=0.2, h=1e-2),
+                              decay_fit=fit)
+    assert calls.count(30) == 20  # one per path-step: the observer's, shared with f_tilde
+    assert len(calls) == 21  # and one on the tail-bound grid
+
+
 # ---------------------------------------------------------------------------
 # calibration
 
@@ -431,6 +447,66 @@ def test_residual_observer_keeps_star_term(meshes, corpus_a, corpus_b):
         assert not ResidualObserver(u, coeffs, 10)._g_zero, g1
     assert ResidualObserver(u, corpus_a, 10)._g_zero
     assert not ResidualObserver(u, corpus_b, 10)._g_zero
+
+
+def test_residual_evaluates_q_once_per_step(monkeypatch, disk, meshes, corpus_a, consts_k0):
+    calls = []
+    q_at = CoefficientSet.q_at
+
+    def counting_q_at(self, x):
+        calls.append(len(x))
+        return q_at(self, x)
+
+    monkeypatch.setattr(CoefficientSet, "q_at", counting_q_at)
+    u = solve_semilinear_g_frozen(meshes[0.1], corpus_a, inner_tol=1e-11)
+    calls.clear()
+    # t_res = 10 steps, run to 20: the residual observer and the terminal
+    # observer share one evaluation per step
+    martingale_residual_test(disk, u, corpus_a, consts_k0, params(n=20, T=0.02, h=1e-3),
+                             t_res=0.01)
+    assert calls == [20] * 20
+
+
+def _count_locations(monkeypatch):
+    """Record (number of points, hint given) for every Mesh.find_triangles call."""
+    calls = []
+    find_triangles = Mesh.find_triangles
+
+    def counting(self, points, *hint):
+        calls.append((len(points), bool(hint) and hint[0] is not None))
+        return find_triangles(self, points, *hint)
+
+    monkeypatch.setattr(Mesh, "find_triangles", counting)
+    return calls
+
+
+def test_residual_locates_once_per_step_from_the_last_triangle(
+    monkeypatch, disk, meshes, corpus_b, consts_k01
+):
+    u = FemFunction(meshes[0.1], meshes[0.1].nodes[:, 0] ** 2)
+    calls = _count_locations(monkeypatch)
+    martingale_residual_test(disk, u, corpus_b, consts_k01, params(n=20, T=0.02, h=1e-3),
+                             t_res=0.01)
+    # x0, then one hinted call per step up to t_res, then the terminal value
+    # at t_res and at 2 t_res
+    assert calls == [(20, False)] + [(20, True)] * 10 + [(20, False)] * 2
+
+
+def test_probe_comparison_locates_once_per_step(monkeypatch, disk, meshes, corpus_b):
+    u = FemFunction(meshes[0.1], meshes[0.1].nodes[:, 0] ** 2 + meshes[0.1].nodes[:, 1] ** 2)
+    calls = _count_locations(monkeypatch)
+    probes = np.array([[0.0, 0.1], [0.5, -0.2]])
+    compare_frozen_at_probes(disk, u, corpus_b, params(n=40, T=0.05, h=1e-3), probes=probes)
+    n_steps = 50
+    # the time term: u, grad u and the lift G from one location per path-step,
+    # each but a probe's first walking from the last one's triangles
+    time_term = [hinted for size, hinted in calls if size == 40]
+    assert len(time_term) == len(probes) * n_steps
+    assert time_term.count(False) == len(probes)
+    # the boundary term: one location of the hits, on steps with a hit
+    sizes = [size for size, _ in calls]
+    hits = [size for size in sizes if size < 40]
+    assert len(hits) <= len(probes) * n_steps + 6  # plus probes, shifts, boundary nodes
 
 
 def test_probe_comparison_smoke(monkeypatch, disk, meshes, corpus_a):
