@@ -144,12 +144,16 @@ def contains(domain: Domain, x, tol: float = 1e-12) -> str:
 
 
 def _project_ellipse(domain: Domain, pts: np.ndarray):
-    """Nearest-point projection onto the ellipse boundary (vectorized bisection).
+    """Nearest-point projection onto the ellipse boundary (Newton, bisection fallback).
 
-    Solves sum_i (axes_i p_i / (t + axes_i^2))^2 = 1 for the unique root
-    t > -b^2; valid for interior and exterior points off the medial axis.
-    Medial-axis points (second coordinate ~0, first inside the evolute) get
-    the positive-y foot; the exact center gets the foot (0, b).
+    Solves G(t) = sum_i (axes_i p_i / (t + axes_i^2))^2 - 1 = 0 for the unique
+    root t > -b^2 off the medial axis.  G is convex and decreasing, so Newton
+    from Eberly's left bracket max(b|y| - b^2, a|x| - a^2), or from t = 0 for a
+    point outside, rises monotonically to the root.  G + 1 is the ellipse
+    equation at the foot; points with |G| > 2e-15 after 12 checks (interior
+    points near an axis, where G jumps by more between adjacent floats of t)
+    are bisected.  Medial-axis points (second coordinate ~0, first inside the
+    evolute) get the positive-y foot; the exact center gets the foot (0, b).
     """
     a, b = domain.semi_axes
     px, py = pts[:, 0], pts[:, 1]
@@ -162,23 +166,22 @@ def _project_ellipse(domain: Domain, pts: np.ndarray):
     medial = on_axis & (ax_ * a < c2) if c2 > 0 else on_axis & (ax_ == 0.0)
 
     foot = np.empty_like(pts)
-    # generic branch: bisection for t
     gen = ~medial
     if gen.any():
         gx, gy = ax_[gen], ay_[gen]
-        lo = np.full(gx.shape, -(b * b))
-        # root is below t_hi = b|y| + a|x| comfortably; expand to be safe
-        hi = a * np.hypot(gx, gy) + a * a + b * b
-        # G is decreasing in t; keep G(lo+)>0 side on the left
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fx = a * gx / (mid + a * a)
-            fy = b * gy / (mid + b * b)
+        t = np.maximum(b * gy - b * b, a * gx - a * a)
+        t = np.where((gx / a) ** 2 + (gy / b) ** 2 > 1.0, np.maximum(t, 0.0), t)
+        for _ in range(12):
+            fx = a * gx / (t + a * a)
+            fy = b * gy / (t + b * b)
             g = fx * fx + fy * fy - 1.0
-            take = g > 0.0
-            lo = np.where(take, mid, lo)
-            hi = np.where(take, hi, mid)
-        t = 0.5 * (lo + hi)
+            slow = ~(np.abs(g) <= 2e-15)  # NaN counts as not converged
+            if not slow.any():
+                break
+            step = g / (2.0 * (fx * fx / (t + a * a) + fy * fy / (t + b * b)))
+            t = np.where(slow, t + step, t)
+        if slow.any():
+            t[slow] = _bisect_secular(a, b, gx[slow], gy[slow])
         foot[gen, 0] = a * a * gx / (t + a * a)
         foot[gen, 1] = b * b * gy / (t + b * b)
     if medial.any():
@@ -194,6 +197,21 @@ def _project_ellipse(domain: Domain, pts: np.ndarray):
     foot[:, 0] *= sx
     foot[:, 1] *= sy
     return foot
+
+
+def _bisect_secular(a: float, b: float, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Root t > -b^2 of G at the points (|x|, |y|) = (gx, gy), by 80 bisection steps."""
+    lo = np.full(gx.shape, -(b * b))
+    hi = a * np.hypot(gx, gy) + a * a + b * b  # comfortably above the root
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fx = a * gx / (mid + a * a)
+        fy = b * gy / (mid + b * b)
+        g = fx * fx + fy * fy - 1.0
+        take = g > 0.0
+        lo = np.where(take, mid, lo)
+        hi = np.where(take, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def project_points(domain: Domain, x) -> tuple:

@@ -613,6 +613,7 @@ class FieldLoadError(ValueError):
 
 
 def import_field(path, mesh: Mesh) -> FemFunction:
+    """Read a field of ``mesh``: rows in any order, each node once at its position."""
     with open(path) as src:
         header = src.readline().strip()
         if header != "node,x,y,value":
@@ -622,11 +623,14 @@ def import_field(path, mesh: Mesh) -> FemFunction:
         raise FieldLoadError(
             f"{path}: {len(rows)} rows for a mesh with {mesh.n_nodes} nodes"
         )
-    vals = np.empty(mesh.n_nodes)
-    for row in rows:
-        i = int(row[0])
-        x, y = float(row[1]), float(row[2])
-        if not np.allclose(mesh.nodes[i], (x, y), atol=1e-9):
-            raise FieldLoadError(f"{path}: node {i} position mismatch")
-        vals[i] = float(row[3])
-    return FemFunction(mesh, vals)
+    try:
+        table = np.array(rows, dtype=float).reshape(mesh.n_nodes, 4)
+    except ValueError as exc:
+        raise FieldLoadError(f"{path}: rows are not four numbers: {exc}") from None
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    if not np.array_equal(table[:, 0], np.arange(mesh.n_nodes)):
+        raise FieldLoadError(f"{path}: node indices are not 0..{mesh.n_nodes - 1}, each once")
+    far = ~np.isclose(mesh.nodes, table[:, 1:3], atol=1e-9).all(axis=1)
+    if far.any():
+        raise FieldLoadError(f"{path}: node {int(np.argmax(far))} position mismatch")
+    return FemFunction(mesh, table[:, 3].copy())

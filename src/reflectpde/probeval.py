@@ -85,12 +85,16 @@ class DecayFit:
 # that the runs of one call use disjoint streams.  The values are part of the
 # reproducibility contract: changing one changes every estimate built on it.
 
-SEED_DECAY_PILOT = 0x5EED        # estimate_decay's pilot run
 SEED_CALIBRATION_PROBES = 0      # calibrate_boundary_constant: + i for probe i
 SEED_SECOND_BOUNDARY_PROBE = 1   # check_conditions_C: the E[int w^2 dL] probe
 SEED_CONDITIONS_GRID = 100       # check_conditions_C: + i for grid start i
 SEED_PROBE_STRIDE = 7            # compare_frozen_at_probes: + 7 i for probe i
 SEED_PICARD_INCREMENTS = 1000    # picard.weighted_increment_ratios: + n for increment n
+
+
+def _shifted(params: McParams, seed_shift: int) -> McParams:
+    """The run parameters of one probe, on the seed stream ``seed_shift``."""
+    return McParams(params.n_paths, params.horizon, params.step, params.seed + seed_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +164,16 @@ class WeightedObserver(PathObserver):
     boundary term takes left-node weights and H at the projection foot.  The
     time and boundary terms keep separate accumulators and are summed only
     when a value is recorded.  ``estimate(step)`` reads a marked step and
-    ``estimate()`` the horizon.
+    ``estimate()`` the horizon.  At ``fit_steps`` the weight e^{E} itself is
+    recorded, and ``decay_fit`` fits its decay from the run's own paths.
     """
 
     def __init__(self, q, F=None, H=None, Phi=None, c=1.0, lam=0.0, mu=0.0, power=1,
-                 marks=()):
+                 marks=(), fit_steps=()):
         self.q, self.F, self.H, self.Phi, self.c = q, F, H, Phi, c
         self.lam, self.mu, self.power = lam, mu, power
         self._values: dict = {step: [] for step in (*marks, None)}
+        self._weights: dict = {step: [] for step in fit_steps}
 
     def start_chunk(self, indices, x0):
         n = len(indices)
@@ -187,6 +193,8 @@ class WeightedObserver(PathObserver):
         self._expo += a + self.mu * ctx.dl
         if ctx.j + 1 in self._values:
             self._values[ctx.j + 1].append(self._value(ctx.x_new))
+        if ctx.j + 1 in self._weights:
+            self._weights[ctx.j + 1].append(np.exp(self._expo))
 
     def end_chunk(self, x_final):
         self._values[None].append(self._value(x_final))
@@ -200,6 +208,12 @@ class WeightedObserver(PathObserver):
     def estimate(self, step=None) -> Estimate:
         return Estimate.from_samples(np.concatenate(self._values[step]))
 
+    def decay_fit(self, h: float) -> DecayFit:
+        """``estimate_decay`` of the mean weight at the fit steps, h the step length."""
+        steps = sorted(self._weights)
+        means = [np.concatenate(self._weights[s]).mean() for s in steps]
+        return estimate_decay(np.array(steps) * h, np.array(means), self.power)
+
 
 # perfbench's tracer times observers by class name, one span per class; these
 # names keep that split per functional.  Siblings, so no span nests in another.
@@ -212,7 +226,7 @@ class BoundaryIntegralObserver(WeightedObserver):
 
 
 class TerminalObserver(WeightedObserver):
-    """A weighted functional of the terminal value Phi alone (Phi = 1 probes the decay)."""
+    """A weighted functional of the terminal value Phi alone."""
 
 
 class ResidualObserver(PathObserver):
@@ -303,29 +317,12 @@ class ResidualObserver(PathObserver):
 # decay fitting and admissibility
 
 
-def estimate_decay(
-    domain: Domain,
-    q,
-    params: McParams,
-    x0=None,
-    power: int = 2,
-    n_pilot: int | None = None,
-) -> DecayFit:
-    """Fit C, theta in E[exp(power int_0^t q)] <= C exp(-theta t) empirically.
+def estimate_decay(times, values, power: int) -> DecayFit:
+    """Fit C, theta in E[exp(power int_0^t q)] <= C exp(-theta t) by least squares.
 
-    Uses a pilot run (its own seed stream, offset from the main run) and a
-    least-squares line through log-means at eight horizon fractions.
+    ``values`` are the mean weights at ``times``: a line is fitted through
+    their logarithms.  A mean that is not positive gives theta = 0.
     """
-    n_pilot = min(params.n_paths, 2000) if n_pilot is None else n_pilot
-    n_steps = int(round(params.horizon / params.step))
-    marks = [max(1, int(round(n_steps * fr / 8.0))) for fr in range(1, 9)]
-    obs = TerminalObserver(q, Phi=lambda x: np.ones(len(x)), power=power, marks=marks)
-    run_paths(
-        domain, n_pilot, params.horizon, params.step, params.seed + SEED_DECAY_PILOT,
-        [obs], x0=x0,
-    )
-    times = np.array(sorted(set(marks))) * params.step
-    values = np.array([obs.estimate(s).mean for s in sorted(set(marks))])
     if np.any(values <= 0):
         return DecayFit(C=float("nan"), theta=0.0, power=power, times=times, values=values)
     slope, intercept = np.polyfit(times, np.log(values), 1)
@@ -335,13 +332,10 @@ def estimate_decay(
     )
 
 
-def _require_decay(fit: DecayFit, context: str):
-    if not (fit.theta > 1e-6):
-        raise AdmissibilityError(
-            f"{context}: killing weight shows no exponential decay "
-            f"(fitted theta={fit.theta:g}); the infinite-horizon integral "
-            "cannot be truncated"
-        )
+def _fit_steps(params: McParams) -> list:
+    """The steps of the decay fit: max(1, round(n k / 8)) for k = 1..8, n steps in all."""
+    n_steps = int(round(params.horizon / params.step))
+    return sorted({max(1, int(round(n_steps * k / 8.0))) for k in range(1, 9)})
 
 
 # ---------------------------------------------------------------------------
@@ -354,81 +348,70 @@ def _boundary_max(domain: Domain, data) -> float:
     return float(np.max(np.abs(np.asarray(data(nodes)))))
 
 
-def fk_pure_boundary(
-    domain: Domain,
-    x0,
-    q,
-    phi,
-    params: McParams,
-    c_bd: float = DEFAULT_C_BD,
-    decay_fit: DecayFit | None = None,
-) -> Estimate:
-    """Estimate u(x0) = E^{x0}[int_0^T w_t phi(X_t) c_bd dL_t], w = e^{int q}.
+def _run_fk(domain: Domain, x0, obs: WeightedObserver, params: McParams, context) -> Estimate:
+    """Run a Feynman-Kac observer from x0; the tail bound comes from its own decay fit.
 
-    The estimated value solves (1/2) lap u + q u = 0 with boundary data
-    <grad u, n> + 2 c_bd phi = 0 (outward flux = 2 c_bd phi).  Raises
-    :class:`AdmissibilityError` when the empirical decay check fails; fills
-    ``params.truncation_tail_bound``.
+    Raises :class:`AdmissibilityError`, after the run, when the fit shows no
+    exponential decay; otherwise fills ``params.truncation_tail_bound``.
     """
-    fit = decay_fit if decay_fit is not None else estimate_decay(
-        domain, q, params, x0=x0, power=1
-    )
-    _require_decay(fit, "fk_pure_boundary")
-    obs = BoundaryIntegralObserver(q, H=phi, c=c_bd)
     run_paths(domain, params.n_paths, params.horizon, params.step, params.seed, [obs], x0=x0)
+    fit = obs.decay_fit(params.step)
+    if not (fit.theta > 1e-6):
+        raise AdmissibilityError(
+            f"{context}: killing weight shows no exponential decay "
+            f"(fitted theta={fit.theta:g}); the infinite-horizon integral "
+            "cannot be truncated"
+        )
+    fmax = 0.0 if obs.F is None else float(
+        np.max(np.abs(np.asarray(obs.F(interior_grid(domain, 32)))))
+    )
     rate = domain.boundary_measure / domain.volume
     params.truncation_tail_bound = float(
-        abs(c_bd) * _boundary_max(domain, phi) * rate * fit.tail_integral(params.horizon)
-    )
-    return obs.estimate()
-
-
-def fk_linear_frozen(
-    domain: Domain,
-    x0,
-    q,
-    f_frozen,
-    h_frozen,
-    params: McParams,
-    c_bd: float = DEFAULT_C_BD,
-    decay_fit: DecayFit | None = None,
-) -> Estimate:
-    """Estimate E^{x0}[int w F dt + c_bd int w H dL] for frozen data F, H.
-
-    Agrees with the finite-element solution of
-    (1/2) lap v + q v + F = 0, <grad v, n> + 2 c_bd H = 0 at x0.
-    """
-    fit = decay_fit if decay_fit is not None else estimate_decay(
-        domain, q, params, x0=x0, power=1
-    )
-    _require_decay(fit, "fk_linear_frozen")
-    obs = TimeIntegralObserver(q, F=f_frozen, H=h_frozen, c=c_bd)
-    run_paths(domain, params.n_paths, params.horizon, params.step, params.seed, [obs], x0=x0)
-    fmax = float(np.max(np.abs(np.asarray(f_frozen(interior_grid(domain, 32))))))
-    rate = domain.boundary_measure / domain.volume
-    params.truncation_tail_bound = float(
-        (fmax + abs(c_bd) * _boundary_max(domain, h_frozen) * rate)
+        (fmax + abs(obs.c) * _boundary_max(domain, obs.H) * rate)
         * fit.tail_integral(params.horizon)
     )
     return obs.estimate()
 
 
+def fk_pure_boundary(
+    domain: Domain, x0, q, phi, params: McParams, c_bd: float = DEFAULT_C_BD
+) -> Estimate:
+    """Estimate u(x0) = E^{x0}[int_0^T w_t phi(X_t) c_bd dL_t], w = e^{int q}.
+
+    The estimated value solves (1/2) lap u + q u = 0 with boundary data
+    <grad u, n> + 2 c_bd phi = 0 (outward flux = 2 c_bd phi).  Raises
+    :class:`AdmissibilityError`, after the run, when the decay fit of the
+    run's own weight fails; fills ``params.truncation_tail_bound`` from that fit.
+    """
+    obs = BoundaryIntegralObserver(q, H=phi, c=c_bd, fit_steps=_fit_steps(params))
+    return _run_fk(domain, x0, obs, params, "fk_pure_boundary")
+
+
+def fk_linear_frozen(
+    domain: Domain, x0, q, f_frozen, h_frozen, params: McParams, c_bd: float = DEFAULT_C_BD
+) -> Estimate:
+    """Estimate E^{x0}[int w F dt + c_bd int w H dL] for frozen data F, H.
+
+    Agrees with the finite-element solution of
+    (1/2) lap v + q v + F = 0, <grad v, n> + 2 c_bd H = 0 at x0.  Raises
+    :class:`AdmissibilityError`, after the run, when the decay fit of the
+    run's own weight fails; fills ``params.truncation_tail_bound`` from that fit.
+    """
+    obs = TimeIntegralObserver(q, F=f_frozen, H=h_frozen, c=c_bd, fit_steps=_fit_steps(params))
+    return _run_fk(domain, x0, obs, params, "fk_linear_frozen")
+
+
 def fk_frozen_with_divergence(
-    domain: Domain,
-    x0,
-    q,
-    f_frozen,
-    h_frozen,
-    G: FemFunction,
-    params: McParams,
+    domain: Domain, x0, q, f_frozen, h_frozen, G: FemFunction, params: McParams,
     c_bd: float = DEFAULT_C_BD,
-    decay_fit: DecayFit | None = None,
 ) -> Estimate:
     """FK evaluation of the frozen problem including a divergence field g.
 
     The divergence term is removed by the Riesz lift G of g (solve_g_lifting):
     the shifted unknown v = u - 2G solves the g-free problem with data
     F + 2 q G + G and the same H, so u(x0) = fk(F + 2qG + G, H) + 2 G(x0).
+    Raises :class:`AdmissibilityError` and fills the tail bound as
+    :func:`fk_linear_frozen` does.
     """
     q = _StepMemo(q)  # the observer's q evaluation serves f_tilde too
     locate = PathLocator(G.mesh)
@@ -437,14 +420,12 @@ def fk_frozen_with_divergence(
         gv = G.value_at(x, locate(x))
         return np.asarray(f_frozen(x), dtype=float) + (2.0 * np.asarray(q(x)) + 1.0) * gv
 
-    return _fk_lifted(domain, x0, q, f_tilde, h_frozen, G, params, c_bd, decay_fit)
+    return _fk_lifted(domain, x0, q, f_tilde, h_frozen, G, params, c_bd)
 
 
-def _fk_lifted(domain, x0, q, f_tilde, h_frozen, G, params, c_bd, decay_fit) -> Estimate:
+def _fk_lifted(domain, x0, q, f_tilde, h_frozen, G, params, c_bd) -> Estimate:
     """fk_linear_frozen of the lifted data f_tilde = F + 2 q G + G, shifted by 2 G(x0)."""
-    est = fk_linear_frozen(
-        domain, x0, q, f_tilde, h_frozen, params, c_bd=c_bd, decay_fit=decay_fit
-    )
+    est = fk_linear_frozen(domain, x0, q, f_tilde, h_frozen, params, c_bd=c_bd)
     shift = 2.0 * float(G.value_at(np.asarray(x0, dtype=float)[None, :])[0])
     return Estimate(
         est.n_samples,
@@ -524,18 +505,14 @@ def calibrate_boundary_constant(
     # FEM problem with h-data = 2 c_bd * phi at the analytic c_bd = 1/2
     v = fem_linear_solve(mesh, q, zero, one)
     fem_vals = v.value_at(probes)
-    fit = estimate_decay(domain, q, params, x0=probes[0], power=1)
-    means, ses = [], []
-    for i, p in enumerate(probes):
-        sub = McParams(
-            params.n_paths, params.horizon, params.step,
-            params.seed + SEED_CALIBRATION_PROBES + i,
+    ests = [
+        fk_pure_boundary(
+            domain, p, q, one, _shifted(params, SEED_CALIBRATION_PROBES + i), c_bd=1.0
         )
-        est = fk_pure_boundary(domain, p, q, one, sub, c_bd=1.0, decay_fit=fit)
-        means.append(est.mean)
-        ses.append(est.standard_error)
-    means = np.array(means)
-    ses = np.array(ses)
+        for i, p in enumerate(probes)
+    ]
+    means = np.array([est.mean for est in ests])
+    ses = np.array([est.standard_error for est in ests])
     c = float(np.dot(fem_vals, means) / np.dot(means, means))
     return CalibrationResult(
         c_bd=c, probes=probes, fem_values=fem_vals, mc_raw_means=means, mc_raw_ses=ses
@@ -619,22 +596,22 @@ def check_conditions_C(
     half = max(1, n_steps // 2)
     one = lambda x: np.ones(len(x))  # noqa: E731
 
-    fit1 = estimate_decay(domain, q, params, x0=x0, power=1)
-    fit2 = estimate_decay(domain, q, params, x0=x1, power=2)
     rate = domain.boundary_measure / domain.volume
 
-    def _bnd(start, power, fit, seed_shift):
-        obs = BoundaryIntegralObserver(q, H=one, power=power, c=c_bd, marks=[half])
+    def _bnd(start, power, seed_shift):
+        """The boundary probe and the decay fit of its own weight."""
+        obs = BoundaryIntegralObserver(q, H=one, power=power, c=c_bd, marks=[half],
+                                       fit_steps=_fit_steps(params))
         run_paths(
             domain, params.n_paths, params.horizon, params.step,
             params.seed + seed_shift, [obs], x0=start,
         )
-        est = obs.estimate()
+        est, fit = obs.estimate(), obs.decay_fit(params.step)
         flag, detail = _doubling_flag(obs.estimate(half), est)
-        return est, flag, detail, abs(c_bd) * rate * fit.tail_integral(params.horizon)
+        return est, flag, detail, abs(c_bd) * rate * fit.tail_integral(params.horizon), fit
 
-    est1, flag1, det1, tail1 = _bnd(x0, 1, fit1, 0)
-    est2, flag2, det2, tail2 = _bnd(x1, 2, fit2, SEED_SECOND_BOUNDARY_PROBE)
+    est1, flag1, det1, tail1, _ = _bnd(x0, 1, 0)
+    est2, flag2, det2, tail2, fit2 = _bnd(x1, 2, SEED_SECOND_BOUNDARY_PROBE)
 
     def q_sq(x):
         v = np.asarray(q(x), dtype=float)
@@ -848,19 +825,14 @@ def compare_frozen_at_probes(
         return coeffs.h_at(np.atleast_2d(x), val)
 
     fem_vals = u.value_at(probes)
-    fit = estimate_decay(domain, coeffs.q_at, params, x0=probes[0], power=1)
-    means, ses = [], []
-    for i, p in enumerate(probes):
-        sub = McParams(
-            params.n_paths, params.horizon, params.step, params.seed + SEED_PROBE_STRIDE * i
-        )
-        est = _fk_lifted(domain, p, q, f_tilde, H, G, sub, c_bd, fit)
-        means.append(est.mean)
-        ses.append(est.standard_error)
+    ests = [
+        _fk_lifted(domain, p, q, f_tilde, H, G, _shifted(params, SEED_PROBE_STRIDE * i), c_bd)
+        for i, p in enumerate(probes)
+    ]
     return ProbeComparison(
         probes=probes,
         fem_values=np.asarray(fem_vals),
-        mc_means=np.array(means),
-        mc_ses=np.array(ses),
+        mc_means=np.array([est.mean for est in ests]),
+        mc_ses=np.array([est.standard_error for est in ests]),
         allowance=allowance,
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reflectpde import geometry
 from reflectpde.geometry import (
     BOUNDARY,
     EXTERIOR,
@@ -162,6 +163,135 @@ def test_ellipse_medial_axis_tiebreak():
     foot, _, dist = project_to_boundary(e, (0.0, 0.0))
     # nearest points are (0, +-1); the tie-break picks the positive one
     assert foot == pytest.approx([0, 1]) and dist == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the Newton projection against the bisection it replaced
+#
+# _ref_project_ellipse is a verbatim copy of the earlier vectorized bisection
+# (renamed only), kept as the reference for the Newton projection.
+
+
+def _ref_project_ellipse(domain, pts: np.ndarray):
+    """Nearest-point projection onto the ellipse boundary (vectorized bisection).
+
+    Solves sum_i (axes_i p_i / (t + axes_i^2))^2 = 1 for the unique root
+    t > -b^2; valid for interior and exterior points off the medial axis.
+    Medial-axis points (second coordinate ~0, first inside the evolute) get
+    the positive-y foot; the exact center gets the foot (0, b).
+    """
+    a, b = domain.semi_axes
+    px, py = pts[:, 0], pts[:, 1]
+    sx, sy = np.where(px >= 0, 1.0, -1.0), np.where(py >= 0, 1.0, -1.0)
+    ax_, ay_ = np.abs(px), np.abs(py)
+
+    c2 = a * a - b * b
+    on_axis = ay_ < 1e-14 * a
+    # points on the major axis inside the evolute have an off-axis nearest foot
+    medial = on_axis & (ax_ * a < c2) if c2 > 0 else on_axis & (ax_ == 0.0)
+
+    foot = np.empty_like(pts)
+    # generic branch: bisection for t
+    gen = ~medial
+    if gen.any():
+        gx, gy = ax_[gen], ay_[gen]
+        lo = np.full(gx.shape, -(b * b))
+        # root is below t_hi = b|y| + a|x| comfortably; expand to be safe
+        hi = a * np.hypot(gx, gy) + a * a + b * b
+        # G is decreasing in t; keep G(lo+)>0 side on the left
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fx = a * gx / (mid + a * a)
+            fy = b * gy / (mid + b * b)
+            g = fx * fx + fy * fy - 1.0
+            take = g > 0.0
+            lo = np.where(take, mid, lo)
+            hi = np.where(take, hi, mid)
+        t = 0.5 * (lo + hi)
+        foot[gen, 0] = a * a * gx / (t + a * a)
+        foot[gen, 1] = b * b * gy / (t + b * b)
+    if medial.any():
+        if c2 > 0:
+            fx = np.minimum(a * a * ax_[medial] / c2, a)
+            foot[medial, 0] = fx
+            foot[medial, 1] = b * np.sqrt(np.maximum(0.0, 1.0 - (fx / a) ** 2))
+            sy[medial] = 1.0  # tie-break: positive-y foot
+        else:
+            # circle written as an ellipse: center resolves along the first axis
+            foot[medial, 0] = a
+            foot[medial, 1] = 0.0
+    foot[:, 0] *= sx
+    foot[:, 1] *= sy
+    return foot
+
+
+def _overshoots(a, b, n, rng, depth=0.1):
+    """Points up to ``depth`` outside the ellipse along its outward normal."""
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    normal = np.stack([np.cos(theta) / a, np.sin(theta) / b], axis=1)
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    on = np.stack([a * np.cos(theta), b * np.sin(theta)], axis=1)
+    return on + rng.uniform(0.0, depth, (n, 1)) * normal
+
+
+def _bisected_counts(monkeypatch):
+    """Record the number of points of every bisection fallback."""
+    counts = []
+    bisect = geometry._bisect_secular
+
+    def counting(a, b, gx, gy):
+        counts.append(len(gx))
+        return bisect(a, b, gx, gy)
+
+    monkeypatch.setattr(geometry, "_bisect_secular", counting)
+    return counts
+
+
+@pytest.mark.parametrize("axes", [(1.5, 1.0), (2.0, 1.0)])
+def test_newton_projection_of_overshoots(monkeypatch, axes):
+    e = Domain.ellipse(*axes)
+    rng = np.random.default_rng(31)
+    counts = _bisected_counts(monkeypatch)
+    for depth in (1e-6, 0.1, 10.0):
+        pts = _overshoots(*axes, 2000, rng, depth)
+        ref = _ref_project_ellipse(e, pts)
+        for batch in (pts[:1], pts[:74], pts):  # the engine's batches are small
+            foot = geometry._project_ellipse(e, batch)
+            assert np.max(np.abs(foot - ref[: len(batch)])) <= 1e-14
+        # Newton stops with the foot on the ellipse to rounding
+        level = (foot[:, 0] / axes[0]) ** 2 + (foot[:, 1] / axes[1]) ** 2 - 1.0
+        assert np.max(np.abs(level)) <= 4e-15
+    assert counts == []  # no exterior point needs the fallback
+
+
+@pytest.mark.parametrize("axes", [(1.5, 1.0), (2.0, 1.0), (1.0, 1.0)])
+def test_newton_projection_matches_bisection(axes):
+    a, b = axes
+    e = Domain.ellipse(a, b)
+    rng = np.random.default_rng(32)
+    box = rng.uniform(-1.3 * a, 1.3 * a, (4000, 2))
+    s = np.linspace(-2.0 * a, 2.0 * a, 41)
+    on_axes = np.concatenate([np.stack([s, 0 * s], 1), np.stack([0 * s, s], 1)])
+    # just off the major axis inside the evolute: the generic branch, near its pole
+    x = rng.uniform(-1.0, 1.0, 200) * (a * a - b * b) / a
+    near = np.stack([x, rng.choice([-2e-14, 2e-14], 200) * a], axis=1)
+    for pts in (box, on_axes, near):
+        foot = geometry._project_ellipse(e, pts)
+        assert np.max(np.abs(foot - _ref_project_ellipse(e, pts))) <= 1e-12
+
+
+def test_newton_projection_falls_back_to_bisection(monkeypatch):
+    e = Domain.ellipse(1.5, 1.0)
+    rng = np.random.default_rng(33)
+    near = np.stack([rng.uniform(-0.8, 0.8, 50), np.full(50, 2e-14 * 1.5)], axis=1)
+    pts = np.concatenate([_overshoots(1.5, 1.0, 50, rng), near])
+    counts = _bisected_counts(monkeypatch)
+    foot = geometry._project_ellipse(e, pts)
+    # G jumps by more than the tolerance between adjacent floats of t near its
+    # pole, so Newton cannot converge there and the bisection takes over
+    assert counts == [50]
+    assert np.array_equal(foot[50:], _ref_project_ellipse(e, near))
+    assert np.max(np.abs(foot[:50] - _ref_project_ellipse(e, pts[:50]))) <= 1e-14
 
 
 def test_ball_measures_and_sphere_rule():

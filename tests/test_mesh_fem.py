@@ -286,6 +286,55 @@ def test_field_load_errors(tmp_path, meshes):
         import_field(bad, mesh)
 
 
+def _field_lines(tmp_path, mesh):
+    """Header and rows of an exported field of ``mesh``."""
+    path = tmp_path / "field.csv"
+    export_field(FemFunction(mesh, mesh.nodes[:, 0] - mesh.nodes[:, 1]), path)
+    return path.read_text().splitlines(keepends=True)
+
+
+def test_field_import_takes_rows_in_any_order(tmp_path, meshes):
+    mesh = meshes[0.1]
+    lines = _field_lines(tmp_path, mesh)
+    rows = lines[1:]
+    np.random.default_rng(5).shuffle(rows)
+    # a position off by less than the per-row allclose tolerance still loads
+    i, x, y, v = rows[3].split(",")
+    rows[3] = f"{i},{float(x) + 5e-10!r},{y},{v}"
+    path = tmp_path / "shuffled.csv"
+    path.write_text(lines[0] + "".join(rows))
+    u = import_field(path, mesh)
+    assert np.array_equal(u.values, mesh.nodes[:, 0] - mesh.nodes[:, 1])
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "negative", "out_of_range", "fraction",
+                                   "unparsable", "short_row", "moved"])
+def test_field_import_rejects_bad_rows(tmp_path, meshes, fault):
+    mesh = meshes[0.1]
+    lines = _field_lines(tmp_path, mesh)
+    n = mesh.n_nodes
+    last = lines[n].split(",", 1)[1]  # the row of node n - 1 without its index
+    if fault == "duplicate":
+        lines[2] = lines[1]  # node 0 twice, node 1 missing
+    elif fault == "negative":
+        lines[n] = "-1," + last  # wraps around to node n - 1 if taken as an index
+    elif fault == "out_of_range":
+        lines[n] = f"{n}," + last
+    elif fault == "fraction":
+        lines[n] = f"{n - 1.5}," + last
+    elif fault == "unparsable":
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",zero\n"
+    elif fault == "short_row":
+        lines[5] = lines[5].rsplit(",", 1)[0] + "\n"
+    else:
+        i, x, y, v = lines[5].split(",")
+        lines[5] = f"{i},{float(x) + 1e-3!r},{y},{v}"
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(lines))
+    with pytest.raises(FieldLoadError):
+        import_field(path, mesh)
+
+
 def test_point_location_and_eval(meshes):
     mesh = meshes[0.05]
     vals = mesh.nodes[:, 0] ** 2 + mesh.nodes[:, 1] ** 2

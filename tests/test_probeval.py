@@ -8,7 +8,6 @@ from reflectpde.mesh_fem import FemFunction, Mesh, solve_g_lifting, solve_semili
 from reflectpde.probeval import (
     AdmissibilityError,
     BoundaryIntegralObserver,
-    DecayFit,
     McParams,
     ResidualObserver,
     TerminalObserver,
@@ -41,17 +40,71 @@ def params(n=400, T=8.0, h=1e-3, seed=0):
 # decay fitting
 
 
-def test_decay_fit_constant_q(disk):
-    fit = estimate_decay(disk, Q_MINUS_ONE, params(n=50), x0=np.zeros(2), power=1)
-    assert fit.theta == pytest.approx(1.0, rel=1e-6)
-    assert fit.C == pytest.approx(1.0, rel=1e-6)
-    fit2 = estimate_decay(disk, Q_MINUS_ONE, params(n=50), x0=np.zeros(2), power=2)
-    assert fit2.theta == pytest.approx(2.0, rel=1e-6)
+def _spy(monkeypatch, name):
+    """Record the arguments of every call of ``probeval.<name>`` (and its results)."""
+    calls, results = [], []
+    fn = getattr(probeval, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(probeval, name, spy)
+    return calls, results
+
+
+def test_decay_fit_read_off_the_run(monkeypatch, disk):
+    # q = -1: the weight is e^{-power t} on every path, so the fit is exact
+    _, fits = _spy(monkeypatch, "estimate_decay")
+    fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, ONE, ZERO, params(n=50))
+    check_conditions_C(disk, Q_MINUS_ONE, params(n=50, seed=1), grid_n=1)
+    assert [fit.power for fit in fits] == [1, 1, 2]
+    for fit in fits:
+        assert np.array_equal(fit.times, np.arange(1.0, 9.0))  # eighths of T = 8
+        assert fit.C == pytest.approx(1.0, abs=1e-9)
+        assert fit.theta == pytest.approx(fit.power, abs=1e-9)
+    assert estimate_decay(np.arange(1.0, 3.0), np.array([0.5, 0.0]), 1).theta == 0.0
 
 
 def test_admissibility_error_for_flat_weight(disk):
     with pytest.raises(AdmissibilityError):
         fk_pure_boundary(disk, np.zeros(2), ZERO, ONE, params(n=50, T=2.0))
+
+
+def test_admissibility_error_after_the_run(monkeypatch, disk):
+    runs, _ = _spy(monkeypatch, "run_paths")
+    p = params(n=50, T=2.0)
+    with pytest.raises(AdmissibilityError):
+        fk_linear_frozen(disk, np.zeros(2), ZERO, ONE, ONE, p)
+    ((args, _),) = runs  # the fit is read off the main run: its paths and seed
+    assert args[1:5] == (p.n_paths, p.horizon, p.step, p.seed)
+    assert p.truncation_tail_bound == 0.0
+
+
+def test_fk_estimators_run_once(monkeypatch, disk, meshes):
+    runs, _ = _spy(monkeypatch, "run_paths")
+    x0 = np.array([0.2, 0.1])
+    fk_linear_frozen(disk, x0, Q_MINUS_ONE, ONE, ONE, params(n=20, T=0.5))
+    assert len(runs) == 1
+    fk_pure_boundary(disk, x0, Q_MINUS_ONE, ONE, params(n=20, T=0.5))
+    assert len(runs) == 2
+    G = solve_g_lifting(meshes[0.1], meshes[0.1].quad_x)
+    fk_frozen_with_divergence(disk, x0, Q_MINUS_ONE, ONE, ONE, G, params(n=20, T=0.5))
+    assert len(runs) == 3
+
+
+def test_probe_estimators_run_once_per_probe(monkeypatch, disk, meshes, corpus_b):
+    runs, _ = _spy(monkeypatch, "run_paths")
+    probes = np.array([[0.0, 0.1], [0.5, -0.2], [-0.3, 0.3]])
+    calibrate_boundary_constant(disk, params(n=20, T=0.5), mesh_h=0.1, probes=probes)
+    assert len(runs) == len(probes)
+    u = FemFunction(meshes[0.1], meshes[0.1].nodes[:, 0] ** 2)
+    compare_frozen_at_probes(disk, u, corpus_b, params(n=20, T=0.5), probes=probes)
+    assert len(runs) == 2 * len(probes)
+    runs.clear()
+    check_conditions_C(disk, Q_MINUS_ONE, params(n=20, T=0.5), grid_n=3)
+    assert len(runs) == 2 + 3  # two boundary probes, one run per grid start
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +289,13 @@ def test_fk_zero_data_is_zero(disk):
     assert est.mean == 0.0 and est.standard_error == 0.0
 
 
-def test_fk_linear_tail_bound_takes_h_on_the_boundary(disk):
+def test_fk_linear_tail_bound_takes_h_on_the_boundary(monkeypatch, disk):
     # H = |x|^8 is 1 on the unit circle and smaller everywhere inside
-    fit = DecayFit(C=2.0, theta=1.5, power=1, times=np.ones(1), values=np.ones(1))
+    _, fits = _spy(monkeypatch, "estimate_decay")
     p = params(n=20, T=0.5, h=1e-2)
     H = lambda x: (x[:, 0] ** 2 + x[:, 1] ** 2) ** 4  # noqa: E731
-    fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, ZERO, H, p, c_bd=0.5, decay_fit=fit)
+    fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, ZERO, H, p, c_bd=0.5)
+    (fit,) = fits  # the run's own fit
     rate = disk.boundary_measure / disk.volume
     assert p.truncation_tail_bound == pytest.approx(
         0.5 * 1.0 * rate * fit.tail_integral(0.5), rel=1e-12
@@ -255,10 +309,9 @@ def test_fk_linear_evaluates_q_once_per_step(disk):
         calls.append(len(x))
         return -np.ones(len(x))
 
-    # a given fit skips the decay pilot; 20 engine steps in one chunk of 30 paths
-    fit = DecayFit(C=1.0, theta=1.0, power=1, times=np.ones(1), values=np.ones(1))
+    # 20 engine steps in one chunk of 30 paths; the decay fit reads the same run
     p = params(n=30, T=0.2, h=1e-2)
-    fk_linear_frozen(disk, np.zeros(2), q, ONE, ONE, p, decay_fit=fit)
+    fk_linear_frozen(disk, np.zeros(2), q, ONE, ONE, p)
     assert len(calls) == 20
 
 
@@ -322,11 +375,9 @@ def test_fk_with_divergence_evaluates_q_once_per_step(disk, meshes):
         calls.append(len(x))
         return -np.ones(len(x))
 
-    # a given fit skips the decay pilot; 20 engine steps in one chunk of 30 paths
-    fit = DecayFit(C=1.0, theta=1.0, power=1, times=np.ones(1), values=np.ones(1))
+    # 20 engine steps in one chunk of 30 paths; the decay fit reads the same run
     G = solve_g_lifting(meshes[0.1], meshes[0.1].quad_x)
-    fk_frozen_with_divergence(disk, np.zeros(2), q, ONE, ONE, G, params(n=30, T=0.2, h=1e-2),
-                              decay_fit=fit)
+    fk_frozen_with_divergence(disk, np.zeros(2), q, ONE, ONE, G, params(n=30, T=0.2, h=1e-2))
     assert calls.count(30) == 20  # one per path-step: the observer's, shared with f_tilde
     assert len(calls) == 21  # and one on the tail-bound grid
 
