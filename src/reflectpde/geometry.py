@@ -166,25 +166,29 @@ def _project_ellipse(domain: Domain, pts: np.ndarray):
     medial = on_axis & (ax_ * a < c2) if c2 > 0 else on_axis & (ax_ == 0.0)
 
     foot = np.empty_like(pts)
-    gen = ~medial
-    if gen.any():
-        gx, gy = ax_[gen], ay_[gen]
+    any_medial = medial.any()
+    # the engine's hits are all exterior, so it never pays for the masked copies
+    gen = ~medial if any_medial else slice(None)
+    gx, gy = (ax_[gen], ay_[gen]) if any_medial else (ax_, ay_)
+    if gx.size:
         t = np.maximum(b * gy - b * b, a * gx - a * a)
         t = np.where((gx / a) ** 2 + (gy / b) ** 2 > 1.0, np.maximum(t, 0.0), t)
         for _ in range(12):
-            fx = a * gx / (t + a * a)
-            fy = b * gy / (t + b * b)
-            g = fx * fx + fy * fy - 1.0
+            ta, tb = t + a * a, t + b * b
+            fx = a * gx / ta
+            fy = b * gy / tb
+            fx2, fy2 = fx * fx, fy * fy
+            g = fx2 + fy2 - 1.0
             slow = ~(np.abs(g) <= 2e-15)  # NaN counts as not converged
             if not slow.any():
                 break
-            step = g / (2.0 * (fx * fx / (t + a * a) + fy * fy / (t + b * b)))
-            t = np.where(slow, t + step, t)
+            t = np.where(slow, t + g / (2.0 * (fx2 / ta + fy2 / tb)), t)
         if slow.any():
             t[slow] = _bisect_secular(a, b, gx[slow], gy[slow])
-        foot[gen, 0] = a * a * gx / (t + a * a)
-        foot[gen, 1] = b * b * gy / (t + b * b)
-    if medial.any():
+            ta, tb = t + a * a, t + b * b
+        foot[gen, 0] = a * a * gx / ta
+        foot[gen, 1] = b * b * gy / tb
+    if any_medial:
         if c2 > 0:
             fx = np.minimum(a * a * ax_[medial] / c2, a)
             foot[medial, 0] = fx
@@ -233,9 +237,9 @@ def project_points(domain: Domain, x) -> tuple:
         dist = np.abs(r - r0)
         return foot, normal, dist
     foot = _project_ellipse(domain, pts)
-    _, grad = eval_psi(domain, foot)
-    nrm = np.sqrt(np.einsum("ij,ij->i", grad, grad))
-    normal = grad / nrm[:, None]
+    a, b = domain.semi_axes
+    normal = foot / np.array([-a * a, -b * b])  # -(x/a^2, y/b^2): inward at the foot
+    normal /= np.sqrt(np.einsum("ij,ij->i", normal, normal))[:, None]
     dist = np.sqrt(np.einsum("ij,ij->i", pts - foot, pts - foot))
     return foot, normal, dist
 

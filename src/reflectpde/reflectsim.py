@@ -180,6 +180,18 @@ def _check_step(domain: Domain, T: float, h_t: float):
         )
 
 
+def _outside(domain: Domain, pts: np.ndarray) -> np.ndarray:
+    """Mask of the points outside the closed domain.
+
+    On the ellipse this is the sign of the implicit quadratic alone: eval_psi
+    only divides the same quadratic by a positive norm, so the test is the same.
+    """
+    if domain.kind in ("disk", "ball"):
+        return np.sqrt(np.einsum("ij,ij->i", pts, pts)) > domain.radius
+    a, b = domain.semi_axes
+    return 1.0 - (pts[:, 0] / a) ** 2 - (pts[:, 1] / b) ** 2 < 0
+
+
 def _reflect(domain: Domain, proposals: np.ndarray):
     """Project proposals back into the closed domain.
 
@@ -199,8 +211,7 @@ def _reflect(domain: Domain, proposals: np.ndarray):
             push[hit] = rh - r0
             normal[hit] = -x_new[hit] / r0
         return x_new, push, hit, normal
-    val, _ = eval_psi(domain, proposals)
-    hit = val < 0
+    hit = _outside(domain, proposals)
     x_new = proposals.copy()
     push = np.zeros(len(proposals))
     normal = np.zeros_like(proposals)
@@ -245,12 +256,7 @@ def simulate_path(
     while j < n:
         w = min(window, n - j)
         seg = np.add.accumulate(np.vstack([x[None, :], dB[j : j + w]]), axis=0)[1:]
-        if domain.kind in ("disk", "ball"):
-            # same criterion as the batch engine, down to rounding
-            out = np.sqrt(np.einsum("ij,ij->i", seg, seg)) > domain.radius
-        else:
-            out = eval_psi(domain, seg)[0] < 0
-        hits = np.nonzero(out)[0]
+        hits = np.nonzero(_outside(domain, seg))[0]
         if hits.size == 0:
             states[j + 1 : j + w + 1] = seg
             x = states[j + w]
@@ -487,15 +493,21 @@ def run_paths(
     observers,
     x0=None,
     chunk_size: int = 2048,
-    block: int = 2048,
+    block: int = 512,
 ) -> int:
     """Drive observers over ``n_paths`` reflecting paths; returns the step count.
 
     Paths are simulated in chunks, vectorized across the chunk; every path
     uses its own (seed, index)-keyed stream, so results do not depend on
-    ``chunk_size`` or ``block``.  ``x0`` is a fixed start point or None for
-    uniform starts.
+    ``chunk_size`` or ``block``.  The normals of ``block`` steps are drawn at
+    a time into one buffer, which bounds the engine's noise memory to
+    min(n_paths, chunk_size) * block * d doubles.  ``x0`` is a fixed start
+    point or None for uniform starts.  Raises ValueError when ``n_paths``,
+    ``chunk_size`` or ``block`` is below 1.
     """
+    for name, value in (("n_paths", n_paths), ("chunk_size", chunk_size), ("block", block)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     _check_step(domain, T, h_t)
     n_steps = int(round(T / h_t)) if T > 0 else 0
     d = domain.dim
@@ -503,6 +515,7 @@ def run_paths(
     ctx = StepContext()
     ctx.h = h_t
     fixed = None if x0 is None else np.asarray(x0, dtype=float)
+    buffer = np.empty((min(chunk_size, n_paths), min(block, n_steps), d))
     for c0 in range(0, n_paths, chunk_size):
         idx = np.arange(c0, min(c0 + chunk_size, n_paths))
         gens = [_path_generator(seed, int(i)) for i in idx]
@@ -516,7 +529,9 @@ def run_paths(
         j = 0
         while j < n_steps:
             nb = min(block, n_steps - j)
-            noise = np.stack([g.standard_normal((nb, d)) for g in gens])
+            noise = buffer[: len(idx), :nb]
+            for g, row in zip(gens, noise):
+                g.standard_normal(out=row)
             for jj in range(nb):
                 dB = noise[:, jj, :] * sqh
                 x_new, push, hit, normal = _reflect(domain, x + dB)
