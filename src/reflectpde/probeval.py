@@ -427,11 +427,7 @@ def _fk_lifted(domain, x0, q, f_tilde, h_frozen, G, params, c_bd) -> Estimate:
     """fk_linear_frozen of the lifted data f_tilde = F + 2 q G + G, shifted by 2 G(x0)."""
     est = fk_linear_frozen(domain, x0, q, f_tilde, h_frozen, params, c_bd=c_bd)
     shift = 2.0 * float(G.value_at(np.asarray(x0, dtype=float)[None, :])[0])
-    return Estimate(
-        est.n_samples,
-        est.total + est.n_samples * shift,
-        est.total_sq + 2.0 * shift * est.total + est.n_samples * shift * shift,
-    )
+    return Estimate(est.n_samples, est.mean + shift, est.m2)
 
 
 # ---------------------------------------------------------------------------

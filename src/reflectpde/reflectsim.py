@@ -52,30 +52,37 @@ class IndexOrder(ValueError):
 class Estimate:
     """Monte-Carlo estimate as mergeable sufficient statistics.
 
-    Stores (n, sum, sum of squares); mean / SE / variance are derived.
-    Merging adds the statistics, so it is associative and commutative and
-    preserves the pooled mean and variance.
+    Stores (n, mean, m2), m2 the sum of squared deviations from the mean; the
+    variance, the standard error and the sums ``total`` and ``total_sq`` are
+    derived.  Merging is the pairwise update of Chan, Golub & LeVeque, so it
+    preserves the pooled mean and variance, also when the mean is large
+    against the spread.
     """
 
     n_samples: int
-    total: float
-    total_sq: float
+    mean: float
+    m2: float
 
     @classmethod
     def from_samples(cls, values) -> "Estimate":
         v = np.asarray(values, dtype=float)
-        return cls(n_samples=v.size, total=float(v.sum()), total_sq=float((v * v).sum()))
+        mean = float(v.sum()) / v.size
+        dev = v - mean
+        return cls(n_samples=v.size, mean=mean, m2=float((dev * dev).sum()))
 
     @property
-    def mean(self) -> float:
-        return self.total / self.n_samples
+    def total(self) -> float:
+        return self.n_samples * self.mean
+
+    @property
+    def total_sq(self) -> float:
+        return self.m2 + self.n_samples * self.mean * self.mean
 
     @property
     def variance(self) -> float:
         if self.n_samples < 2:
             return 0.0
-        m = self.mean
-        return max(0.0, (self.total_sq - self.n_samples * m * m) / (self.n_samples - 1))
+        return self.m2 / (self.n_samples - 1)
 
     @property
     def standard_error(self) -> float:
@@ -84,16 +91,18 @@ class Estimate:
         return math.sqrt(self.variance / self.n_samples)
 
     def merge(self, other: "Estimate") -> "Estimate":
+        n = self.n_samples + other.n_samples
+        delta = other.mean - self.mean
         return Estimate(
-            self.n_samples + other.n_samples,
-            self.total + other.total,
-            self.total_sq + other.total_sq,
+            n,
+            self.mean + delta * (other.n_samples / n),
+            self.m2 + other.m2 + delta * delta * (self.n_samples * other.n_samples / n),
         )
 
     __add__ = merge
 
     def scaled(self, c: float) -> "Estimate":
-        return Estimate(self.n_samples, c * self.total, c * c * self.total_sq)
+        return Estimate(self.n_samples, c * self.mean, c * c * self.m2)
 
 
 # ---------------------------------------------------------------------------

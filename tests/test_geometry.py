@@ -1,3 +1,6 @@
+import decimal
+import math
+
 import numpy as np
 import pytest
 
@@ -234,24 +237,41 @@ def _overshoots(a, b, n, rng, depth=0.1):
     return on + rng.uniform(0.0, depth, (n, 1)) * normal
 
 
-def _bisected_counts(monkeypatch):
-    """Record the number of points of every bisection fallback."""
-    counts = []
-    bisect = geometry._bisect_secular
+def _decimal_feet(axes, pts):
+    """Feet by 200 bisection steps in s = t + b^2 on 40-digit decimals.
 
-    def counting(a, b, gx, gy):
-        counts.append(len(gx))
-        return bisect(a, b, gx, gy)
+    An independent reference for points where the float bisection in t of
+    _ref_project_ellipse leaves the ellipse (close to the major axis inside
+    the evolute, where s is tiny).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, b = decimal.Decimal(axes[0]), decimal.Decimal(axes[1])
+        c = a * a - b * b
+        feet = []
+        for x, y in pts:
+            A, B = a * abs(decimal.Decimal(x)), b * abs(decimal.Decimal(y))
+            lo, hi = max(B, A - c), A + B + 1  # G >= 0 at lo, G < 0 at hi
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if (A / (mid + c)) ** 2 + (B / mid) ** 2 > 1:
+                    lo = mid
+                else:
+                    hi = mid
+            s = (lo + hi) / 2
+            feet.append((math.copysign(float(a * A / (s + c)), x),
+                         math.copysign(float(b * B / s), y)))
+    return np.array(feet)
 
-    monkeypatch.setattr(geometry, "_bisect_secular", counting)
-    return counts
+
+def _level(axes, foot):
+    return np.abs((foot[:, 0] / axes[0]) ** 2 + (foot[:, 1] / axes[1]) ** 2 - 1.0)
 
 
 @pytest.mark.parametrize("axes", [(1.5, 1.0), (2.0, 1.0)])
-def test_newton_projection_of_overshoots(monkeypatch, axes):
+def test_newton_projection_of_overshoots(axes):
     e = Domain.ellipse(*axes)
     rng = np.random.default_rng(31)
-    counts = _bisected_counts(monkeypatch)
     for depth in (1e-6, 0.1, 10.0):
         pts = _overshoots(*axes, 2000, rng, depth)
         ref = _ref_project_ellipse(e, pts)
@@ -259,9 +279,7 @@ def test_newton_projection_of_overshoots(monkeypatch, axes):
             foot = geometry._project_ellipse(e, batch)
             assert np.max(np.abs(foot - ref[: len(batch)])) <= 1e-14
         # Newton stops with the foot on the ellipse to rounding
-        level = (foot[:, 0] / axes[0]) ** 2 + (foot[:, 1] / axes[1]) ** 2 - 1.0
-        assert np.max(np.abs(level)) <= 4e-15
-    assert counts == []  # no exterior point needs the fallback
+        assert np.max(_level(axes, foot)) <= 4e-15
 
 
 @pytest.mark.parametrize("axes", [(1.5, 1.0), (2.0, 1.0), (1.0, 1.0)])
@@ -275,23 +293,48 @@ def test_newton_projection_matches_bisection(axes):
     # just off the major axis inside the evolute: the generic branch, near its pole
     x = rng.uniform(-1.0, 1.0, 200) * (a * a - b * b) / a
     near = np.stack([x, rng.choice([-2e-14, 2e-14], 200) * a], axis=1)
-    for pts in (box, on_axes, near):
+    for pts, ref in ((box, _ref_project_ellipse(e, box)),
+                     (on_axes, _ref_project_ellipse(e, on_axes)),
+                     (near, _decimal_feet(axes, near))):
         foot = geometry._project_ellipse(e, pts)
-        assert np.max(np.abs(foot - _ref_project_ellipse(e, pts))) <= 1e-12
+        assert np.max(np.abs(foot - ref)) <= 1e-12
+        assert np.max(_level(axes, foot)) <= 4e-15
 
 
-def test_newton_projection_falls_back_to_bisection(monkeypatch):
+def test_newton_projection_near_the_major_axis():
     e = Domain.ellipse(1.5, 1.0)
     rng = np.random.default_rng(33)
-    near = np.stack([rng.uniform(-0.8, 0.8, 50), np.full(50, 2e-14 * 1.5)], axis=1)
+    ys = 1.5 * np.concatenate([np.full(50, 2e-14), np.logspace(-13.5, np.log10(0.05), 50)])
+    near = np.stack([rng.uniform(-0.8, 0.8, 100), ys * rng.choice([-1, 1], 100)], axis=1)
     pts = np.concatenate([_overshoots(1.5, 1.0, 50, rng), near])
-    counts = _bisected_counts(monkeypatch)
     foot = geometry._project_ellipse(e, pts)
-    # G jumps by more than the tolerance between adjacent floats of t near its
-    # pole, so Newton cannot converge there and the bisection takes over
-    assert counts == [50]
-    assert np.array_equal(foot[50:], _ref_project_ellipse(e, near))
+    # in s the foot stays on the ellipse where t's resolution of ulp(b^2)
+    # left the bisection in t up to 7.3e-3 off it
+    assert np.max(np.abs(foot[50:] - _decimal_feet((1.5, 1.0), near))) <= 1e-12
+    assert np.max(_level((1.5, 1.0), foot)) <= 4e-15
     assert np.max(np.abs(foot[:50] - _ref_project_ellipse(e, pts[:50]))) <= 1e-14
+
+
+def test_newton_projection_near_the_cusp():
+    a, b = 1.5, 1.0
+    e = Domain.ellipse(a, b)
+    rng = np.random.default_rng(34)
+    cusp = (a * a - b * b) / a
+    pts = np.array([cusp, 0.0]) + rng.uniform(-1e-6, 1e-6, (200, 2))
+    pts[:20, 1] = rng.choice([-1.0, 1.0], 20) * np.logspace(-13.8, -8, 20) * a
+    pts[20:25] = [[cusp, 0.0], [-cusp, 0.0], [np.nextafter(cusp, 2.0), 0.0],
+                  [np.nextafter(cusp, 2.0), 1e-300], [cusp, 2e-14 * a]]
+    foot = geometry._project_ellipse(e, pts)
+    assert np.all(np.isfinite(foot))
+    assert np.max(_level((a, b), foot)) <= 4e-15
+    # near the cusp the distance is flat along the ellipse to fourth order, so
+    # |G| <= 2e-15 fixes the distance to rounding but the foot only to ~1e-12
+    generic = np.abs(pts[:, 1]) >= 1e-14 * a
+    ref = _decimal_feet((a, b), pts[generic])
+    assert np.max(np.abs(foot[generic] - ref)) <= 1e-10
+    dist = np.linalg.norm(pts[generic] - foot[generic], axis=1)
+    assert np.max(np.abs(dist - np.linalg.norm(pts[generic] - ref, axis=1))) <= 1e-15
+    assert np.array_equal(foot[20:23], [[a, 0.0], [-a, 0.0], [a, 0.0]])
 
 
 def test_ball_measures_and_sphere_rule():

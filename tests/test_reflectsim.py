@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from reflectpde.geometry import Domain
+from reflectpde import geometry, reflectsim
+from reflectpde.geometry import Domain, eval_psi
 from reflectpde.reflectsim import (
     Estimate,
     IndexOrder,
@@ -9,6 +13,8 @@ from reflectpde.reflectsim import (
     PathObserver,
     StarObserver,
     StepTooLarge,
+    _draw_start,
+    _path_generator,
     backward_ito,
     forward_ito,
     local_time_integral,
@@ -67,33 +73,171 @@ def test_states_in_closure_and_dl_rules(disk):
     assert np.allclose(p.local_time_increments[outside], 2.0 * overshoot, rtol=1e-12)
 
 
-def test_batch_matches_single_paths(disk):
-    class Recorder(PathObserver):
-        def __init__(self):
-            self.all = {}
+class Recorder(PathObserver):
+    """Keeps every step's context arrays, by path index."""
 
-        def start_chunk(self, idx, x0):
-            self.idx = idx
-            self.xs = [x0.copy()]
-            self.dl = []
+    def __init__(self):
+        self.all = {}
 
-        def step(self, ctx):
-            self.xs.append(ctx.x_new.copy())
-            self.dl.append(ctx.dl.copy())
+    def start_chunk(self, idx, x0):
+        self.idx = idx
+        self.xs = [x0.copy()]
+        self.steps = []
 
-        def end_chunk(self, xf):
-            xs = np.stack(self.xs)
-            dl = np.stack(self.dl)
-            for row, i in enumerate(self.idx):
-                self.all[int(i)] = (xs[:, row], dl[:, row])
+    def step(self, ctx):
+        self.xs.append(ctx.x_new.copy())
+        self.steps.append(
+            (ctx.dl.copy(), ctx.push.copy(), ctx.hit.copy(), ctx.normal.copy(), ctx.dB.copy())
+        )
 
+    def end_chunk(self, xf):
+        xs = np.stack(self.xs)
+        fields = [np.stack(f) for f in zip(*self.steps)]
+        for row, i in enumerate(self.idx):
+            self.all[int(i)] = (xs[:, row],) + tuple(f[:, row] for f in fields)
+
+
+DOMAINS = {
+    "disk": Domain.disk(),
+    "ellipse": Domain.ellipse(1.5, 1.0),
+    "ball": Domain.ball(3),
+}
+
+
+def test_batch_matches_single_paths():
+    # 600 steps: not a multiple of 13 nor of the default block of 512
+    for domain in DOMAINS.values():
+        singles = [simulate_path(domain, 0.6, 1e-3, seed=11, path_index=i) for i in range(5)]
+        for block in (1, 13, None):
+            rec = Recorder()
+            kw = {} if block is None else {"block": block}
+            run_paths(domain, 5, 0.6, 1e-3, seed=11, observers=[rec], chunk_size=2, **kw)
+            for i, single in enumerate(singles):
+                xs, dl = rec.all[i][:2]
+                assert np.array_equal(xs, single.states)
+                assert np.array_equal(dl, single.local_time_increments)
+
+
+# The engine step and noise drawing as they were before the ellipse hit test
+# became the quadratic's sign and the normals came from the foot in closed
+# form: verbatim copies, except that the foot solver is called directly.
+
+
+def _ref_project_points(domain, pts):
+    foot = geometry._project_ellipse(domain, pts)
+    _, grad = eval_psi(domain, foot)
+    nrm = np.sqrt(np.einsum("ij,ij->i", grad, grad))
+    normal = grad / nrm[:, None]
+    dist = np.sqrt(np.einsum("ij,ij->i", pts - foot, pts - foot))
+    return foot, normal, dist
+
+
+def _ref_reflect(domain, proposals):
+    if domain.kind in ("disk", "ball"):
+        r0 = domain.radius
+        r = np.sqrt(np.einsum("ij,ij->i", proposals, proposals))
+        hit = r > r0
+        x_new = proposals.copy()
+        push = np.zeros(len(proposals))
+        normal = np.zeros_like(proposals)
+        if hit.any():
+            rh = r[hit]
+            x_new[hit] = proposals[hit] * (r0 / rh)[:, None]
+            push[hit] = rh - r0
+            normal[hit] = -x_new[hit] / r0
+        return x_new, push, hit, normal
+    val, _ = eval_psi(domain, proposals)
+    hit = val < 0
+    x_new = proposals.copy()
+    push = np.zeros(len(proposals))
+    normal = np.zeros_like(proposals)
+    if hit.any():
+        foot, inward, dist = _ref_project_points(domain, proposals[hit])
+        x_new[hit] = foot
+        push[hit] = dist
+        normal[hit] = inward
+    return x_new, push, hit, normal
+
+
+def _ref_run(domain, n_paths, T, h_t, seed, chunk_size=2048, block=2048):
+    """The earlier run_paths loop, returning each step's arrays by path index."""
+    n_steps = int(round(T / h_t))
+    d = domain.dim
+    sqh = math.sqrt(h_t)
+    out = {}
+    for c0 in range(0, n_paths, chunk_size):
+        idx = np.arange(c0, min(c0 + chunk_size, n_paths))
+        gens = [_path_generator(seed, int(i)) for i in idx]
+        x = np.stack([_draw_start(domain, g) for g in gens])
+        xs, steps = [x], []
+        j = 0
+        while j < n_steps:
+            nb = min(block, n_steps - j)
+            noise = np.stack([g.standard_normal((nb, d)) for g in gens])
+            for jj in range(nb):
+                dB = noise[:, jj, :] * sqh
+                x_new, push, hit, normal = _ref_reflect(domain, x + dB)
+                xs.append(x_new)
+                steps.append((2.0 * push, push, hit, normal, dB))
+                x = x_new
+                j += 1
+        fields = [np.stack(f) for f in zip(*steps)]
+        for row, i in enumerate(idx):
+            out[int(i)] = (np.stack(xs)[:, row],) + tuple(f[:, row] for f in fields)
+    return out
+
+
+@pytest.mark.parametrize("kind", list(DOMAINS))
+def test_engine_step_matches_the_reference(kind):
+    domain = DOMAINS[kind]
+    ref = _ref_run(domain, 7, 0.6, 1e-3, seed=21, chunk_size=4)
     rec = Recorder()
-    run_paths(disk, 5, 0.3, 1e-3, seed=11, observers=[rec], chunk_size=2, block=13)
-    for i in range(5):
-        single = simulate_path(disk, 0.3, 1e-3, seed=11, path_index=i)
-        xs, dl = rec.all[i]
-        assert np.array_equal(xs, single.states)
-        assert np.array_equal(dl, single.local_time_increments)
+    run_paths(domain, 7, 0.6, 1e-3, seed=21, observers=[rec], chunk_size=4)
+    hits = 0
+    for i in range(7):
+        xs, dl, push, hit, normal, dB = rec.all[i]
+        rxs, rdl, rpush, rhit, rnormal, rdB = ref[i]
+        for got, want in ((xs, rxs), (dl, rdl), (push, rpush), (hit, rhit), (dB, rdB)):
+            assert np.array_equal(got, want)
+        assert np.max(np.abs(normal - rnormal)) <= 1e-15
+        hits += int(hit.sum())
+    assert hits > 50  # the paths do reach the boundary
+
+
+@pytest.mark.parametrize("axes", [(1.5, 1.0), (2.0, 1.0), (1.0, 1.0)])
+def test_quadratic_hit_test_matches_eval_psi(axes):
+    domain = Domain.ellipse(*axes)
+    rng = np.random.default_rng(22)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 4000)
+    on = np.stack([axes[0] * np.cos(theta), axes[1] * np.sin(theta)], axis=1)
+    ulps = rng.integers(-4, 5, on.shape)
+    pts = on + ulps * np.spacing(on)
+    outside = reflectsim._outside(domain, pts)
+    assert np.array_equal(outside, eval_psi(domain, pts)[0] < 0)
+    assert 0 < outside.sum() < len(pts)
+
+
+@pytest.mark.parametrize("arg", ["n_paths", "chunk_size", "block"])
+def test_run_paths_rejects_bad_sizes(disk, arg):
+    class NoPaths(PathObserver):
+        def start_chunk(self, idx, x0):
+            raise AssertionError("a path was drawn")
+
+    for bad in (0, -1):
+        sizes = {"n_paths": 4, "chunk_size": 2, "block": 3, arg: bad}
+        with pytest.raises(ValueError, match=arg):
+            run_paths(disk, T=0.01, h_t=1e-3, seed=1, observers=[NoPaths()], **sizes)
+
+
+def test_noise_memory_is_bounded_by_the_block(disk):
+    # 1024 steps of 2048 paths, with the default block of 512 steps
+    tracemalloc.start()
+    try:
+        run_paths(disk, 2048, 1.024, 1e-3, seed=1, observers=[PathObserver()])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * 512 * 2 * 8 + 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +334,20 @@ def test_estimate_merge_partition_exact():
         # commutativity / associativity
         other = parts[2].merge(parts[0].merge(parts[1]))
         assert other.mean == pytest.approx(merged.mean, abs=1e-12)
+
+
+def test_estimate_variance_is_stable_for_a_large_mean():
+    rng = np.random.default_rng(3)
+    v = 1e8 + 1e-3 * rng.standard_normal(3000)
+    mean = math.fsum(v) / len(v)
+    var = math.fsum((x - mean) ** 2 for x in v) / (len(v) - 1)
+    whole = Estimate.from_samples(v)
+    merged = (Estimate.from_samples(v[:700]) + Estimate.from_samples(v[700:1900])
+              + Estimate.from_samples(v[1900:]))
+    for e in (whole, merged):
+        assert e.n_samples == 3000
+        assert e.variance == pytest.approx(var, rel=1e-6)
+    assert whole.mean == float(v.sum()) / 3000
 
 
 def test_estimate_single_sample():
