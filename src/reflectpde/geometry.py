@@ -188,13 +188,13 @@ def _project_ellipse(domain: Domain, pts: np.ndarray):
     np.copysign(foot, pts, out=foot)
     if any_medial:
         if c2 > 0:
-            fx = np.minimum(a * a * ax_[medial] / c2, a)
-            fy = b * np.sqrt(np.maximum(0.0, 1.0 - (fx / a) ** 2))  # tie-break: positive y
+            mx = np.minimum(a * a * ax_[medial] / c2, a)
+            my = b * np.sqrt(np.maximum(0.0, 1.0 - (mx / a) ** 2))  # tie-break: positive y
         else:
             # circle written as an ellipse: center resolves along the first axis
-            fx, fy = a, 0.0
-        foot[medial, 0] = np.where(pts[medial, 0] >= 0, fx, -fx)
-        foot[medial, 1] = fy
+            mx, my = a, 0.0
+        foot[medial, 0] = np.where(pts[medial, 0] >= 0, mx, -mx)
+        foot[medial, 1] = my
     return foot
 
 

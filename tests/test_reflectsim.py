@@ -181,9 +181,9 @@ def _ref_run(domain, n_paths, T, h_t, seed, chunk_size=2048, block=2048):
                 steps.append((2.0 * push, push, hit, normal, dB))
                 x = x_new
                 j += 1
-        fields = [np.stack(f) for f in zip(*steps)]
+        fields = [np.stack(f) for f in [xs] + list(zip(*steps))]
         for row, i in enumerate(idx):
-            out[int(i)] = (np.stack(xs)[:, row],) + tuple(f[:, row] for f in fields)
+            out[int(i)] = tuple(f[:, row] for f in fields)
     return out
 
 
