@@ -12,8 +12,8 @@ by integration by parts against the *inward* normal n:
         - (g, grad v) - (1/2) <h, v>_dD  =  0            for all P1 test v.
 
 Within one outer (Picard) step the divergence field g is frozen; the
-remaining semilinearity in f and h is resolved by a damped fixed-point
-iteration measured in the discrete dual norm of H^1.
+remaining semilinearity in f and h is resolved by an Anderson-accelerated
+damped fixed-point iteration measured in the discrete dual norm of H^1.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ _QL = np.array(
     ]
 )
 
+# Column ordering of both sparse factorizations: minimum degree on A^T + A
+# suits their symmetric sparsity pattern and keeps the factors' fill lower
+# than SuperLU's default COLAMD.
+_ORDERING = "MMD_AT_PLUS_A"
+
 # 3-point Gauss on [0, 1] (degree 5)
 _ET = np.array([0.5 - 0.5 * math.sqrt(3.0 / 5.0), 0.5, 0.5 + 0.5 * math.sqrt(3.0 / 5.0)])
 _EW = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
@@ -57,7 +62,7 @@ class SingularSystem(RuntimeError):
 
 
 class InnerDivergence(RuntimeError):
-    """Damped fixed-point iteration for the implicit semilinearity failed to contract."""
+    """The inner fixed-point iteration for the implicit semilinearity failed to converge."""
 
     def __init__(self, message, residual):
         super().__init__(message)
@@ -163,33 +168,29 @@ class Mesh:
         loc = np.einsum("mq,qi,mqj->mij", self.quad_w, _QL, bg)
         return self._assemble(loc)
 
+    def _scatter(self, cells, loc):
+        """Sum the per-cell node contributions ``loc`` into a nodal vector."""
+        return np.bincount(cells.ravel(), weights=loc.ravel(), minlength=self.n_nodes)
+
     def load(self, f_quad):
         """Vector of (f, v_i) with f given per quad point (m, 6)."""
-        loc = np.einsum("mq,qi->mi", self.quad_w * f_quad, _QL)
-        vec = np.zeros(self.n_nodes)
-        np.add.at(vec, self.triangles.ravel(), loc.ravel())
-        return vec
+        return self._scatter(self.triangles, (self.quad_w * f_quad) @ _QL)
 
     def gradient_load(self, g_quad):
         """Vector of (g, grad v_i) with a vector field g per quad point (m, 6, 2)."""
         wg = np.einsum("mq,mqd->md", self.quad_w, g_quad)
-        loc = np.einsum("md,mid->mi", wg, self.grads)
-        vec = np.zeros(self.n_nodes)
-        np.add.at(vec, self.triangles.ravel(), loc.ravel())
-        return vec
+        return self._scatter(self.triangles, np.einsum("md,mid->mi", wg, self.grads))
 
     def boundary_load(self, h_edge):
         """Vector of <h, v_i>_dD with h given per edge quad point (k, 3)."""
         loc = np.einsum("kq,qi->ki", self.edge_w * h_edge, self.edge_lambda)
-        vec = np.zeros(self.n_nodes)
-        np.add.at(vec, self.boundary_edges.ravel(), loc.ravel())
-        return vec
+        return self._scatter(self.boundary_edges, loc)
 
     def gram_solve(self, rhs):
         """Apply the inverse H^1 Gram matrix (K + M); used for dual norms."""
         if "gram_lu" not in self._cache:
             gram = (self.stiffness() + self.mass()).tocsc()
-            self._cache["gram_lu"] = spla.splu(gram)
+            self._cache["gram_lu"] = spla.splu(gram, permc_spec=_ORDERING)
         return self._cache["gram_lu"].solve(rhs)
 
     def dual_norm(self, residual) -> float:
@@ -287,7 +288,7 @@ class Mesh:
 
     def quad_values(self, values):
         """P1 field values at the domain quadrature points, shape (m, 6)."""
-        return np.einsum("qi,mi->mq", _QL, values[self.triangles])
+        return values[self.triangles] @ _QL.T
 
     def edge_values(self, values):
         """P1 field values at the boundary quadrature points, shape (k, 3)."""
@@ -447,6 +448,7 @@ def h1_error(fn: FemFunction, reference) -> float:
 
 
 _DAMPING = 0.5  # relaxation of the inner fixed point
+_ANDERSON_DEPTH = 5  # differences kept by the Anderson acceleration of that fixed point
 
 
 def solve_g_lifting(mesh: Mesh, g_quad) -> FemFunction:
@@ -486,7 +488,7 @@ class WeakForm:
     @cached_property
     def _lu(self):
         try:
-            return spla.splu(self.lhs.tocsc())
+            return spla.splu(self.lhs.tocsc(), permc_spec=_ORDERING)
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
 
@@ -518,21 +520,38 @@ class WeakForm:
     def solve(self, g_load, inner_tol: float = 1e-10, u0=None, budget: int = 200) -> FemFunction:
         """Solve with the divergence load ``g_load`` frozen.
 
-        The implicit dependence of f and h on the solution is resolved by a
-        damped fixed-point iteration; raises :class:`InnerDivergence` when the
-        residual (dual norm of H^1) fails to reach ``inner_tol`` within
-        ``budget`` steps.
+        The implicit dependence of f and h on the solution is resolved by an
+        Anderson-accelerated damped fixed-point iteration (type II, Walker & Ni
+        2011) on G(u) = (1 - d) u + d A^{-1} rhs(u): with f_k = G(u_k) - u_k and
+        the last ``_ANDERSON_DEPTH`` differences dF of f and dG of G, the step is
+        u_{k+1} = G(u_k) - dG gamma, gamma the least-squares fit of dF gamma to
+        f_k.  Raises :class:`InnerDivergence` when the residual (dual norm of
+        H^1), checked before each step, fails to reach ``inner_tol`` within
+        ``budget`` loads.
         """
-        u = np.zeros(self.mesh.n_nodes) if u0 is None else np.array(u0, dtype=float)
+        n = self.mesh.n_nodes
+        u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
+        d_f = np.empty((n, _ANDERSON_DEPTH), order="F")  # ring buffers of the differences
+        d_g = np.empty((n, _ANDERSON_DEPTH), order="F")
         resid = float("inf")
-        for _ in range(budget):
+        for k in range(budget):
             rhs = self.load(u, g_load)
             resid = self.mesh.dual_norm(self.lhs @ u - rhs)
             if not np.isfinite(resid):
                 raise InnerDivergence("inner iteration diverged (non-finite residual)", resid)
             if resid <= inner_tol:
                 return FemFunction(self.mesh, u)
-            u = (1.0 - _DAMPING) * u + _DAMPING * self._lu.solve(rhs)
+            g_u = (1.0 - _DAMPING) * u + _DAMPING * self._lu.solve(rhs)
+            f_u = g_u - u
+            u = g_u
+            if k:
+                col = (k - 1) % _ANDERSON_DEPTH
+                d_f[:, col] = f_u - f_prev
+                d_g[:, col] = g_u - g_prev
+                used = min(k, _ANDERSON_DEPTH)
+                gamma = np.linalg.lstsq(d_f[:, :used], f_u, rcond=None)[0]
+                u = g_u - d_g[:, :used] @ gamma
+            f_prev, g_prev = f_u, g_u
         raise InnerDivergence(
             f"inner iteration did not reach tol={inner_tol:g} in {budget} steps", resid
         )
@@ -562,17 +581,17 @@ def residual_dual_norm(mesh: Mesh, coeffs, u: FemFunction) -> float:
 
 
 def export_mesh(mesh: Mesh, path):
+    nodes, tris = mesh.nodes.tolist(), mesh.triangles.tolist()
+    edges = mesh.boundary_edges.tolist()
+    rows = ["mesh-p1 1", f"nodes {len(nodes)}"]
+    rows += [f"{i} {x!r} {y!r}" for i, (x, y) in enumerate(nodes)]
+    rows.append(f"triangles {len(tris)}")
+    rows += [f"{i} {a} {b} {c}" for i, (a, b, c) in enumerate(tris)]
+    rows.append(f"boundary_edges {len(edges)}")
+    rows += [f"{a} {b}" for a, b in edges]
+    rows.append("")
     with open(path, "w") as out:
-        out.write("mesh-p1 1\n")
-        out.write(f"nodes {mesh.n_nodes}\n")
-        for i, (x, y) in enumerate(mesh.nodes):
-            out.write(f"{i} {float(x)!r} {float(y)!r}\n")
-        out.write(f"triangles {len(mesh.triangles)}\n")
-        for i, (a, b, c) in enumerate(mesh.triangles):
-            out.write(f"{i} {a} {b} {c}\n")
-        out.write(f"boundary_edges {len(mesh.boundary_edges)}\n")
-        for a, b in mesh.boundary_edges:
-            out.write(f"{a} {b}\n")
+        out.write("\n".join(rows))
 
 
 class MeshLoadError(ValueError):
@@ -602,10 +621,14 @@ def _read_section(src, path, tag, skip, width, dtype):
 
 def export_field(fn: FemFunction, path):
     """Write the field as CSV rows of (node index, x, y, value)."""
+    rows = ["node,x,y,value"]
+    rows += [
+        f"{i},{x!r},{y!r},{v!r}"
+        for i, ((x, y), v) in enumerate(zip(fn.mesh.nodes.tolist(), fn.values.tolist()))
+    ]
+    rows.append("")
     with open(path, "w") as out:
-        out.write("node,x,y,value\n")
-        for i, ((x, y), v) in enumerate(zip(fn.mesh.nodes, fn.values)):
-            out.write(f"{i},{float(x)!r},{float(y)!r},{float(v)!r}\n")
+        out.write("\n".join(rows))
 
 
 class FieldLoadError(ValueError):

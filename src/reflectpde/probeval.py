@@ -153,6 +153,12 @@ class PathLocator:
         self._tri = self.mesh.find_triangles(x, self._tri if same else None)
         return self._tri
 
+    def hits(self, x, rows):
+        """Triangles of the points ``x`` of the paths ``rows``, a mask over the points
+        of the last call: each walks from its path's triangle there, which stays stored."""
+        same = self._tri is not None and len(self._tri) == len(rows)
+        return self.mesh.find_triangles(x, self._tri[rows] if same else None)
+
 
 class WeightedObserver(PathObserver):
     """Samples of the weighted path functional at marked steps and at the horizon.
@@ -166,12 +172,15 @@ class WeightedObserver(PathObserver):
     when a value is recorded.  ``estimate(step)`` reads a marked step and
     ``estimate()`` the horizon.  At ``fit_steps`` the weight e^{E} itself is
     recorded, and ``decay_fit`` fits its decay from the run's own paths.
+    ``locate`` is the :class:`PathLocator` with which F locates the paths at
+    x_prev, for data on a mesh; with it, H is called as H(x, tri) with the
+    hits' triangles, walked from their paths' triangles at x_prev.
     """
 
     def __init__(self, q, F=None, H=None, Phi=None, c=1.0, lam=0.0, mu=0.0, power=1,
-                 marks=(), fit_steps=()):
+                 marks=(), fit_steps=(), locate=None):
         self.q, self.F, self.H, self.Phi, self.c = q, F, H, Phi, c
-        self.lam, self.mu, self.power = lam, mu, power
+        self.lam, self.mu, self.power, self.locate = lam, mu, power, locate
         self._values: dict = {step: [] for step in (*marks, None)}
         self._weights: dict = {step: [] for step in fit_steps}
 
@@ -188,7 +197,11 @@ class WeightedObserver(PathObserver):
             self._time += fv * np.exp(self._expo) * ctx.h * _phi1(a)
         if self._bnd is not None and ctx.hit.any():
             hit = ctx.hit
-            hv = np.asarray(self.H(ctx.x_new[hit]), dtype=float)
+            x_hit = ctx.x_new[hit]
+            if self.locate is None:
+                hv = np.asarray(self.H(x_hit), dtype=float)
+            else:
+                hv = np.asarray(self.H(x_hit, self.locate.hits(x_hit, hit)), dtype=float)
             self._bnd[hit] += np.exp(self._expo[hit]) * hv * self.c * ctx.dl[hit]
         self._expo += a + self.mu * ctx.dl
         if ctx.j + 1 in self._values:
@@ -423,9 +436,17 @@ def fk_frozen_with_divergence(
     return _fk_lifted(domain, x0, q, f_tilde, h_frozen, G, params, c_bd)
 
 
-def _fk_lifted(domain, x0, q, f_tilde, h_frozen, G, params, c_bd) -> Estimate:
-    """fk_linear_frozen of the lifted data f_tilde = F + 2 q G + G, shifted by 2 G(x0)."""
-    est = fk_linear_frozen(domain, x0, q, f_tilde, h_frozen, params, c_bd=c_bd)
+def _fk_lifted(domain, x0, q, f_tilde, h_frozen, G, params, c_bd, locate=None) -> Estimate:
+    """fk_linear_frozen's estimate for the lifted data f_tilde = F + 2 q G + G, shifted
+    by 2 G(x0).
+
+    ``locate`` is f_tilde's :class:`PathLocator`, when h_frozen takes the hits'
+    triangles (see :class:`WeightedObserver`).
+    """
+    obs = TimeIntegralObserver(
+        q, F=f_tilde, H=h_frozen, c=c_bd, fit_steps=_fit_steps(params), locate=locate
+    )
+    est = _run_fk(domain, x0, obs, params, "fk_linear_frozen")
     shift = 2.0 * float(G.value_at(np.asarray(x0, dtype=float)[None, :])[0])
     return Estimate(est.n_samples, est.mean + shift, est.m2)
 
@@ -816,13 +837,15 @@ def compare_frozen_at_probes(
         gv = G.value_at(x, tri)
         return np.asarray(f, dtype=float) + (2.0 * np.asarray(q(x)) + 1.0) * gv
 
-    def H(x):
-        val = u.value_at(x)
-        return coeffs.h_at(np.atleast_2d(x), val)
+    def H(x, tri=None):
+        """h at u; the observer passes the hits' triangles, the tail bound none."""
+        return coeffs.h_at(np.atleast_2d(x), u.value_at(x, tri))
 
     fem_vals = u.value_at(probes)
     ests = [
-        _fk_lifted(domain, p, q, f_tilde, H, G, _shifted(params, SEED_PROBE_STRIDE * i), c_bd)
+        _fk_lifted(
+            domain, p, q, f_tilde, H, G, _shifted(params, SEED_PROBE_STRIDE * i), c_bd, locate
+        )
         for i, p in enumerate(probes)
     ]
     return ProbeComparison(

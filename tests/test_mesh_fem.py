@@ -220,11 +220,72 @@ def test_galerkin_orthogonality(meshes):
 def test_inner_divergence_reported(meshes):
     from reflectpde.coeffexpr import CoefficientSet
 
-    # f increasing steeply in y breaks the damped fixed point
-    c = CoefficientSet.from_strings(2, f="25*y + 1", g=["0", "0"], h="0", q="-1")
+    # no solution: against v = 1 the weak form asks int (e^u - u + 1) = 0, and the
+    # integrand is at least 2, so any inner solver must give up
+    c = CoefficientSet.from_strings(2, f="exp(y) + 1", g=["0", "0"], h="0", q="-1")
     with pytest.raises(InnerDivergence) as err:
         solve_semilinear_g_frozen(meshes[0.1], c, inner_tol=1e-12, budget=40)
     assert err.value.residual > 0 or not np.isfinite(err.value.residual)
+
+
+def _damped_solve(form, g_load, inner_tol, u0=None, budget=200):
+    """The plain damped fixed point of WeakForm.solve before Anderson acceleration."""
+    u = np.zeros(form.mesh.n_nodes) if u0 is None else np.array(u0, dtype=float)
+    resid = float("inf")
+    for _ in range(budget):
+        rhs = form.load(u, g_load)
+        resid = form.mesh.dual_norm(form.lhs @ u - rhs)
+        if not np.isfinite(resid):
+            raise InnerDivergence("inner iteration diverged (non-finite residual)", resid)
+        if resid <= inner_tol:
+            return FemFunction(form.mesh, u)
+        u = (1.0 - mesh_fem._DAMPING) * u + mesh_fem._DAMPING * form._lu.solve(rhs)
+    raise InnerDivergence(
+        f"inner iteration did not reach tol={inner_tol:g} in {budget} steps", resid
+    )
+
+
+def _count_loads(monkeypatch):
+    """Spy on Mesh.dual_norm, which the inner loop calls once per load."""
+    calls = []
+    dual_norm = Mesh.dual_norm
+
+    def counting(self, residual):
+        calls.append(1)
+        return dual_norm(self, residual)
+
+    monkeypatch.setattr(Mesh, "dual_norm", counting)
+    return calls
+
+
+def test_inner_loads_corpus_b(monkeypatch, meshes, corpus_b):
+    loads = _count_loads(monkeypatch)
+    solve_semilinear_g_frozen(meshes[0.05], corpus_b, inner_tol=1e-10)
+    assert len(loads) <= 16  # the plain damped iteration takes 44
+
+
+def test_inner_loads_data_independent_of_the_solution(monkeypatch, meshes):
+    from reflectpde.probeval import _LinearData
+
+    # an affine map: two steps of the accelerated iteration reach its fixed point
+    data = _LinearData(
+        lambda x: -np.ones(len(x)), lambda x: x[:, 0] ** 2 - 2.0, lambda x: 2.0 * np.ones(len(x))
+    )
+    loads = _count_loads(monkeypatch)
+    solve_semilinear_g_frozen(meshes[0.05], data, inner_tol=1e-11)
+    assert len(loads) <= 3  # the plain damped iteration takes 38
+
+
+def test_accelerated_solve_matches_damped_iteration(meshes, corpus_b):
+    mesh = meshes[0.05]
+    form = mesh_fem.WeakForm(mesh, corpus_b)
+    u_star = mesh.nodes[:, 0] ** 2 + mesh.nodes[:, 1] ** 2
+    for g_load in (np.zeros(mesh.n_nodes), mesh.gradient_load(form.divergence(u_star))):
+        fast = form.solve(g_load, inner_tol=1e-11)
+        slow = _damped_solve(form, g_load, inner_tol=1e-11)
+        assert h1_norm(fast - slow) <= 1e-9
+        warm = form.solve(g_load, inner_tol=1e-11, u0=0.5 * u_star)
+        assert h1_norm(warm - slow) <= 1e-9
 
 
 def test_weak_form_consistency_rate(meshes, corpus_a):
@@ -261,6 +322,43 @@ def test_mesh_and_field_roundtrip(tmp_path, meshes, corpus_a):
     assert np.array_equal(mesh2.triangles, mesh.triangles)
     u2 = import_field(fpath, mesh2)
     assert np.array_equal(u2.values, u.values)
+
+
+def _export_mesh_by_row(mesh, path):
+    """export_mesh as it wrote one row at a time."""
+    with open(path, "w") as out:
+        out.write("mesh-p1 1\n")
+        out.write(f"nodes {mesh.n_nodes}\n")
+        for i, (x, y) in enumerate(mesh.nodes):
+            out.write(f"{i} {float(x)!r} {float(y)!r}\n")
+        out.write(f"triangles {len(mesh.triangles)}\n")
+        for i, (a, b, c) in enumerate(mesh.triangles):
+            out.write(f"{i} {a} {b} {c}\n")
+        out.write(f"boundary_edges {len(mesh.boundary_edges)}\n")
+        for a, b in mesh.boundary_edges:
+            out.write(f"{a} {b}\n")
+
+
+def _export_field_by_row(fn, path):
+    """export_field as it wrote one row at a time."""
+    with open(path, "w") as out:
+        out.write("node,x,y,value\n")
+        for i, ((x, y), v) in enumerate(zip(fn.mesh.nodes, fn.values)):
+            out.write(f"{i},{float(x)!r},{float(y)!r},{float(v)!r}\n")
+
+
+def test_export_matches_row_writers_byte_for_byte(tmp_path, meshes, corpus_a):
+    mesh = meshes[0.05]
+    values = solve_semilinear_g_frozen(mesh, corpus_a, inner_tol=1e-11).values.copy()
+    values[:4] = [-0.0, 1e-300, -1.5e17, 1.0 / 3.0]
+    fields = [FemFunction(mesh, values), FemFunction(mesh, np.zeros(mesh.n_nodes))]
+    export_mesh(mesh, tmp_path / "mesh.txt")
+    _export_mesh_by_row(mesh, tmp_path / "mesh_ref.txt")
+    assert (tmp_path / "mesh.txt").read_bytes() == (tmp_path / "mesh_ref.txt").read_bytes()
+    for fn in fields:
+        export_field(fn, tmp_path / "field.csv")
+        _export_field_by_row(fn, tmp_path / "field_ref.csv")
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "field_ref.csv").read_bytes()
 
 
 def test_mesh_load_errors(tmp_path, meshes):

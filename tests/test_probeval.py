@@ -560,6 +560,27 @@ def test_probe_comparison_locates_once_per_step(monkeypatch, disk, meshes, corpu
     assert len(hits) <= len(probes) * n_steps + 6  # plus probes, shifts, boundary nodes
 
 
+def test_probe_comparison_hints_the_boundary_hits(monkeypatch, disk, meshes, corpus_b):
+    u = FemFunction(meshes[0.1], meshes[0.1].nodes[:, 0] ** 2 + meshes[0.1].nodes[:, 1] ** 2)
+    probes = np.array([[0.0, 0.1], [0.8, -0.3]])
+    p = params(n=60, T=0.2, seed=4)
+    calls = _count_locations(monkeypatch)
+    hinted = compare_frozen_at_probes(disk, u, corpus_b, p, probes=probes)
+    # each step's hits walk from their paths' triangles at the step's start; the
+    # probes, and per probe the shift and the tail bounds, start without a hint
+    hits = [hinted_call for size, hinted_call in calls if size < 60]
+    assert hits.count(True) >= 50
+    assert hits.count(False) <= 1 + 3 * len(probes)
+    # a hint changes where a walk starts, never where it ends
+    find_triangles = Mesh.find_triangles
+    monkeypatch.setattr(
+        Mesh, "find_triangles", lambda self, points, hint=None: find_triangles(self, points)
+    )
+    cold = compare_frozen_at_probes(disk, u, corpus_b, p, probes=probes)
+    assert np.array_equal(hinted.mc_means, cold.mc_means)
+    assert np.array_equal(hinted.mc_ses, cold.mc_ses)
+
+
 def test_probe_comparison_smoke(monkeypatch, disk, meshes, corpus_a):
     u = solve_semilinear_g_frozen(meshes[0.05], corpus_a, inner_tol=1e-11)
     p = params(n=600, T=10.0, h=1e-3, seed=11)
