@@ -30,9 +30,7 @@ from .coeffexpr import (
 from .config import ConfigError, RunConfig, load_config
 from .geometry import (
     BadOrder,
-    DegenerateProjection,
     Domain,
-    PenalizationField,
     boundary_quadrature,
     contains,
     eval_psi,
@@ -74,7 +72,7 @@ from .reflectsim import (
     StepTooLarge,
     backward_ito,
     forward_ito,
-    simulate_path,
+    simulate_paths,
     star_integral,
     weight_factors,
 )

@@ -29,7 +29,7 @@ from .mesh_fem import (
     import_mesh,
 )
 from .probeval import McParams
-from .reflectsim import LocalTimeObserver, StarObserver, run_paths, simulate_path
+from .reflectsim import LocalTimeObserver, StarObserver, run_paths, simulate_paths, star_integral
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -231,14 +231,13 @@ def cmd_check_conditions(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    n = args.n_paths
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(n):
-        path = simulate_path(
-            cfg.domain, args.horizon or cfg.solver.horizon,
-            args.step or cfg.solver.step, cfg.solver.seed, path_index=i,
-        )
+    paths = simulate_paths(
+        cfg.domain, args.n_paths, args.horizon or cfg.solver.horizon,
+        args.step or cfg.solver.step, cfg.solver.seed,
+    )
+    for i, path in enumerate(paths):
         stem = out_dir / f"path_{i:04d}"
         with open(f"{stem}.csv", "w") as out:
             cols = ",".join(f"x{c + 1}" for c in range(cfg.domain.dim))
@@ -277,10 +276,8 @@ def cmd_bench(args) -> int:
             "estimate": name, "mean": est.mean, "standard_error": est.standard_error,
             "n_samples": est.n_samples,
         }, sort_keys=True))
-    path = simulate_path(dom, min(T, 1.0), h, cfg.solver.seed, path_index=0)
+    path = simulate_paths(dom, 1, min(T, 1.0), h, cfg.solver.seed)[0]
     const = np.ones(dom.dim) / math.sqrt(dom.dim)
-    from .reflectsim import star_integral
-
     s0 = star_integral(path, lambda x: np.broadcast_to(const, x.shape))
     print(f"constant-field star integral (pathwise): {s0:.3e}")
     ok = (

@@ -3,9 +3,7 @@
 A domain is described by a smooth level-set function ``psi`` with ``psi > 0``
 inside, ``psi = 0`` on the boundary, and a gradient that equals the unit
 inward normal on the boundary.  Built-in shapes are the disk (2-d), the
-N-ball, and the axis-aligned ellipse.  The exterior penalization field
-``d(x) = dist(x, closure)^2`` and its gradient ``delta = grad d`` support the
-penalized reflection scheme.
+N-ball, and the axis-aligned ellipse.
 """
 
 from __future__ import annotations
@@ -21,20 +19,14 @@ BOUNDARY = "boundary"
 EXTERIOR = "exterior"
 
 _TINY = np.finfo(float).tiny
+# |G| at which a foot has converged: three ulps of 1, which every point of the
+# sweep in _secular_start reaches; 2e-15 left feet near the major vertex of the
+# 1.5 x 1 ellipse up to 1.5e-15 off it
+_G_TOL = 3.0 * np.finfo(float).eps
 
 
 class BadOrder(ValueError):
     """Boundary quadrature order below the minimum of 3."""
-
-
-class DegenerateProjection(RuntimeError):
-    """Nearest boundary point is non-unique and no tie-break applies.
-
-    Not raised for the built-in shapes: symmetry centers and medial-axis
-    points are resolved by a fixed deterministic tie-break (first coordinate
-    axis for the disk/ball center, positive second coordinate for ellipse
-    medial-axis points).
-    """
 
 
 @dataclass(frozen=True)
@@ -180,9 +172,11 @@ def _project_ellipse(domain: Domain, pts: np.ndarray):
             fx, fy = A / sc, B / s
             fx2, fy2 = fx * fx, fy * fy
             g = fx2 + fy2 - 1.0
-            if np.all(np.abs(g) <= 2e-15):
+            # a converged foot stays put, so it does not depend on its batch
+            open_ = np.abs(g) > _G_TOL
+            if not open_.any():
                 break
-            s = s + g / (2.0 * (fx2 / sc + fy2 / s))
+            s = np.where(open_, s + g / (2.0 * (fx2 / sc + fy2 / s)), s)
         foot[gen, 0] = a * fx
         foot[gen, 1] = b * fy
     np.copysign(foot, pts, out=foot)
@@ -210,7 +204,7 @@ def _secular_start(a: float, b: float, A: np.ndarray, B: np.ndarray) -> np.ndarr
     first two bounds fall far short.  From the largest of the three, every
     point of a dense sweep (interior and exterior points, the axes, and points
     within 1e-6 of the cusp, on six ellipses from 1 x 1 to 10 x 1) reached
-    |G| <= 2e-15 within seven checks.
+    |G| <= _G_TOL within seven checks.
     """
     d = A - (a * a - b * b)
     beta = B * math.sqrt((a * a - b * b) / 2.0)  # sqrt(K)
@@ -223,7 +217,10 @@ def project_points(domain: Domain, x) -> tuple:
     """Vectorized nearest-boundary projection.
 
     Returns (foot, inward_normal, distance) for points of shape (m, d);
-    ``distance`` is |x - foot| >= 0 regardless of side.
+    ``distance`` is |x - foot| >= 0 regardless of side.  Where the nearest
+    boundary point is not unique, a fixed tie-break decides: the first
+    coordinate axis at the disk/ball center, the positive second coordinate
+    at the ellipse's medial-axis points.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if domain.kind in ("disk", "ball"):
@@ -249,7 +246,7 @@ def project_to_boundary(domain: Domain, x) -> tuple:
     """Nearest boundary point of a single point ``x``.
 
     Returns (foot, inward_normal, distance).  Symmetry centers are resolved
-    deterministically (see :class:`DegenerateProjection`).
+    deterministically (see :func:`project_points`).
     """
     foot, normal, dist = project_points(domain, np.asarray(x, dtype=float)[None, :])
     return foot[0], normal[0], float(dist[0])
@@ -291,34 +288,6 @@ def boundary_quadrature(domain: Domain, m: int) -> list:
     else:
         raise NotImplementedError(f"no boundary rule for kind={domain.kind} dim={domain.dim}")
     return [(nodes[j], float(w[j])) for j in range(m)]
-
-
-class PenalizationField:
-    """Squared exterior distance ``d`` and its gradient ``delta = grad d``.
-
-    Both vanish on the closed domain; outside, ``d(x) = dist(x, boundary)^2``
-    and ``delta(x) = 2 (x - foot(x))`` points away from the domain, so
-    ``<grad psi, delta> <= 0`` everywhere.
-    """
-
-    def __init__(self, domain: Domain):
-        self.domain = domain
-
-    def d(self, x):
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        val, _ = eval_psi(self.domain, pts)
-        _, _, dist = project_points(self.domain, pts)
-        out = np.where(val < 0, dist**2, 0.0)
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
-
-    def delta(self, x):
-        xarr = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(xarr)
-        val, _ = eval_psi(self.domain, pts)
-        foot, _, _ = project_points(self.domain, pts)
-        vec = 2.0 * (pts - foot)
-        vec[val >= 0] = 0.0
-        return vec[0] if xarr.ndim == 1 else vec
 
 
 def sample_uniform(domain: Domain, n: int, rng: np.random.Generator) -> np.ndarray:

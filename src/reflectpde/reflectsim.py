@@ -106,7 +106,7 @@ class Estimate:
 
 
 # ---------------------------------------------------------------------------
-# single stored path
+# stored paths
 
 
 @dataclass
@@ -143,10 +143,6 @@ class PathGrid:
         np.cumsum(self.local_time_increments, out=out[1:])
         return out
 
-    @property
-    def push_increments(self) -> np.ndarray:
-        return self.local_time_increments / LOCAL_TIME_FACTOR
-
     def save_npz(self, path):
         np.savez_compressed(
             path,
@@ -178,7 +174,8 @@ def _draw_start(domain: Domain, gen: np.random.Generator) -> np.ndarray:
             return cand[inside[0]]
 
 
-def _check_step(domain: Domain, T: float, h_t: float):
+def _check_step(domain: Domain, T: float, h_t: float) -> int:
+    """Validate the horizon and step; returns the number of steps."""
     if h_t <= 0 or T < 0:
         raise ValueError("need h_t > 0 and T >= 0")
     if T > 0 and h_t > T:
@@ -187,6 +184,7 @@ def _check_step(domain: Domain, T: float, h_t: float):
         raise StepTooLarge(
             f"h_t={h_t:g} exceeds (diameter/10)^2={(domain.diameter / 10.0) ** 2:g}"
         )
+    return int(round(T / h_t)) if T > 0 else 0
 
 
 def _outside(domain: Domain, pts: np.ndarray) -> np.ndarray:
@@ -230,97 +228,6 @@ def _reflect(domain: Domain, proposals: np.ndarray):
         push[hit] = dist
         normal[hit] = inward
     return x_new, push, hit, normal
-
-
-def simulate_path(
-    domain: Domain,
-    T: float,
-    h_t: float,
-    seed: int,
-    x0=None,
-    path_index: int = 0,
-) -> PathGrid:
-    """Simulate one reflecting path (projection scheme) and store it fully.
-
-    ``x0=None`` draws the start uniformly on the domain from the path's own
-    stream.  Identical (seed, path_index, parameters) reproduce the identical
-    path bit for bit.
-    """
-    _check_step(domain, T, h_t)
-    gen = _path_generator(seed, path_index)
-    start = _draw_start(domain, gen) if x0 is None else np.asarray(x0, dtype=float)
-    n = int(round(T / h_t)) if T > 0 else 0
-    d = domain.dim
-    states = np.empty((n + 1, d))
-    states[0] = start
-    dB = gen.standard_normal((n, d)) * math.sqrt(h_t)
-    dl = np.zeros(n)
-    normals = np.zeros((n, d))
-    # free-flight segments between boundary contacts are plain partial sums;
-    # np.add.accumulate reproduces the sequential rounding of stepwise adds,
-    # so stored states match the batch engine bit for bit
-    window = 2048
-    j = 0
-    x = states[0]
-    while j < n:
-        w = min(window, n - j)
-        seg = np.add.accumulate(np.vstack([x[None, :], dB[j : j + w]]), axis=0)[1:]
-        hits = np.nonzero(_outside(domain, seg))[0]
-        if hits.size == 0:
-            states[j + 1 : j + w + 1] = seg
-            x = states[j + w]
-            j += w
-            continue
-        m = int(hits[0])
-        states[j + 1 : j + m + 1] = seg[:m]
-        x_new, push, _, normal = _reflect(domain, seg[m][None, :])
-        states[j + m + 1] = x_new[0]
-        dl[j + m] = LOCAL_TIME_FACTOR * push[0]
-        normals[j + m] = normal[0]
-        x = states[j + m + 1]
-        j += m + 1
-    times = h_t * np.arange(n + 1)
-    return PathGrid(domain, times, states, dB, dl, normals, seed, path_index)
-
-
-def simulate_path_penalized(
-    domain: Domain,
-    T: float,
-    h_t: float,
-    seed: int,
-    x0=None,
-    path_index: int = 0,
-) -> PathGrid:
-    """Alternative scheme: soft reflection by the penalization drift -delta/eps.
-
-    The proposal is pulled back by the exterior-distance gradient with
-    eps = sqrt(h_t); used only to cross-check the projection scheme.  The
-    reported dL increments carry the same sigma-normalization.
-    """
-    _check_step(domain, T, h_t)
-    gen = _path_generator(seed, path_index)
-    start = _draw_start(domain, gen) if x0 is None else np.asarray(x0, dtype=float)
-    n = int(round(T / h_t)) if T > 0 else 0
-    d = domain.dim
-    eps = math.sqrt(h_t)
-    states = np.empty((n + 1, d))
-    states[0] = start
-    dB = gen.standard_normal((n, d)) * math.sqrt(h_t)
-    dl = np.zeros(n)
-    normals = np.zeros((n, d))
-    for j in range(n):
-        xp = states[j] + dB[j]
-        val, _ = eval_psi(domain, xp[None, :])
-        if val[0] < 0:
-            foot, inward, dist = project_points(domain, xp[None, :])
-            pull = min(2.0 * dist[0] * h_t / eps, dist[0])
-            states[j + 1] = xp + pull * inward[0]
-            dl[j] = LOCAL_TIME_FACTOR * pull
-            normals[j] = inward[0]
-        else:
-            states[j + 1] = xp
-    times = h_t * np.arange(n + 1)
-    return PathGrid(domain, times, states, dB, dl, normals, seed, path_index)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +424,7 @@ def run_paths(
     for name, value in (("n_paths", n_paths), ("chunk_size", chunk_size), ("block", block)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    _check_step(domain, T, h_t)
-    n_steps = int(round(T / h_t)) if T > 0 else 0
+    n_steps = _check_step(domain, T, h_t)
     d = domain.dim
     sqh = math.sqrt(h_t)
     ctx = StepContext()
@@ -560,3 +466,46 @@ def run_paths(
         for obs in observers:
             obs.end_chunk(x)
     return n_steps
+
+
+class _PathRecorder(PathObserver):
+    """Stores every step of every path, chunk by chunk, for simulate_paths."""
+
+    def __init__(self, n_steps: int):
+        self.n_steps = n_steps
+        self.chunks: list = []
+
+    def start_chunk(self, indices, x0):
+        m, d = x0.shape
+        n = self.n_steps
+        self.states = np.empty((m, n + 1, d))
+        self.states[:, 0] = x0
+        self.dB = np.empty((m, n, d))
+        self.dl = np.empty((m, n))
+        self.normals = np.empty((m, n, d))
+
+    def step(self, ctx):
+        self.states[:, ctx.j + 1] = ctx.x_new
+        self.dB[:, ctx.j] = ctx.dB
+        self.dl[:, ctx.j] = ctx.dl
+        self.normals[:, ctx.j] = ctx.normal
+
+    def end_chunk(self, x_final):
+        self.chunks.append((self.states, self.dB, self.dl, self.normals))
+
+
+def simulate_paths(
+    domain: Domain, n_paths: int, T: float, h_t: float, seed: int, x0=None
+) -> list[PathGrid]:
+    """Simulate ``n_paths`` reflecting paths with :func:`run_paths` and store them.
+
+    Returns a list of :class:`PathGrid`, path i being path i of the batch
+    engine: the same (seed, i) gives the same stored path bit for bit.
+    ``x0=None`` draws each start uniformly on the domain from the path's own
+    stream.
+    """
+    recorder = _PathRecorder(_check_step(domain, T, h_t))
+    run_paths(domain, n_paths, T, h_t, seed, [recorder], x0=x0)
+    times = h_t * np.arange(recorder.n_steps + 1)
+    rows = (row for chunk in recorder.chunks for row in zip(*chunk))
+    return [PathGrid(domain, times, *row, seed, i) for i, row in enumerate(rows)]

@@ -35,7 +35,7 @@ from reflectpde.reflectsim import (
     LocalTimeObserver,
     StarObserver,
     run_paths,
-    simulate_path,
+    simulate_paths,
     star_integral,
 )
 from .conftest import exact_solution
@@ -71,8 +71,7 @@ def test_criterion_1_constant_star(disk):
     c = np.array([0.8, -0.6])
     field = lambda x: np.broadcast_to(c, np.atleast_2d(x).shape)  # noqa: E731
     worst = 0.0
-    for i in range(100):
-        path = simulate_path(disk, 1.0, 1e-3, seed=101, path_index=i)
+    for path in simulate_paths(disk, 100, 1.0, 1e-3, seed=101):
         worst = max(worst, abs(star_integral(path, field)))
     _criterion(
         1, worst <= 1e-12,
@@ -294,8 +293,8 @@ def test_criterion_9_determinism(tmp_path, disk):
         filecmp.cmp(out1 / name, out2 / name, shallow=False)
         for name in ("solution.csv", "trace.csv", "summary.json", "mesh.txt")
     )
-    p1 = simulate_path(disk, 1.0, 1e-3, seed=99, path_index=4)
-    p2 = simulate_path(disk, 1.0, 1e-3, seed=99, path_index=4)
+    p1 = simulate_paths(disk, 5, 1.0, 1e-3, seed=99)[4]
+    p2 = simulate_paths(disk, 5, 1.0, 1e-3, seed=99)[4]
     same_paths = np.array_equal(p1.states, p2.states) and np.array_equal(
         p1.local_time_increments, p2.local_time_increments
     )

@@ -6,6 +6,7 @@ import pytest
 
 from reflectpde.cli import main
 from reflectpde.config import ConfigError, load_config
+from reflectpde.reflectsim import simulate_paths
 from .conftest import F_A, F_B, G_B, H_A, H_B
 
 BASE_A = f"""
@@ -186,18 +187,30 @@ def test_verify_bad_mesh_file_is_a_load_error(tmp_path, capsys):
     assert "triangles" in capsys.readouterr().err
 
 
-def test_simulate_dumps(tmp_path):
-    cfg = write(tmp_path, BASE_A)
+@pytest.mark.parametrize("domain", ["disk", "ellipse"])
+def test_simulate_dumps(tmp_path, domain):
+    text = BASE_A
+    if domain == "ellipse":
+        text = BASE_A.replace("kind = disk\nradius = 1.0", "kind = ellipse\na = 1.5\nb = 1.0")
+    cfg = write(tmp_path, text)
     out = tmp_path / "paths"
     code = main(
         ["simulate", "--config", cfg, "--out", str(out), "--n-paths", "2",
          "--horizon", "0.1", "--npz"]
     )
     assert code == 0
-    text = (out / "path_0000.csv").read_text().splitlines()
-    assert text[0] == "step,t,x1,x2,dL"
-    assert len(text) == 102
-    assert (out / "path_0000.npz").exists()
+    paths = simulate_paths(load_config(cfg).domain, 2, 0.1, 1e-3, seed=7)
+    for i, path in enumerate(paths):
+        lines = (out / f"path_{i:04d}.csv").read_text().splitlines()
+        assert lines[0] == "step,t,x1,x2,dL"
+        assert len(lines) == 102
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(rows[:, 0], np.arange(101))
+        assert np.array_equal(rows[:, 1], path.times)
+        assert np.array_equal(rows[:, 2:4], path.states)
+        assert np.array_equal(rows[1:, 4], path.local_time_increments)
+        assert (out / f"path_{i:04d}.npz").exists()
+    assert np.any(rows[:, 4] > 0)  # the dump records boundary hits
 
 
 def test_bench_smoke(tmp_path):

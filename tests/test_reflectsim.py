@@ -18,9 +18,9 @@ from reflectpde.reflectsim import (
     backward_ito,
     forward_ito,
     local_time_integral,
+    _reflect,
     run_paths,
-    simulate_path,
-    simulate_path_penalized,
+    simulate_paths,
     star_integral,
     time_quadrature,
     weight_factors,
@@ -41,7 +41,7 @@ def const_field(c):
 
 
 def test_zero_horizon(disk):
-    p = simulate_path(disk, 0.0, 1e-3, seed=1, x0=(0.2, 0.1))
+    (p,) = simulate_paths(disk, 1, 0.0, 1e-3, seed=1, x0=(0.2, 0.1))
     assert p.n_steps == 0
     assert p.states.shape == (1, 2)
     assert p.local_time[-1] == 0.0
@@ -49,19 +49,19 @@ def test_zero_horizon(disk):
 
 def test_step_too_large(disk):
     with pytest.raises(StepTooLarge):
-        simulate_path(disk, 1.0, 0.1, seed=1)
+        simulate_paths(disk, 1, 1.0, 0.1, seed=1)
 
 
 def test_determinism(disk):
-    a = simulate_path(disk, 0.5, 1e-3, seed=42, path_index=3)
-    b = simulate_path(disk, 0.5, 1e-3, seed=42, path_index=3)
+    a = simulate_paths(disk, 4, 0.5, 1e-3, seed=42)[3]
+    b = simulate_paths(disk, 4, 0.5, 1e-3, seed=42)[3]
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.brownian_increments, b.brownian_increments)
     assert np.array_equal(a.local_time_increments, b.local_time_increments)
 
 
 def test_states_in_closure_and_dl_rules(disk):
-    p = simulate_path(disk, 1.0, 5e-4, seed=7)
+    (p,) = simulate_paths(disk, 1, 1.0, 5e-4, seed=7)
     r = np.linalg.norm(p.states, axis=1)
     assert np.all(r <= 1.0 + 1e-12)
     proposals = p.states[:-1] + p.brownian_increments
@@ -104,18 +104,38 @@ DOMAINS = {
 }
 
 
-def test_batch_matches_single_paths():
+def _check_stored_paths(domain):
     # 600 steps: not a multiple of 13 nor of the default block of 512
-    for domain in DOMAINS.values():
-        singles = [simulate_path(domain, 0.6, 1e-3, seed=11, path_index=i) for i in range(5)]
-        for block in (1, 13, None):
+    paths = simulate_paths(domain, 16, 0.6, 1e-3, seed=11)
+    for chunk_size in (1, 2, 2048):
+        for block in (1, 13, 512):
             rec = Recorder()
-            kw = {} if block is None else {"block": block}
-            run_paths(domain, 5, 0.6, 1e-3, seed=11, observers=[rec], chunk_size=2, **kw)
-            for i, single in enumerate(singles):
-                xs, dl = rec.all[i][:2]
-                assert np.array_equal(xs, single.states)
-                assert np.array_equal(dl, single.local_time_increments)
+            run_paths(domain, 16, 0.6, 1e-3, seed=11, observers=[rec],
+                      chunk_size=chunk_size, block=block)
+            for i, p in enumerate(paths):
+                xs, dl, _, _, normal, dB = rec.all[i]
+                for got, want in ((xs, p.states), (dl, p.local_time_increments),
+                                  (normal, p.reflection_normals), (dB, p.brownian_increments)):
+                    assert np.array_equal(got, want)
+    x0 = (0.3, -0.2, 0.1)[: domain.dim]
+    for i, p in enumerate(simulate_paths(domain, 16, 0.6, 1e-3, seed=11, x0=x0)):
+        assert p.path_index == i and np.array_equal(p.states[0], x0)
+        normals = _path_generator(11, i).standard_normal((600, domain.dim))
+        assert np.array_equal(p.brownian_increments, normals * math.sqrt(1e-3))
+    hits = 0
+    for p in paths:
+        # every step at once: a foot must not depend on the other hits in its batch
+        x_new, push, hit, normal = _reflect(domain, p.states[:-1] + p.brownian_increments)
+        assert np.array_equal(x_new, p.states[1:])
+        assert np.array_equal(2.0 * push, p.local_time_increments)
+        assert np.array_equal(normal, p.reflection_normals)
+        hits += int(hit.sum())
+    assert hits > 50  # the paths do reach the boundary
+
+
+def test_batch_matches_single_paths():
+    for domain in DOMAINS.values():
+        _check_stored_paths(domain)
 
 
 # The engine step and noise drawing as they were before the ellipse hit test
@@ -245,19 +265,19 @@ def test_noise_memory_is_bounded_by_the_block(disk):
 
 
 def test_forward_ito_constant_field(disk):
-    p = simulate_path(disk, 0.5, 1e-3, seed=2)
+    (p,) = simulate_paths(disk, 1, 0.5, 1e-3, seed=2)
     c = np.array([1.5, -0.5])
     total = forward_ito(p, const_field(c))
     assert total == pytest.approx(c @ p.brownian_increments.sum(axis=0), abs=1e-12)
 
 
 def test_forward_zero_field(disk):
-    p = simulate_path(disk, 0.5, 1e-3, seed=2)
+    (p,) = simulate_paths(disk, 1, 0.5, 1e-3, seed=2)
     assert forward_ito(p, const_field([0, 0])) == 0.0
 
 
 def test_backward_constant_telescoping(disk):
-    p = simulate_path(disk, 0.5, 1e-3, seed=3)
+    (p,) = simulate_paths(disk, 1, 0.5, 1e-3, seed=3)
     c = np.array([0.3, 0.7])
     got = backward_ito(p, const_field(c))
     expect = -c @ p.brownian_increments.sum(axis=0) - 2.0 * np.einsum(
@@ -268,7 +288,7 @@ def test_backward_constant_telescoping(disk):
 
 def test_forward_backward_correction_identity(disk):
     # fwd + bwd + sum <field(X_{j+1}) - field(X_j), dB> + 2 sum <field, n> dL = 0
-    p = simulate_path(disk, 0.5, 1e-3, seed=4)
+    (p,) = simulate_paths(disk, 1, 0.5, 1e-3, seed=4)
     field = lambda x: np.stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]], axis=1)  # noqa: E731
     fwd = forward_ito(p, field)
     bwd = backward_ito(p, field)
@@ -282,13 +302,13 @@ def test_forward_backward_correction_identity(disk):
 
 
 def test_star_constant_exactly_zero_pathwise(disk):
-    p = simulate_path(disk, 1.0, 1e-3, seed=5)
+    (p,) = simulate_paths(disk, 1, 1.0, 1e-3, seed=5)
     val = star_integral(p, const_field([0.8, -1.1]))
     assert abs(val) <= 1e-12
 
 
 def test_index_order(disk):
-    p = simulate_path(disk, 0.1, 1e-3, seed=6)
+    (p,) = simulate_paths(disk, 1, 0.1, 1e-3, seed=6)
     with pytest.raises(IndexOrder):
         backward_ito(p, const_field([1, 0]), 5, 5)
     with pytest.raises(IndexOrder):
@@ -296,7 +316,7 @@ def test_index_order(disk):
 
 
 def test_weight_factors(disk):
-    p = simulate_path(disk, 0.5, 1e-3, seed=8)
+    (p,) = simulate_paths(disk, 1, 0.5, 1e-3, seed=8)
     w = weight_factors(p, lambda x: np.zeros(len(x)))
     assert np.all(w == 1.0)
     w = weight_factors(p, lambda x: -np.ones(len(x)))
@@ -396,8 +416,7 @@ def test_forward_ito_variance_matches_quadratic_variation(disk):
     field = lambda x: 2.0 * x  # noqa: E731
     values = []
     quad = []
-    for i in range(2000):
-        p = simulate_path(disk, 0.5, 1e-3, seed=13, path_index=i)
+    for p in simulate_paths(disk, 2000, 0.5, 1e-3, seed=13):
         values.append(forward_ito(p, field))
         quad.append(time_quadrature(p, lambda x: 4.0 * (x[:, 0] ** 2 + x[:, 1] ** 2)))
     v = np.var(values, ddof=1)
@@ -406,23 +425,9 @@ def test_forward_ito_variance_matches_quadratic_variation(disk):
     assert v == pytest.approx(q, abs=3 * se)
 
 
-def test_penalized_scheme_cross_check(disk):
-    # soft reflection: the spring eps = sqrt(h_t) keeps excursions within an
-    # O(h_t^(1/4)) layer and reproduces the local-time rate only coarsely
-    h_t = 1e-3
-    ls = []
-    for i in range(60):
-        p = simulate_path_penalized(disk, 2.0, h_t, seed=14, path_index=i)
-        r = np.linalg.norm(p.states, axis=1)
-        assert np.all(r <= 1.0 + 6.0 * h_t**0.25)
-        ls.append(p.local_time[-1] / 2.0)
-    rate = np.mean(ls)
-    assert abs(rate - 2.0) < 0.6
-
-
 def test_ball_3d_paths(consts_k0):
     ball = Domain.ball(3)
-    p = simulate_path(ball, 0.5, 5e-4, seed=15)
+    (p,) = simulate_paths(ball, 1, 0.5, 5e-4, seed=15)
     assert np.all(np.linalg.norm(p.states, axis=1) <= 1.0 + 1e-12)
     obs = LocalTimeObserver()
     run_paths(ball, 400, 2.0, 2e-4, seed=16, observers=[obs])
@@ -431,7 +436,7 @@ def test_ball_3d_paths(consts_k0):
 
 
 def test_local_time_integral_and_quadrature_helpers(disk):
-    p = simulate_path(disk, 0.5, 1e-3, seed=17)
+    (p,) = simulate_paths(disk, 1, 0.5, 1e-3, seed=17)
     assert local_time_integral(p, lambda x: np.ones(len(x))) == pytest.approx(
         p.local_time[-1], rel=1e-12
     )
