@@ -6,9 +6,12 @@ Deterministic backend: P1 finite elements and Picard iteration for
     <grad u - 2 g(., u, grad u), n> + h(., u) = 0                                on dD,
 
 with n the inward unit normal.  Stochastic backend: reflecting diffusion with
-boundary local time, forward/backward/star path integrals, Feynman-Kac point
-evaluation of frozen linear problems, and a martingale-residual test that
-verifies a candidate solution along simulated paths.
+boundary local time, driven by one batch engine (``run_paths``) whose
+observers accumulate the path functionals; the star (forward-backward)
+integral of the divergence term, both on stored paths (``star_integral``) and
+as an observer; Feynman-Kac point evaluation of frozen linear problems; and a
+martingale-residual test that verifies a candidate solution along simulated
+paths.
 """
 
 from .coeffexpr import (
@@ -65,16 +68,6 @@ from .probeval import (
     fk_pure_boundary,
     martingale_residual_test,
 )
-from .reflectsim import (
-    Estimate,
-    IndexOrder,
-    PathGrid,
-    StepTooLarge,
-    backward_ito,
-    forward_ito,
-    simulate_paths,
-    star_integral,
-    weight_factors,
-)
+from .reflectsim import Estimate, PathGrid, StepTooLarge, simulate_paths, star_integral
 
 __version__ = "0.1.0"

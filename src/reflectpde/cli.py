@@ -229,14 +229,24 @@ def cmd_check_conditions(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _path_run(args, horizon: float, step: float):
+    """(n_paths, horizon, step) of a path run: the flags, else the given defaults."""
+    T = horizon if args.horizon is None else args.horizon
+    h = step if args.step is None else args.step
+    for flag, value in (("--horizon", T), ("--step", h)):
+        if not value > 0:
+            raise ConfigError(f"{flag} {value!r} must be positive")
+    if args.n_paths < 1:
+        raise ConfigError(f"--n-paths {args.n_paths} must be at least 1")
+    return args.n_paths, T, h
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    n, T, h = _path_run(args, cfg.solver.horizon, cfg.solver.step)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = simulate_paths(
-        cfg.domain, args.n_paths, args.horizon or cfg.solver.horizon,
-        args.step or cfg.solver.step, cfg.solver.seed,
-    )
+    paths = simulate_paths(cfg.domain, n, T, h, cfg.solver.seed)
     for i, path in enumerate(paths):
         stem = out_dir / f"path_{i:04d}"
         with open(f"{stem}.csv", "w") as out:
@@ -254,7 +264,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load(args)
-    n, T, h = args.n_paths, args.horizon or 2.0, args.step or cfg.solver.step
+    n, T, h = _path_run(args, 2.0, cfg.solver.step)
     dom = cfg.domain
     obs_l = LocalTimeObserver()
     obs_s = StarObserver(lambda x: x)

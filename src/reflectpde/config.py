@@ -94,9 +94,9 @@ def _strip(raw: str) -> str:
 def load_config(path) -> RunConfig:
     """Parse and fully validate a run configuration file.
 
-    Rejects unknown sections/keys; parses every coefficient expression so a
-    malformed formula fails here with its offset diagnostic, before any
-    compute starts.
+    Rejects unknown sections/keys and [solver] sizes, steps and tolerances
+    out of range; parses every coefficient expression so a malformed formula
+    fails here with its offset diagnostic, before any compute starts.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (K vs k)
@@ -201,6 +201,14 @@ def load_config(path) -> RunConfig:
         )
         solver.validate_budget = _get_int(sec, "validate_budget", solver.validate_budget)
         solver.m1 = _get_float(sec, "m1", solver.m1)
+        for key in ("mesh_h", "tol", "inner_tol", "step", "horizon", "residual_window"):
+            value = getattr(solver, key)
+            if not value > 0:
+                raise ConfigError(f"[solver] {key} = {value!r} must be positive")
+        for key in ("n_paths", "max_iter", "validate_budget"):
+            value = getattr(solver, key)
+            if value < 1:
+                raise ConfigError(f"[solver] {key} = {value} must be at least 1")
 
     if solver.backend in ("stochastic-verify", "both") and not coeffs.b_is_zero:
         raise ConfigError(

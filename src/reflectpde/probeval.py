@@ -414,43 +414,6 @@ def fk_linear_frozen(
     return _run_fk(domain, x0, obs, params, "fk_linear_frozen")
 
 
-def fk_frozen_with_divergence(
-    domain: Domain, x0, q, f_frozen, h_frozen, G: FemFunction, params: McParams,
-    c_bd: float = DEFAULT_C_BD,
-) -> Estimate:
-    """FK evaluation of the frozen problem including a divergence field g.
-
-    The divergence term is removed by the Riesz lift G of g (solve_g_lifting):
-    the shifted unknown v = u - 2G solves the g-free problem with data
-    F + 2 q G + G and the same H, so u(x0) = fk(F + 2qG + G, H) + 2 G(x0).
-    Raises :class:`AdmissibilityError` and fills the tail bound as
-    :func:`fk_linear_frozen` does.
-    """
-    q = _StepMemo(q)  # the observer's q evaluation serves f_tilde too
-    locate = PathLocator(G.mesh)
-
-    def f_tilde(x):
-        gv = G.value_at(x, locate(x))
-        return np.asarray(f_frozen(x), dtype=float) + (2.0 * np.asarray(q(x)) + 1.0) * gv
-
-    return _fk_lifted(domain, x0, q, f_tilde, h_frozen, G, params, c_bd)
-
-
-def _fk_lifted(domain, x0, q, f_tilde, h_frozen, G, params, c_bd, locate=None) -> Estimate:
-    """fk_linear_frozen's estimate for the lifted data f_tilde = F + 2 q G + G, shifted
-    by 2 G(x0).
-
-    ``locate`` is f_tilde's :class:`PathLocator`, when h_frozen takes the hits'
-    triangles (see :class:`WeightedObserver`).
-    """
-    obs = TimeIntegralObserver(
-        q, F=f_tilde, H=h_frozen, c=c_bd, fit_steps=_fit_steps(params), locate=locate
-    )
-    est = _run_fk(domain, x0, obs, params, "fk_linear_frozen")
-    shift = 2.0 * float(G.value_at(np.asarray(x0, dtype=float)[None, :])[0])
-    return Estimate(est.n_samples, est.mean + shift, est.m2)
-
-
 # ---------------------------------------------------------------------------
 # boundary-constant calibration
 
@@ -819,7 +782,11 @@ def compare_frozen_at_probes(
 
     Freezes F(x) = f(x, u, grad u), H(x) = h(x, u), g(x) = g(x, u, grad u) at
     the candidate solution and evaluates the resulting linear problem
-    stochastically at the probe points.
+    stochastically at the probe points.  The divergence term is removed by
+    the Riesz lift G of g (solve_g_lifting): the shifted unknown v = u - 2G
+    solves the g-free problem with data F + 2 q G + G and the same H, so
+    u(x0) = fk(F + 2qG + G, H) + 2 G(x0), fk as in :func:`fk_linear_frozen`.
+    Probe i runs on the seed shifted by ``SEED_PROBE_STRIDE * i``.
     """
     if probes is None:
         probes = interior_grid(domain, 5)
@@ -830,7 +797,7 @@ def compare_frozen_at_probes(
     locate = PathLocator(u.mesh)
 
     def f_tilde(x):
-        """F + 2 q G + G of fk_frozen_with_divergence, with u and G from one location."""
+        """F + 2 q G + G, with u and G from one location."""
         tri = locate(x)
         val, grad = u.value_grad_at(x, tri)
         f = coeffs.f_at(np.atleast_2d(x), val, grad)
@@ -842,16 +809,19 @@ def compare_frozen_at_probes(
         return coeffs.h_at(np.atleast_2d(x), u.value_at(x, tri))
 
     fem_vals = u.value_at(probes)
-    ests = [
-        _fk_lifted(
-            domain, p, q, f_tilde, H, G, _shifted(params, SEED_PROBE_STRIDE * i), c_bd, locate
+    means, ses = [], []
+    for i, p in enumerate(probes):
+        p_params = _shifted(params, SEED_PROBE_STRIDE * i)
+        obs = TimeIntegralObserver(
+            q, F=f_tilde, H=H, c=c_bd, fit_steps=_fit_steps(p_params), locate=locate
         )
-        for i, p in enumerate(probes)
-    ]
+        est = _run_fk(domain, p, obs, p_params, "fk_linear_frozen")
+        means.append(est.mean + 2.0 * float(G.value_at(p[None, :])[0]))
+        ses.append(est.standard_error)
     return ProbeComparison(
         probes=probes,
         fem_values=np.asarray(fem_vals),
-        mc_means=np.array([est.mean for est in ests]),
-        mc_ses=np.array([est.standard_error for est in ests]),
+        mc_means=np.array(means),
+        mc_ses=np.array(ses),
         allowance=allowance,
     )

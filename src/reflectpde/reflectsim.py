@@ -40,10 +40,6 @@ class StepTooLarge(ValueError):
     """Time step too coarse for the reflection approximation (h_t > (diam/10)^2)."""
 
 
-class IndexOrder(ValueError):
-    """Integral requested over an empty or reversed index range."""
-
-
 # ---------------------------------------------------------------------------
 # estimates
 
@@ -131,10 +127,6 @@ class PathGrid:
     @property
     def n_steps(self) -> int:
         return len(self.local_time_increments)
-
-    @property
-    def h_t(self) -> float:
-        return float(self.times[1] - self.times[0]) if self.n_steps else 0.0
 
     @property
     def local_time(self) -> np.ndarray:
@@ -234,33 +226,7 @@ def _reflect(domain: Domain, proposals: np.ndarray):
 # path integrals (single stored path)
 
 
-def _span(path: PathGrid, s_idx, t_idx):
-    n = path.n_steps
-    t_idx = n if t_idx is None else t_idx
-    if not (0 <= s_idx < t_idx <= n):
-        raise IndexOrder(f"need 0 <= s_idx < t_idx <= {n}, got [{s_idx}, {t_idx})")
-    return s_idx, t_idx
-
-
-def forward_ito(path: PathGrid, field) -> float:
-    """Left-endpoint Ito sum: sum_j <field(X_j), dB_j> over the whole path."""
-    if path.n_steps == 0:
-        return 0.0
-    vals = np.asarray(field(path.states[:-1]), dtype=float)
-    return float(np.einsum("jd,jd->", vals, path.brownian_increments))
-
-
-def backward_ito(path: PathGrid, field, s_idx: int = 0, t_idx=None) -> float:
-    """Right-endpoint sum against the backward increments -dB_j - 2 n_j dL_j."""
-    s, t = _span(path, s_idx, t_idx)
-    vals = np.asarray(field(path.states[s + 1 : t + 1]), dtype=float)
-    incr = -path.brownian_increments[s:t] - (
-        2.0 * path.local_time_increments[s:t, None] * path.reflection_normals[s:t]
-    )
-    return float(np.einsum("jd,jd->", vals, incr))
-
-
-def star_integral(path: PathGrid, field, s_idx: int = 0, t_idx=None) -> float:
+def star_integral(path: PathGrid, field) -> float:
     """Two-sided (forward + backward) integral with the boundary correction:
 
         sum <field(X_j), dB_j>  +  sum <field(X_{j+1}), -dB_j - 2 n_j dL_j>
@@ -270,54 +236,14 @@ def star_integral(path: PathGrid, field, s_idx: int = 0, t_idx=None) -> float:
     exactly zero, and for smooth fields the mean converges to
     -int div field (X_r) dr as h_t -> 0.
     """
-    s, t = _span(path, s_idx, t_idx)
-    left = np.asarray(field(path.states[s:t]), dtype=float)
-    right = np.asarray(field(path.states[s + 1 : t + 1]), dtype=float)
-    dB = path.brownian_increments[s:t]
+    left = np.asarray(field(path.states[:-1]), dtype=float)
+    right = np.asarray(field(path.states[1:]), dtype=float)
+    dB = path.brownian_increments
+    n_dl = path.local_time_increments[:, None] * path.reflection_normals
     fwd = np.einsum("jd,jd->", left, dB)
-    bwd = np.einsum(
-        "jd,jd->",
-        right,
-        -dB - 2.0 * path.local_time_increments[s:t, None] * path.reflection_normals[s:t],
-    )
-    corr = 2.0 * np.einsum(
-        "jd,jd->", right, path.local_time_increments[s:t, None] * path.reflection_normals[s:t]
-    )
+    bwd = np.einsum("jd,jd->", right, -dB - 2.0 * n_dl)
+    corr = 2.0 * np.einsum("jd,jd->", right, n_dl)
     return float(fwd + bwd + corr)
-
-
-def weight_factors(path: PathGrid, q, lam: float = 0.0, mu: float = 0.0) -> np.ndarray:
-    """Per-node weights w_j = exp(lam t_j + mu L_{t_j} + int_0^{t_j} q(X) ds).
-
-    The time integral in the exponent uses the left-endpoint rule; L is the
-    reported (sigma-normalized) local time.
-    """
-    n = path.n_steps
-    w = np.empty(n + 1)
-    if n == 0:
-        w[0] = 1.0
-        return w
-    qv = np.asarray(q(path.states[:-1]), dtype=float)
-    expo = np.zeros(n + 1)
-    np.cumsum(qv * path.h_t, out=expo[1:])
-    expo += lam * path.times + mu * path.local_time
-    np.exp(expo, out=w)
-    return w
-
-
-def time_quadrature(path: PathGrid, f) -> float:
-    """Left-endpoint quadrature of int f(X_r) dr over the whole path."""
-    if path.n_steps == 0:
-        return 0.0
-    return float(np.sum(np.asarray(f(path.states[:-1]), dtype=float)) * path.h_t)
-
-
-def local_time_integral(path: PathGrid, f) -> float:
-    """sum f(X_{j+1}) dL_j (boundary values at the projection feet)."""
-    if path.n_steps == 0:
-        return 0.0
-    vals = np.asarray(f(path.states[1:]), dtype=float)
-    return float(np.sum(vals * path.local_time_increments))
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +299,15 @@ class LocalTimeObserver(PathObserver):
 
 
 class StarObserver(PathObserver):
-    """Star integral of a fixed vector field over [0, t_end]."""
+    """Star integral of a fixed vector field over the whole horizon.
 
-    def __init__(self, field, n_end: int | None = None):
+    Per path it accumulates -sum <field(X_{j+1}) - field(X_j), dB_j>, which
+    is :func:`star_integral` of the stored path with the reflection terms
+    cancelled before summing.
+    """
+
+    def __init__(self, field):
         self.field = field
-        self.n_end = n_end
         self.samples: list = []
         self._acc = None
         self._prev = None
@@ -387,8 +317,6 @@ class StarObserver(PathObserver):
         self._prev = np.asarray(self.field(x0), dtype=float)
 
     def step(self, ctx):
-        if self.n_end is not None and ctx.j >= self.n_end:
-            return
         cur = np.asarray(self.field(ctx.x_new), dtype=float)
         self._acc -= np.einsum("pd,pd->p", cur - self._prev, ctx.dB)
         self._prev = cur

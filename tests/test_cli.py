@@ -76,6 +76,22 @@ def test_nonzero_drift_blocks_stochastic_backend(tmp_path):
         load_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("mesh_h", "-0.1"), ("tol", "-1"), ("inner_tol", "0"), ("step", "0"), ("horizon", "0"),
+     ("residual_window", "0"), ("n_paths", "0"), ("max_iter", "0"),
+     ("validate_budget", "0")],
+)
+def test_solver_value_out_of_range_rejected(tmp_path, capsys, key, value):
+    lines = [line for line in BASE_A.splitlines() if not line.startswith(f"{key} =")]
+    cfg = write(tmp_path, "\n".join(lines) + f"\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert "[solver]" in str(err.value) and key in str(err.value)
+    assert main(["check-conditions", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: [solver]")
+
+
 def test_solve_manufactured_and_outputs(tmp_path, capsys):
     cfg = write(tmp_path, BASE_A)
     out = tmp_path / "out"
@@ -220,6 +236,22 @@ def test_bench_smoke(tmp_path):
          "--step", "5e-4"]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+@pytest.mark.parametrize(
+    "flag, value", [("--horizon", "0"), ("--step", "0"), ("--step=-1e-3", None),
+                    ("--n-paths", "0")],
+)
+def test_path_run_flags_out_of_range_rejected(tmp_path, capsys, command, flag, value):
+    # an explicit 0 is not replaced by the default: it is an error, exit 1
+    cfg = write(tmp_path, BASE_A)
+    out = ["--out", str(tmp_path / "paths")] if command == "simulate" else []
+    argv = [command, "--config", cfg, *out, "--n-paths", "2", "--horizon", "0.05", flag]
+    assert main(argv + ([] if value is None else [value])) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --")
+    assert not (tmp_path / "paths").exists()
 
 
 def test_solve_b_corpus_with_verification_backend(tmp_path):

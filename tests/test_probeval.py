@@ -19,7 +19,6 @@ from reflectpde.probeval import (
     compare_frozen_at_probes,
     estimate_decay,
     fem_linear_solve,
-    fk_frozen_with_divergence,
     fk_linear_frozen,
     fk_pure_boundary,
     martingale_residual_test,
@@ -89,9 +88,6 @@ def test_fk_estimators_run_once(monkeypatch, disk, meshes):
     assert len(runs) == 1
     fk_pure_boundary(disk, x0, Q_MINUS_ONE, ONE, params(n=20, T=0.5))
     assert len(runs) == 2
-    G = solve_g_lifting(meshes[0.1], meshes[0.1].quad_x)
-    fk_frozen_with_divergence(disk, x0, Q_MINUS_ONE, ONE, ONE, G, params(n=20, T=0.5))
-    assert len(runs) == 3
 
 
 def test_probe_estimators_run_once_per_probe(monkeypatch, disk, meshes, corpus_b):
@@ -360,26 +356,32 @@ def test_fk_with_divergence_against_fem(disk, meshes):
     u = solve_semilinear_g_frozen(mesh, coeffs, g_quad=mesh.quad_x, inner_tol=1e-11)
     x0 = np.array([0.2, -0.1])
     p = params(n=1500, T=10.0, h=1e-3, seed=8)
-    est = fk_frozen_with_divergence(
-        disk, x0, Q_MINUS_ONE, lambda x: 1 - x[:, 0], lambda x: 0.5 + x[:, 1],
-        solve_g_lifting(mesh, mesh.quad_x), p,
-    )
-    fem_val = float(u.value_at(x0[None, :])[0])
-    assert est.mean == pytest.approx(fem_val, abs=3 * est.standard_error + 0.06)
+    cmp = compare_frozen_at_probes(disk, u, coeffs, p, probes=[x0])
+    mean, se = cmp.mc_means[0], cmp.mc_ses[0]
+    assert mean == pytest.approx(cmp.fem_values[0], abs=3 * se + 0.06)
+
+
+class _CountingQ:
+    """Coefficients whose q_at records the number of points of each call."""
+
+    def __init__(self, coeffs):
+        self.coeffs, self.calls = coeffs, []
+
+    def __getattr__(self, name):
+        return getattr(self.coeffs, name)
+
+    def q_at(self, x):
+        self.calls.append(len(x))
+        return self.coeffs.q_at(x)
 
 
 def test_fk_with_divergence_evaluates_q_once_per_step(disk, meshes):
-    calls = []
-
-    def q(x):
-        calls.append(len(x))
-        return -np.ones(len(x))
-
+    coeffs = _CountingQ(CoefficientSet.from_strings(2, f="1", g=["x1", "x2"], h="1", q="-1"))
+    u = FemFunction(meshes[0.1], np.zeros(meshes[0.1].n_nodes))
     # 20 engine steps in one chunk of 30 paths; the decay fit reads the same run
-    G = solve_g_lifting(meshes[0.1], meshes[0.1].quad_x)
-    fk_frozen_with_divergence(disk, np.zeros(2), q, ONE, ONE, G, params(n=30, T=0.2, h=1e-2))
-    assert calls.count(30) == 20  # one per path-step: the observer's, shared with f_tilde
-    assert len(calls) == 21  # and one on the tail-bound grid
+    compare_frozen_at_probes(disk, u, coeffs, params(n=30, T=0.2, h=1e-2), probes=[[0.0, 0.0]])
+    assert coeffs.calls.count(30) == 20  # one per path-step: the observer's, shared with f_tilde
+    assert len(coeffs.calls) == 21  # and one on the tail-bound grid
 
 
 # ---------------------------------------------------------------------------
