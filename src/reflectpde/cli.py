@@ -29,7 +29,9 @@ from .mesh_fem import (
     import_mesh,
 )
 from .probeval import McParams
-from .reflectsim import LocalTimeObserver, StarObserver, run_paths, simulate_paths, star_integral
+from .reflectsim import (
+    LocalTimeObserver, StarObserver, check_step, run_paths, simulate_paths, star_integral,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -65,13 +67,20 @@ def _derived_constants(cfg: RunConfig):
         return cfg.consts, f"override: running with inadmissible constants ({err})"
 
 
+def _checked_step(domain, horizon: float, step: float, source: str):
+    """Reject, as a config error, a step and horizon the path engine would refuse."""
+    try:
+        check_step(domain, horizon, step)
+    except ValueError as err:
+        raise ConfigError(f"{source}: {err}") from None
+
+
 def _mc_params(cfg: RunConfig) -> McParams:
-    return McParams(
-        n_paths=cfg.solver.n_paths,
-        horizon=cfg.solver.horizon,
-        step=cfg.solver.step,
-        seed=cfg.solver.seed,
-    )
+    """The Monte-Carlo run parameters; a step the path engine refuses is a config error."""
+    s = cfg.solver
+    where = f"[solver] step = {s.step!r}, horizon = {s.horizon!r}"
+    _checked_step(cfg.domain, s.horizon, s.step, where)
+    return McParams(n_paths=s.n_paths, horizon=s.horizon, step=s.step, seed=s.seed)
 
 
 def _json_default(obj):
@@ -88,15 +97,23 @@ def _write_summary(out_dir: Path, summary: dict):
         out.write("\n")
 
 
+def _verification(cfg: RunConfig, u, consts, params: McParams):
+    """Run and print the martingale-residual test and the probe comparison of u."""
+    residual = probeval.martingale_residual_test(
+        cfg.domain, u, cfg.coeffs, consts, params, t_res=cfg.solver.residual_window
+    )
+    print(residual)
+    probecmp = probeval.compare_frozen_at_probes(cfg.domain, u, cfg.coeffs, params)
+    print(probecmp)
+    return residual, probecmp
+
+
 def cmd_solve(args) -> int:
     cfg = _load(args)
+    params = _mc_params(cfg) if cfg.solver.backend in ("stochastic-verify", "both") else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        consts, note = _derived_constants(cfg)
-    except InadmissibleConstants as err:
-        print(f"inadmissible constants: {err}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+    consts, note = _derived_constants(cfg)
     report = validate_structure(
         cfg.domain, cfg.coeffs, cfg.consts,
         budget=cfg.solver.validate_budget, seed=cfg.solver.seed,
@@ -133,14 +150,8 @@ def cmd_solve(args) -> int:
         "mesh": {"h_max": mesh.h_max, "nodes": mesh.n_nodes},
         "seed": cfg.solver.seed,
     }
-    if cfg.solver.backend in ("stochastic-verify", "both") and trace.n_iterations > 0:
-        residual = probeval.martingale_residual_test(
-            cfg.domain, trace.solution, cfg.coeffs, consts, _mc_params(cfg),
-            t_res=cfg.solver.residual_window,
-        )
-        probecmp = probeval.compare_frozen_at_probes(
-            cfg.domain, trace.solution, cfg.coeffs, _mc_params(cfg)
-        )
+    if params is not None and trace.n_iterations > 0:
+        residual, probecmp = _verification(cfg, trace.solution, consts, params)
         summary["verification"] = {
             "residual_mean": residual.mean_residual,
             "residual_se": residual.se_residual,
@@ -148,8 +159,6 @@ def cmd_solve(args) -> int:
             "probe_max_gap": probecmp.max_gap,
             "probe_pass": probecmp.passed,
         }
-        print(residual)
-        print(probecmp)
     _write_summary(out_dir, summary)
     print(
         f"picard: converged={trace.converged} iterations={trace.n_iterations} "
@@ -163,11 +172,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
-    try:
-        consts, _ = _derived_constants(cfg)
-    except InadmissibleConstants as err:
-        print(f"inadmissible constants: {err}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+    params = _mc_params(cfg)
+    consts, _ = _derived_constants(cfg)
     field_path = Path(args.field)
     mesh_path = Path(args.mesh) if args.mesh else field_path.parent / "mesh.txt"
     try:
@@ -176,13 +182,7 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as err:
         print(f"cannot load field: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    params = _mc_params(cfg)
-    residual = probeval.martingale_residual_test(
-        cfg.domain, u, cfg.coeffs, consts, params, t_res=cfg.solver.residual_window
-    )
-    print(residual)
-    probecmp = probeval.compare_frozen_at_probes(cfg.domain, u, cfg.coeffs, params)
-    print(probecmp)
+    residual, probecmp = _verification(cfg, u, consts, params)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,18 +218,19 @@ def cmd_verify(args) -> int:
 
 def cmd_check_conditions(args) -> int:
     cfg = _load(args)
+    params = _mc_params(cfg)
     report = validate_structure(
         cfg.domain, cfg.coeffs, cfg.consts,
         budget=cfg.solver.validate_budget, seed=cfg.solver.seed,
     )
     print(report)
-    creport = probeval.check_conditions_C(cfg.domain, cfg.coeffs.q_at, _mc_params(cfg))
+    creport = probeval.check_conditions_C(cfg.domain, cfg.coeffs.q_at, params)
     print(creport)
     ok = report.passed and creport.all_clear
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _path_run(args, horizon: float, step: float):
+def _path_run(args, domain, horizon: float, step: float):
     """(n_paths, horizon, step) of a path run: the flags, else the given defaults."""
     T = horizon if args.horizon is None else args.horizon
     h = step if args.step is None else args.step
@@ -238,12 +239,13 @@ def _path_run(args, horizon: float, step: float):
             raise ConfigError(f"{flag} {value!r} must be positive")
     if args.n_paths < 1:
         raise ConfigError(f"--n-paths {args.n_paths} must be at least 1")
+    _checked_step(domain, T, h, f"--horizon {T!r} --step {h!r}")
     return args.n_paths, T, h
 
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    n, T, h = _path_run(args, cfg.solver.horizon, cfg.solver.step)
+    n, T, h = _path_run(args, cfg.domain, cfg.solver.horizon, cfg.solver.step)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = simulate_paths(cfg.domain, n, T, h, cfg.solver.seed)
@@ -264,7 +266,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load(args)
-    n, T, h = _path_run(args, 2.0, cfg.solver.step)
+    n, T, h = _path_run(args, cfg.domain, 2.0, cfg.solver.step)
     dom = cfg.domain
     obs_l = LocalTimeObserver()
     obs_s = StarObserver(lambda x: x)

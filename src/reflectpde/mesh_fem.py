@@ -479,9 +479,9 @@ class WeakForm:
         qx = mesh.quad_x.reshape(-1, 2)
         nq = mesh.quad_w.shape
         q_quad = np.asarray(self.coeffs.q_at(qx), dtype=float).reshape(nq)
-        b_quad = np.asarray(self.coeffs.b_at(qx), dtype=float).reshape(nq + (2,))
         lhs = 0.5 * mesh.stiffness() - mesh.weighted_mass(q_quad)
-        if np.any(b_quad != 0.0):
+        if not self.coeffs.b_is_zero:  # decided from the expression, not from samples
+            b_quad = np.asarray(self.coeffs.b_at(qx), dtype=float).reshape(nq + (2,))
             lhs = lhs - mesh.convection(b_quad)
         return lhs
 
@@ -562,9 +562,9 @@ def solve_semilinear_g_frozen(
 ) -> FemFunction:
     """One outer step: solve the problem with the divergence field frozen.
 
-    ``coeffs`` provides vectorized ``f_at(x, y, z)``, ``h_at(x, y)``,
-    ``q_at(x)``, ``b_at(x)``; ``g_quad`` is the frozen g at ``mesh.quad_x``,
-    shape (m, 6, 2), or None for g = 0.  See :meth:`WeakForm.solve`.
+    ``coeffs`` provides vectorized ``f_at(x, y, z)``, ``h_at(x, y)``, ``q_at(x)``,
+    ``b_is_zero`` and, unless b is zero, ``b_at(x)``; ``g_quad`` is the frozen
+    g at ``mesh.quad_x``, shape (m, 6, 2), or None for g = 0.  See :meth:`WeakForm.solve`.
     """
     g_load = np.zeros(mesh.n_nodes) if g_quad is None else mesh.gradient_load(g_quad)
     return WeakForm(mesh, coeffs).solve(g_load, inner_tol=inner_tol, u0=u0, budget=budget)

@@ -18,7 +18,7 @@ import numpy as np
 from . import mesh_fem
 from .geometry import Domain
 from .mesh_fem import FemFunction, Mesh, h1_norm
-from .probeval import SEED_PICARD_INCREMENTS, McParams, PathLocator, TimeIntegralObserver
+from .probeval import SEED_PICARD_INCREMENTS, McParams, TimeIntegralObserver
 from .reflectsim import run_paths
 
 
@@ -203,16 +203,16 @@ def weighted_increment_ratios(
     under uniform starts and returns the consecutive ratios.
     """
     norms = []
-    locate = PathLocator(trace.solution.mesh)  # every iterate lives on this mesh
     for n in range(1, len(trace.iterates)):
         delta = trace.iterates[n] - trace.iterates[n - 1]
 
-        def weight_field(x, _d=delta):
-            val, grad = _d.value_grad_at(x, locate(x))
+        def weight_field(x, tri, _d=delta):
+            val, grad = _d.value_grad_at(x, tri)
             return val * val + np.einsum("pd,pd->p", grad, grad)
 
         obs = TimeIntegralObserver(
-            coeffs.q_at, F=weight_field, lam=consts.lam, mu=consts.mu, power=2
+            coeffs.q_at, F=weight_field, lam=consts.lam, mu=consts.mu, power=2,
+            mesh=delta.mesh,
         )
         run_paths(
             domain, params.n_paths, params.horizon, params.step,

@@ -136,30 +136,6 @@ class _StepMemo:
         return self._v
 
 
-class PathLocator:
-    """Triangles of points that move along paths, for ``FemFunction.value_grad_at``.
-
-    Each call walks from the triangles of the previous call when it has as
-    many points: the same paths one step on.  Any other call (a tail-bound
-    grid, a new chunk) starts without a hint.  A hint shortens the walk and
-    never changes its answer, so a stale one costs time only.
-    """
-
-    def __init__(self, mesh: Mesh):
-        self.mesh, self._tri = mesh, None
-
-    def __call__(self, x):
-        same = self._tri is not None and len(self._tri) == len(x)
-        self._tri = self.mesh.find_triangles(x, self._tri if same else None)
-        return self._tri
-
-    def hits(self, x, rows):
-        """Triangles of the points ``x`` of the paths ``rows``, a mask over the points
-        of the last call: each walks from its path's triangle there, which stays stored."""
-        same = self._tri is not None and len(self._tri) == len(rows)
-        return self.mesh.find_triangles(x, self._tri[rows] if same else None)
-
-
 class WeightedObserver(PathObserver):
     """Samples of the weighted path functional at marked steps and at the horizon.
 
@@ -172,15 +148,16 @@ class WeightedObserver(PathObserver):
     when a value is recorded.  ``estimate(step)`` reads a marked step and
     ``estimate()`` the horizon.  At ``fit_steps`` the weight e^{E} itself is
     recorded, and ``decay_fit`` fits its decay from the run's own paths.
-    ``locate`` is the :class:`PathLocator` with which F locates the paths at
-    x_prev, for data on a mesh; with it, H is called as H(x, tri) with the
-    hits' triangles, walked from their paths' triangles at x_prev.
+    With a ``mesh``, for data on it, each path keeps its triangle: the start
+    points are located once, and each step walks the new points from their
+    paths' triangles one step earlier.  F and H are then called as F(x, tri)
+    and H(x, tri) with the triangles of their points; Phi is always Phi(x).
     """
 
     def __init__(self, q, F=None, H=None, Phi=None, c=1.0, lam=0.0, mu=0.0, power=1,
-                 marks=(), fit_steps=(), locate=None):
+                 marks=(), fit_steps=(), mesh=None):
         self.q, self.F, self.H, self.Phi, self.c = q, F, H, Phi, c
-        self.lam, self.mu, self.power, self.locate = lam, mu, power, locate
+        self.lam, self.mu, self.power, self.mesh = lam, mu, power, mesh
         self._values: dict = {step: [] for step in (*marks, None)}
         self._weights: dict = {step: [] for step in fit_steps}
 
@@ -189,19 +166,21 @@ class WeightedObserver(PathObserver):
         self._expo = np.zeros(n)
         self._time = None if self.F is None else np.zeros(n)
         self._bnd = None if self.H is None else np.zeros(n)
+        self._tri = None if self.mesh is None else self.mesh.find_triangles(x0)
 
     def step(self, ctx):
         a = (self.lam + self.power * np.asarray(self.q(ctx.x_prev), dtype=float)) * ctx.h
+        at_prev, at_new = (ctx.x_prev,), (ctx.x_new,)
+        if self._tri is not None:
+            at_prev = (ctx.x_prev, self._tri)
+            self._tri = self.mesh.find_triangles(ctx.x_new, self._tri)
+            at_new = (ctx.x_new, self._tri)
         if self._time is not None:
-            fv = np.asarray(self.F(ctx.x_prev), dtype=float)
+            fv = np.asarray(self.F(*at_prev), dtype=float)
             self._time += fv * np.exp(self._expo) * ctx.h * _phi1(a)
         if self._bnd is not None and ctx.hit.any():
             hit = ctx.hit
-            x_hit = ctx.x_new[hit]
-            if self.locate is None:
-                hv = np.asarray(self.H(x_hit), dtype=float)
-            else:
-                hv = np.asarray(self.H(x_hit, self.locate.hits(x_hit, hit)), dtype=float)
+            hv = np.asarray(self.H(*(v[hit] for v in at_new)), dtype=float)
             self._bnd[hit] += np.exp(self._expo[hit]) * hv * self.c * ctx.dl[hit]
         self._expo += a + self.mu * ctx.dl
         if ctx.j + 1 in self._values:
@@ -439,8 +418,9 @@ class CalibrationResult:
 class _LinearData:
     """Adapter exposing frozen fields with the coefficient-set call signatures."""
 
-    def __init__(self, q, F, H, dim=2):
-        self.dim = dim
+    b_is_zero = True
+
+    def __init__(self, q, F, H):
         self._q, self._F, self._H = q, F, H
 
     def q_at(self, x):
@@ -451,9 +431,6 @@ class _LinearData:
 
     def h_at(self, x, y):
         return np.asarray(self._H(x), dtype=float)
-
-    def b_at(self, x):
-        return np.zeros_like(np.atleast_2d(x))
 
 
 def fem_linear_solve(mesh: Mesh, q, F, H) -> FemFunction:
@@ -786,7 +763,9 @@ def compare_frozen_at_probes(
     the Riesz lift G of g (solve_g_lifting): the shifted unknown v = u - 2G
     solves the g-free problem with data F + 2 q G + G and the same H, so
     u(x0) = fk(F + 2qG + G, H) + 2 G(x0), fk as in :func:`fk_linear_frozen`.
-    Probe i runs on the seed shifted by ``SEED_PROBE_STRIDE * i``.
+    The observer carries its paths' triangles on the mesh of u, so u, grad u
+    and G share one location per path-step, and a boundary hit reuses its
+    path's.  Probe i runs on the seed shifted by ``SEED_PROBE_STRIDE * i``.
     """
     if probes is None:
         probes = interior_grid(domain, 5)
@@ -794,11 +773,10 @@ def compare_frozen_at_probes(
 
     G = solve_g_lifting(u.mesh, WeakForm(u.mesh, coeffs).divergence(u.values))
     q = _StepMemo(coeffs.q_at)  # the observer's q evaluation serves f_tilde too
-    locate = PathLocator(u.mesh)
 
-    def f_tilde(x):
-        """F + 2 q G + G, with u and G from one location."""
-        tri = locate(x)
+    def f_tilde(x, tri=None):
+        """F + 2 q G + G, with u and G from one location; the tail bound passes no tri."""
+        tri = u.mesh.find_triangles(x) if tri is None else tri
         val, grad = u.value_grad_at(x, tri)
         f = coeffs.f_at(np.atleast_2d(x), val, grad)
         gv = G.value_at(x, tri)
@@ -813,7 +791,7 @@ def compare_frozen_at_probes(
     for i, p in enumerate(probes):
         p_params = _shifted(params, SEED_PROBE_STRIDE * i)
         obs = TimeIntegralObserver(
-            q, F=f_tilde, H=H, c=c_bd, fit_steps=_fit_steps(p_params), locate=locate
+            q, F=f_tilde, H=H, c=c_bd, fit_steps=_fit_steps(p_params), mesh=u.mesh
         )
         est = _run_fk(domain, p, obs, p_params, "fk_linear_frozen")
         means.append(est.mean + 2.0 * float(G.value_at(p[None, :])[0]))

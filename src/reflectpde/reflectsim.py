@@ -166,7 +166,7 @@ def _draw_start(domain: Domain, gen: np.random.Generator) -> np.ndarray:
             return cand[inside[0]]
 
 
-def _check_step(domain: Domain, T: float, h_t: float) -> int:
+def check_step(domain: Domain, T: float, h_t: float) -> int:
     """Validate the horizon and step; returns the number of steps."""
     if h_t <= 0 or T < 0:
         raise ValueError("need h_t > 0 and T >= 0")
@@ -352,7 +352,7 @@ def run_paths(
     for name, value in (("n_paths", n_paths), ("chunk_size", chunk_size), ("block", block)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    n_steps = _check_step(domain, T, h_t)
+    n_steps = check_step(domain, T, h_t)
     d = domain.dim
     sqh = math.sqrt(h_t)
     ctx = StepContext()
@@ -432,7 +432,7 @@ def simulate_paths(
     ``x0=None`` draws each start uniformly on the domain from the path's own
     stream.
     """
-    recorder = _PathRecorder(_check_step(domain, T, h_t))
+    recorder = _PathRecorder(check_step(domain, T, h_t))
     run_paths(domain, n_paths, T, h_t, seed, [recorder], x0=x0)
     times = h_t * np.arange(recorder.n_steps + 1)
     rows = (row for chunk in recorder.chunks for row in zip(*chunk))

@@ -17,13 +17,26 @@ import pytest
 
 from reflectpde.coeffexpr import CoefficientSet, StructureConstants, choose_constants
 from reflectpde.geometry import Domain
-from reflectpde.mesh_fem import build_mesh
+from reflectpde.mesh_fem import Mesh, build_mesh
 
 F_A = "2*(x1^2 + x2^2) - 2 - y"
 H_A = "3 - y"
 F_B = "-2 + x1^2 + x2^2 + 0.2*x1*(1 - tanh(x1^2 + x2^2)^2) + (x1^2 + x2^2) - y"
 H_B = "3 - 0.2*tanh(1)*x1 - y"
 G_B = ["0.1*tanh(y)", "0"]
+
+
+def count_locations(monkeypatch):
+    """Record (number of points, hint given) for every Mesh.find_triangles call."""
+    calls = []
+    find_triangles = Mesh.find_triangles
+
+    def counting(self, points, *hint):
+        calls.append((len(points), bool(hint) and hint[0] is not None))
+        return find_triangles(self, points, *hint)
+
+    monkeypatch.setattr(Mesh, "find_triangles", counting)
+    return calls
 
 
 def exact_solution(points):

@@ -254,6 +254,36 @@ def test_path_run_flags_out_of_range_rejected(tmp_path, capsys, command, flag, v
     assert not (tmp_path / "paths").exists()
 
 
+@pytest.mark.parametrize(
+    "command, backend, flags",
+    [
+        ("check-conditions", "fem", []),
+        ("verify", "fem", ["--field", "{tmp}/solution.csv"]),
+        ("solve", "both", ["--out", "{tmp}/out"]),
+        ("solve", "stochastic-verify", ["--out", "{tmp}/out"]),
+        ("simulate", "fem", ["--out", "{tmp}/out", "--horizon", "1.0"]),
+        ("simulate", "fem", ["--out", "{tmp}/out", "--horizon", "0.01", "--step", "0.02"]),
+        ("bench", "fem", ["--horizon", "1.0"]),
+        ("bench", "fem", ["--horizon", "0.01", "--step", "0.02"]),
+    ],
+)
+def test_step_the_path_engine_refuses_is_a_config_error(tmp_path, capsys, command, backend, flags):
+    # on the unit disk the engine refuses a step above (diameter/10)^2 = 0.04, and
+    # one above the horizon: exit 1 with one line before any compute
+    text = BASE_A.replace("step = 1e-3", "step = 0.5")
+    text = text.replace("backend = fem", f"backend = {backend}")
+    argv = [command, "--config", write(tmp_path, text), *(f.format(tmp=tmp_path) for f in flags)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_fem_solve_ignores_the_monte_carlo_step(tmp_path):
+    cfg = write(tmp_path, BASE_A.replace("step = 1e-3", "step = 0.5"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_solve_b_corpus_with_verification_backend(tmp_path):
     text = f"""
 [domain]

@@ -29,7 +29,7 @@ from reflectpde.mesh_fem import (
     solve_semilinear_g_frozen,
 )
 from reflectpde.reflectsim import PathObserver, run_paths
-from .conftest import exact_solution
+from .conftest import F_A, H_A, exact_solution
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +202,24 @@ def test_manufactured_convergence(meshes, corpus_a):
         errs.append(h1_error(u, exact_solution))
     assert errs[0] / errs[1] >= 1.8
     assert errs[1] / errs[2] >= 1.8
+
+
+def test_manufactured_convergence_with_drift(meshes):
+    from reflectpde.coeffexpr import CoefficientSet
+
+    # u* = |x|^2 with b = (0.5, 0): <b, grad u*> = x1 moves into f
+    errs = {}
+    for b in ("0.5", "0"):
+        drift = CoefficientSet.from_strings(
+            2, f=F_A + " - x1", g=["0", "0"], h=H_A, q="-1", b=[b, "0"]
+        )
+        errs[b] = [
+            h1_error(solve_semilinear_g_frozen(meshes[h], drift, inner_tol=1e-11), exact_solution)
+            for h in (0.1, 0.05, 0.025)
+        ]
+    assert errs["0.5"][0] / errs["0.5"][1] >= 1.8
+    assert errs["0.5"][1] / errs["0.5"][2] >= 1.8
+    assert errs["0"][2] > 10 * errs["0.5"][2]  # without the convection term: no convergence
 
 
 def test_galerkin_orthogonality(meshes):

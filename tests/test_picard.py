@@ -20,7 +20,7 @@ from reflectpde.picard import (
     weighted_increment_ratios,
 )
 from reflectpde.probeval import McParams
-from .conftest import exact_solution
+from .conftest import count_locations, exact_solution
 
 
 def located_g_quad(mesh, coeffs, u):
@@ -141,6 +141,17 @@ def test_weighted_increment_ratios_smoke(disk, corpus_b, consts_k01, meshes):
     assert all(np.isfinite(r) or np.isnan(r) for r in ratios)
     report = contraction_report(trace, weighted_ratios=ratios)
     assert np.isfinite(report.rows[0].weighted_squared_ratio)
+
+
+def test_weighted_increment_ratios_locates_once_per_step(monkeypatch, disk, corpus_b, consts_k01):
+    trace = run_picard(disk, corpus_b, consts_k01, h_mesh=0.1, tol=1e-9)
+    calls = count_locations(monkeypatch)
+    weighted_increment_ratios(
+        disk, trace, corpus_b, consts_k01, McParams(n_paths=20, horizon=0.01, step=1e-3, seed=1)
+    )
+    # per increment: the uniform starts without a hint, then each of the 10 steps
+    # walks the new points from their paths' triangles one step earlier
+    assert calls == ([(20, False)] + [(20, True)] * 10) * (len(trace.iterates) - 1)
 
 
 def test_trace_export_csv(tmp_path, disk, corpus_a, consts_k0):

@@ -24,7 +24,7 @@ from reflectpde.probeval import (
     martingale_residual_test,
 )
 from reflectpde.reflectsim import Estimate, PathObserver, run_paths
-from .conftest import F_A, H_A
+from .conftest import F_A, H_A, count_locations
 
 Q_MINUS_ONE = lambda x: -np.ones(len(x))  # noqa: E731
 ONE = lambda x: np.ones(len(x))  # noqa: E731
@@ -520,24 +520,11 @@ def test_residual_evaluates_q_once_per_step(monkeypatch, disk, meshes, corpus_a,
     assert calls == [20] * 20
 
 
-def _count_locations(monkeypatch):
-    """Record (number of points, hint given) for every Mesh.find_triangles call."""
-    calls = []
-    find_triangles = Mesh.find_triangles
-
-    def counting(self, points, *hint):
-        calls.append((len(points), bool(hint) and hint[0] is not None))
-        return find_triangles(self, points, *hint)
-
-    monkeypatch.setattr(Mesh, "find_triangles", counting)
-    return calls
-
-
 def test_residual_locates_once_per_step_from_the_last_triangle(
     monkeypatch, disk, meshes, corpus_b, consts_k01
 ):
     u = FemFunction(meshes[0.1], meshes[0.1].nodes[:, 0] ** 2)
-    calls = _count_locations(monkeypatch)
+    calls = count_locations(monkeypatch)
     martingale_residual_test(disk, u, corpus_b, consts_k01, params(n=20, T=0.02, h=1e-3),
                              t_res=0.01)
     # x0, then one hinted call per step up to t_res, then the terminal value
@@ -547,32 +534,35 @@ def test_residual_locates_once_per_step_from_the_last_triangle(
 
 def test_probe_comparison_locates_once_per_step(monkeypatch, disk, meshes, corpus_b):
     u = FemFunction(meshes[0.1], meshes[0.1].nodes[:, 0] ** 2 + meshes[0.1].nodes[:, 1] ** 2)
-    calls = _count_locations(monkeypatch)
-    probes = np.array([[0.0, 0.1], [0.5, -0.2]])
+    h_calls = []
+    h_at = CoefficientSet.h_at
+
+    def counting_h_at(self, x, y):
+        h_calls.append(len(x))
+        return h_at(self, x, y)
+
+    monkeypatch.setattr(CoefficientSet, "h_at", counting_h_at)
+    calls = count_locations(monkeypatch)
+    probes = np.array([[0.0, 0.1], [0.8, -0.3]])
     compare_frozen_at_probes(disk, u, corpus_b, params(n=40, T=0.05, h=1e-3), probes=probes)
     n_steps = 50
-    # the time term: u, grad u and the lift G from one location per path-step,
-    # each but a probe's first walking from the last one's triangles
-    time_term = [hinted for size, hinted in calls if size == 40]
-    assert len(time_term) == len(probes) * n_steps
-    assert time_term.count(False) == len(probes)
-    # the boundary term: one location of the hits, on steps with a hit
-    sizes = [size for size, _ in calls]
-    hits = [size for size in sizes if size < 40]
-    assert len(hits) <= len(probes) * n_steps + 6  # plus probes, shifts, boundary nodes
+    # per probe chunk: the start points without a hint, then each step's new points
+    # walked from their paths' triangles; u, grad u, G and h all read these
+    paths = [call for call in calls if call[0] == 40]
+    assert paths == ([(40, False)] + [(40, True)] * n_steps) * len(probes)
+    # the boundary term reads the hits' triangles from the step's walk: no call on
+    # the hits alone; the rest are the probes and, per probe, the tail-bound grid,
+    # the boundary nodes and the shift 2 G(x0), each located once without a hint
+    assert len(h_calls) > len(probes)  # steps with hits, besides one tail bound per probe
+    assert all(not hinted for size, hinted in calls if size != 40)
+    assert len(calls) - len(paths) == 1 + 3 * len(probes)
 
 
 def test_probe_comparison_hints_the_boundary_hits(monkeypatch, disk, meshes, corpus_b):
     u = FemFunction(meshes[0.1], meshes[0.1].nodes[:, 0] ** 2 + meshes[0.1].nodes[:, 1] ** 2)
     probes = np.array([[0.0, 0.1], [0.8, -0.3]])
     p = params(n=60, T=0.2, seed=4)
-    calls = _count_locations(monkeypatch)
     hinted = compare_frozen_at_probes(disk, u, corpus_b, p, probes=probes)
-    # each step's hits walk from their paths' triangles at the step's start; the
-    # probes, and per probe the shift and the tail bounds, start without a hint
-    hits = [hinted_call for size, hinted_call in calls if size < 60]
-    assert hits.count(True) >= 50
-    assert hits.count(False) <= 1 + 3 * len(probes)
     # a hint changes where a walk starts, never where it ends
     find_triangles = Mesh.find_triangles
     monkeypatch.setattr(
