@@ -467,8 +467,8 @@ class StructureConstants:
 
     alpha, beta: monotonicity rates of f and h in y;  K: Lipschitz constant of
     f in z;  M: growth bound;  k: Lipschitz constant of g in (y, z);
-    beta_prime: Lipschitz constant of h in y;  C0: Lipschitz constant of the
-    drift b.  Derived fields are filled by :func:`choose_constants`.
+    beta_prime: Lipschitz constant of h in y.  Derived fields are filled by
+    :func:`choose_constants`.
     """
 
     alpha: float
@@ -477,7 +477,6 @@ class StructureConstants:
     M: float
     k: float
     beta_prime: float
-    C0: float = 0.0
 
     variant: str = ""
     eps1: float = float("nan")
@@ -491,8 +490,8 @@ class StructureConstants:
         for name in ("alpha", "beta", "K", "M", "beta_prime"):
             if getattr(self, name) <= 0:
                 raise InadmissibleConstants(f"{name} must be positive")
-        if self.k < 0 or self.C0 < 0:
-            raise InadmissibleConstants("k and C0 must be nonnegative")
+        if self.k < 0:
+            raise InadmissibleConstants("k must be nonnegative")
         if self.K**2 >= 2.0 * self.alpha:
             raise InadmissibleConstants(
                 f"K^2 < 2*alpha violated (K^2={self.K**2:g}, 2*alpha={2 * self.alpha:g})"
@@ -657,18 +656,20 @@ def _record(results, name, desc, margin, samples):
     )
 
 
+SAMPLE_BOX = 10.0  # validate_structure draws y and z from [-SAMPLE_BOX, SAMPLE_BOX]
+
+
 def validate_structure(
     domain: Domain,
     coeffs: CoefficientSet,
     consts: StructureConstants,
     budget: int = 2000,
-    box: float = 10.0,
     seed: int = 0,
 ) -> StructureReport:
     """Falsification-style check of the coefficient conditions by sampling.
 
     Draws ``budget`` random tuples (x in the domain, y, y' in [-R, R], z, z'
-    in [-R, R]^N with R = ``box``) plus an equal batch of close pairs
+    in [-R, R]^N with R = ``SAMPLE_BOX``) plus an equal batch of close pairs
     (finite-difference probes of the Lipschitz/monotonicity slopes) and
     evaluates each condition.  A pass is evidence from sampling, not a proof;
     the report says so in its notes.
@@ -679,13 +680,13 @@ def validate_structure(
     n = budget
     dim = coeffs.dim
     x = sample_uniform(domain, n, rng)
-    y = rng.uniform(-box, box, n)
-    yp = rng.uniform(-box, box, n)
-    z = rng.uniform(-box, box, (n, dim))
-    zp = rng.uniform(-box, box, (n, dim))
+    y = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, n)
+    yp = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, n)
+    z = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, (n, dim))
+    zp = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, (n, dim))
     # close pairs probe local slopes (e.g. tanh near 0)
     half = n // 2
-    eps = 1e-3 * box
+    eps = 1e-3 * SAMPLE_BOX
     yp[:half] = y[:half] + rng.uniform(-eps, eps, half)
     zp[:half] = z[:half] + rng.uniform(-eps, eps, (half, dim))
 
@@ -707,8 +708,8 @@ def validate_structure(
     _record(res, "f_lipschitz_z", "|f(x,y,z)-f(x,y,z')| <= K|z-z'|", m, samples)
 
     # continuity probe in y: small increments produce small changes
-    dsmall = 1e-7 * box
-    m = np.abs(coeffs.f_at(x, y + dsmall, z) - coeffs.f_at(x, y, z)) - 1e-2 * box
+    dsmall = 1e-7 * SAMPLE_BOX
+    m = np.abs(coeffs.f_at(x, y + dsmall, z) - coeffs.f_at(x, y, z)) - 1e-2 * SAMPLE_BOX
     _record(res, "f_h_continuous_y", "small-increment continuity probe", m, samples)
 
     m = np.abs(coeffs.f_at(x, y, z)) - M * (1.0 + np.abs(y) + np.linalg.norm(z, axis=1))

@@ -3,19 +3,13 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 
 from .coeffexpr import CoefficientSet, ExprError, StructureConstants
 from .geometry import Domain
 
 _DOMAIN_KEYS = {"kind", "radius", "dimension", "a", "b"}
-_CONST_KEYS = {"alpha", "beta", "K", "M", "k", "beta_prime", "C0", "trace_norm"}
-_SOLVER_KEYS = {
-    "backend", "variant", "mesh_h", "tol", "max_iter", "inner_tol",
-    "n_paths", "step", "horizon", "seed", "override_admissibility",
-    "validate_budget", "m1", "residual_window",
-}
-_BACKENDS = {"fem", "stochastic-verify", "both"}
 _VARIANTS = {"probabilistic", "analytic"}
 
 
@@ -50,6 +44,10 @@ class RunConfig:
     trace_norm: float | None = None
 
 
+def _get_str(section, key, default):
+    return section.get(key, default).strip().lower()
+
+
 def _get_float(section, key, default=None):
     raw = section.get(key)
     if raw is None:
@@ -57,9 +55,12 @@ def _get_float(section, key, default=None):
             raise ConfigError(f"[{section.name}] missing required key '{key}'")
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def _get_int(section, key, default):
@@ -84,6 +85,16 @@ def _get_bool(section, key, default):
     raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a boolean")
 
 
+# the reader of a [solver] key is picked by the type of its SolverOptions default
+_READERS = {str: _get_str, float: _get_float, int: _get_int, bool: _get_bool}
+
+
+def _reject_unknown(section, known):
+    bad = set(section.keys()) - set(known)
+    if bad:
+        raise ConfigError(f"[{section.name}] unknown key(s): {sorted(bad)}")
+
+
 def _strip(raw: str) -> str:
     raw = raw.strip()
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
@@ -94,9 +105,11 @@ def _strip(raw: str) -> str:
 def load_config(path) -> RunConfig:
     """Parse and fully validate a run configuration file.
 
-    Rejects unknown sections/keys and [solver] sizes, steps and tolerances
-    out of range; parses every coefficient expression so a malformed formula
-    fails here with its offset diagnostic, before any compute starts.
+    Rejects unknown sections/keys, numbers that are not finite, and [solver]
+    sizes, steps and tolerances out of range; parses every coefficient
+    expression so a malformed formula fails here with its offset diagnostic,
+    before any compute starts.  A command checks what it needs beyond the
+    file (a 2-d domain, b = 0) itself.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (K vs k)
@@ -116,91 +129,63 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"missing required section [{name}]")
 
     dom = parser["domain"]
-    bad = set(dom.keys()) - _DOMAIN_KEYS
-    if bad:
-        raise ConfigError(f"[domain] unknown key(s): {sorted(bad)}")
+    _reject_unknown(dom, _DOMAIN_KEYS)
     kind = dom.get("kind", "disk").strip().lower()
     if kind == "disk":
-        domain = Domain.disk(radius=_get_float(dom, "radius", 1.0))
+        make, args = Domain.disk, (_get_float(dom, "radius", 1.0),)
     elif kind == "ball":
-        domain = Domain.ball(
-            dim=_get_int(dom, "dimension", 3), radius=_get_float(dom, "radius", 1.0)
-        )
+        make, args = Domain.ball, (_get_int(dom, "dimension", 3), _get_float(dom, "radius", 1.0))
     elif kind == "ellipse":
-        domain = Domain.ellipse(_get_float(dom, "a"), _get_float(dom, "b"))
+        make, args = Domain.ellipse, (_get_float(dom, "a"), _get_float(dom, "b"))
     else:
         raise ConfigError(f"[domain] unknown kind {kind!r} (disk | ball | ellipse)")
+    try:
+        domain = make(*args)
+    except ValueError as err:  # a size that is not positive, or a ball below 2-d
+        raise ConfigError(f"[domain] {err}") from None
 
     dim = domain.dim
     co = parser["coefficients"]
-    g_keys = {f"g{i + 1}" for i in range(dim)}
-    b_keys = {f"b{i + 1}" for i in range(dim)}
-    allowed = {"f", "h", "q"} | g_keys | b_keys
-    bad = set(co.keys()) - allowed
-    if bad:
-        raise ConfigError(
-            f"[coefficients] unknown key(s) for dimension {dim}: {sorted(bad)}"
-        )
-    for key in ("f", "h", "q", *sorted(g_keys)):
+    g_keys = [f"g{i + 1}" for i in range(dim)]
+    b_keys = [f"b{i + 1}" for i in range(dim)]
+    _reject_unknown(co, {"f", "h", "q", *g_keys, *b_keys})
+    for key in ("f", "h", "q", *g_keys):
         if key not in co:
             raise ConfigError(f"[coefficients] missing required key '{key}'")
     try:
         coeffs = CoefficientSet.from_strings(
             dim,
             f=_strip(co["f"]),
-            g=[_strip(co[f"g{i + 1}"]) for i in range(dim)],
+            g=[_strip(co[key]) for key in g_keys],
             h=_strip(co["h"]),
             q=_strip(co["q"]),
-            b=[_strip(co.get(f"b{i + 1}", "0")) for i in range(dim)],
+            b=[_strip(co.get(key, "0")) for key in b_keys],
         )
     except ExprError as err:
         raise ConfigError(f"[coefficients] {err}") from err
 
     cs = parser["constants"]
-    bad = set(cs.keys()) - _CONST_KEYS
-    if bad:
-        raise ConfigError(f"[constants] unknown key(s): {sorted(bad)}")
+    required = [f.name for f in fields(StructureConstants) if f.default is MISSING]
+    _reject_unknown(cs, {*required, "trace_norm"})
+    values = {key: _get_float(cs, key) for key in required}
     try:
-        consts = StructureConstants(
-            alpha=_get_float(cs, "alpha"),
-            beta=_get_float(cs, "beta"),
-            K=_get_float(cs, "K"),
-            M=_get_float(cs, "M"),
-            k=_get_float(cs, "k"),
-            beta_prime=_get_float(cs, "beta_prime"),
-            C0=_get_float(cs, "C0", 0.0),
-        )
+        consts = StructureConstants(**values)
     except ValueError as err:
         raise ConfigError(f"[constants] {err}") from err
-    trace_norm = _get_float(cs, "trace_norm", float("nan"))
-    trace_norm = None if trace_norm != trace_norm else trace_norm
+    trace_norm = _get_float(cs, "trace_norm") if "trace_norm" in cs else None
 
     solver = SolverOptions()
     if "solver" in parser:
         sec = parser["solver"]
-        bad = set(sec.keys()) - _SOLVER_KEYS
-        if bad:
-            raise ConfigError(f"[solver] unknown key(s): {sorted(bad)}")
-        solver.backend = sec.get("backend", solver.backend).strip().lower()
-        if solver.backend not in _BACKENDS:
-            raise ConfigError(f"[solver] unknown backend {solver.backend!r}")
-        solver.variant = sec.get("variant", solver.variant).strip().lower()
+        opts = fields(SolverOptions)
+        _reject_unknown(sec, {f.name for f in opts})
+        solver = SolverOptions(**{
+            f.name: _READERS[type(f.default)](sec, f.name, f.default) for f in opts
+        })
+        if solver.backend not in ("fem", "both"):
+            raise ConfigError(f"[solver] unknown backend {solver.backend!r} (fem | both)")
         if solver.variant not in _VARIANTS:
             raise ConfigError(f"[solver] unknown variant {solver.variant!r}")
-        solver.mesh_h = _get_float(sec, "mesh_h", solver.mesh_h)
-        solver.tol = _get_float(sec, "tol", solver.tol)
-        solver.max_iter = _get_int(sec, "max_iter", solver.max_iter)
-        solver.inner_tol = _get_float(sec, "inner_tol", solver.inner_tol)
-        solver.n_paths = _get_int(sec, "n_paths", solver.n_paths)
-        solver.step = _get_float(sec, "step", solver.step)
-        solver.horizon = _get_float(sec, "horizon", solver.horizon)
-        solver.residual_window = _get_float(sec, "residual_window", solver.residual_window)
-        solver.seed = _get_int(sec, "seed", solver.seed)
-        solver.override_admissibility = _get_bool(
-            sec, "override_admissibility", solver.override_admissibility
-        )
-        solver.validate_budget = _get_int(sec, "validate_budget", solver.validate_budget)
-        solver.m1 = _get_float(sec, "m1", solver.m1)
         for key in ("mesh_h", "tol", "inner_tol", "step", "horizon", "residual_window"):
             value = getattr(solver, key)
             if not value > 0:
@@ -209,14 +194,6 @@ def load_config(path) -> RunConfig:
             value = getattr(solver, key)
             if value < 1:
                 raise ConfigError(f"[solver] {key} = {value} must be at least 1")
-
-    if solver.backend in ("stochastic-verify", "both") and not coeffs.b_is_zero:
-        raise ConfigError(
-            "[solver] stochastic backend requested but the drift b is nonzero; "
-            "fold the drift into f and set b = 0"
-        )
-    if domain.kind == "ball" and domain.dim != 2 and solver.backend in ("fem", "both"):
-        raise ConfigError("[solver] the fem backend is 2-d only (disk or ellipse)")
     return RunConfig(
         domain=domain, coeffs=coeffs, consts=consts, solver=solver, trace_norm=trace_norm
     )

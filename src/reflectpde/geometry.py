@@ -43,7 +43,7 @@ class Domain:
 
     @classmethod
     def disk(cls, radius: float = 1.0) -> "Domain":
-        if radius <= 0:
+        if not radius > 0:
             raise ValueError("radius must be positive")
         return cls(kind="disk", dim=2, radius=float(radius))
 
@@ -51,13 +51,13 @@ class Domain:
     def ball(cls, dim: int = 3, radius: float = 1.0) -> "Domain":
         if dim < 2:
             raise ValueError("ball dimension must be >= 2")
-        if radius <= 0:
+        if not radius > 0:
             raise ValueError("radius must be positive")
         return cls(kind="ball", dim=int(dim), radius=float(radius))
 
     @classmethod
     def ellipse(cls, a: float, b: float) -> "Domain":
-        if a <= 0 or b <= 0:
+        if not (a > 0 and b > 0):
             raise ValueError("semi-axes must be positive")
         if b > a:
             a, b = b, a

@@ -47,7 +47,6 @@ class PicardTrace:
     residuals: list = field(default_factory=list)  # full weak residual per iterate
     no_contraction: bool = False
     final_residual: float = float("nan")
-    messages: list = field(default_factory=list)
 
     @property
     def solution(self) -> FemFunction:
@@ -108,9 +107,8 @@ def run_picard(
             bad_run = bad_run + 1 if ratio > 1.0 else 0
             if bad_run >= 3:
                 trace.no_contraction = True
-                msg = f"increment ratios exceeded 1 for 3 consecutive iterations at n={n}"
-                trace.messages.append(msg)
                 if not override:
+                    msg = f"increment ratios exceeded 1 for 3 consecutive iterations at n={n}"
                     raise NoContraction(msg, trace)
         if inc <= tol:
             trace.converged = True

@@ -180,13 +180,11 @@ def check_step(domain: Domain, T: float, h_t: float) -> int:
 
 
 def _outside(domain: Domain, pts: np.ndarray) -> np.ndarray:
-    """Mask of the points outside the closed domain.
+    """Mask of the points outside the closed ellipse.
 
-    On the ellipse this is the sign of the implicit quadratic alone: eval_psi
-    only divides the same quadratic by a positive norm, so the test is the same.
+    The sign of the implicit quadratic alone: eval_psi only divides the same
+    quadratic by a positive norm, so the test is the same.
     """
-    if domain.kind in ("disk", "ball"):
-        return np.sqrt(np.einsum("ij,ij->i", pts, pts)) > domain.radius
     a, b = domain.semi_axes
     return 1.0 - (pts[:, 0] / a) ** 2 - (pts[:, 1] / b) ** 2 < 0
 
@@ -197,28 +195,25 @@ def _reflect(domain: Domain, proposals: np.ndarray):
     Returns (x_new, push, hit, normal); push is the raw overshoot distance,
     normal the inward unit normal at the foot (zero rows off the boundary).
     """
+    x_new = proposals.copy()
+    push = np.zeros(len(proposals))
+    normal = np.zeros_like(proposals)
     if domain.kind in ("disk", "ball"):
         r0 = domain.radius
         r = np.sqrt(np.einsum("ij,ij->i", proposals, proposals))
         hit = r > r0
-        x_new = proposals.copy()
-        push = np.zeros(len(proposals))
-        normal = np.zeros_like(proposals)
         if hit.any():
             rh = r[hit]
             x_new[hit] = proposals[hit] * (r0 / rh)[:, None]
             push[hit] = rh - r0
             normal[hit] = -x_new[hit] / r0
-        return x_new, push, hit, normal
-    hit = _outside(domain, proposals)
-    x_new = proposals.copy()
-    push = np.zeros(len(proposals))
-    normal = np.zeros_like(proposals)
-    if hit.any():
-        foot, inward, dist = project_points(domain, proposals[hit])
-        x_new[hit] = foot
-        push[hit] = dist
-        normal[hit] = inward
+    else:
+        hit = _outside(domain, proposals)
+        if hit.any():
+            foot, inward, dist = project_points(domain, proposals[hit])
+            x_new[hit] = foot
+            push[hit] = dist
+            normal[hit] = inward
     return x_new, push, hit, normal
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from reflectpde.cli import main
 from reflectpde.config import ConfigError, load_config
+from reflectpde.geometry import Domain
 from reflectpde.reflectsim import simulate_paths
 from .conftest import F_A, F_B, G_B, H_A, H_B
 
@@ -69,11 +70,57 @@ def test_bad_expression_diagnostic(tmp_path):
     assert "offset" in str(err.value)
 
 
-def test_nonzero_drift_blocks_stochastic_backend(tmp_path):
+def test_nonzero_drift_blocks_stochastic_backend(tmp_path, capsys):
+    # the file is valid; the Monte-Carlo check that solve would run is not
     text = BASE_A.replace("backend = fem", "backend = both")
     text = text.replace("g2 = 0\n", "g2 = 0\nb1 = 1\nb2 = 0\n")
-    with pytest.raises(ConfigError):
-        load_config(write(tmp_path, text))
+    cfg = write(tmp_path, text)
+    assert not load_config(cfg).coeffs.b_is_zero
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: [coefficients]")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, old, new, name",
+    [("solver", "backend = fem", "backend = stochastic-verify", "stochastic-verify"),
+     ("constants", "k = 0.0", "k = 0.0\nC0 = 0", "C0")],
+    ids=["stochastic-verify", "C0"],
+)
+def test_removed_settings_are_config_errors(tmp_path, capsys, section, old, new, name):
+    cfg = write(tmp_path, BASE_A.replace(old, new))
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert str(err.value).startswith(f"[{section}]") and name in str(err.value)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, old, key, value",
+    [("domain", "radius = 1.0", "radius", "nan"),
+     ("domain", "radius = 1.0", "radius", "-1"),
+     ("constants", "alpha = 1.0", "alpha", "inf"),
+     ("solver", "step = 1e-3", "step", "nan"),
+     ("solver", "horizon = 6.0", "horizon", "-inf")],
+    ids=["radius-nan", "radius-negative", "alpha-inf", "step-nan", "horizon-minus-inf"],
+)
+def test_non_finite_or_negative_number_is_a_config_error(tmp_path, section, old, key, value):
+    # a nan radius once passed `radius <= 0` and hung the uniform sampler
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, BASE_A.replace(old, f"{key} = {value}")))
+    assert str(err.value).startswith(f"[{section}] ") and key in str(err.value)
+    assert not str(err.value).startswith(f"[{section}] [")
+
+
+def test_domain_rejects_nan_sizes():
+    nan = float("nan")
+    for make in (lambda: Domain.disk(nan), lambda: Domain.ball(3, nan),
+                 lambda: Domain.ellipse(nan, 1.0), lambda: Domain.ellipse(1.0, nan)):
+        with pytest.raises(ValueError):
+            make()
 
 
 @pytest.mark.parametrize(
@@ -260,7 +307,7 @@ def test_path_run_flags_out_of_range_rejected(tmp_path, capsys, command, flag, v
         ("check-conditions", "fem", []),
         ("verify", "fem", ["--field", "{tmp}/solution.csv"]),
         ("solve", "both", ["--out", "{tmp}/out"]),
-        ("solve", "stochastic-verify", ["--out", "{tmp}/out"]),
+        ("verify", "fem", ["--field", "{tmp}/solution.csv", "--out", "{tmp}/out"]),
         ("simulate", "fem", ["--out", "{tmp}/out", "--horizon", "1.0"]),
         ("simulate", "fem", ["--out", "{tmp}/out", "--horizon", "0.01", "--step", "0.02"]),
         ("bench", "fem", ["--horizon", "1.0"]),
@@ -282,6 +329,69 @@ def test_step_the_path_engine_refuses_is_a_config_error(tmp_path, capsys, comman
 def test_fem_solve_ignores_the_monte_carlo_step(tmp_path):
     cfg = write(tmp_path, BASE_A.replace("step = 1e-3", "step = 0.5"))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+# small runs: the disk of BASE_A, the same with a drift, and the unit 3-ball
+SMALL = BASE_A.replace("n_paths = 300", "n_paths = 40").replace("horizon = 6.0", "horizon = 0.5")
+CASES = {
+    "disk": SMALL,
+    "drift": SMALL.replace("g2 = 0\n", "g2 = 0\nb1 = 0.5\n"),
+    "ball": SMALL.replace("kind = disk", "kind = ball\ndimension = 3").replace(
+        "g2 = 0\n", "g2 = 0\ng3 = 0\n"
+    ),
+}
+RUNS = "runs"  # exit 0, or 4 where a statistical check may fail on so few paths
+
+
+@pytest.mark.parametrize(
+    "command, backend, flags, expected",
+    [
+        ("solve", "fem", ["--out", "{tmp}/out"],
+         {"disk": 0, "drift": 0, "ball": "[domain]"}),
+        ("solve", "both", ["--out", "{tmp}/out"],
+         {"disk": 0, "drift": "[coefficients]", "ball": "[domain]"}),
+        ("verify", "fem", ["--field", "{tmp}/field/solution.csv", "--out", "{tmp}/out"],
+         {"disk": RUNS, "drift": "[coefficients]", "ball": "[domain]"}),
+        ("check-conditions", "fem", [],
+         {"disk": RUNS, "drift": "[coefficients]", "ball": RUNS}),
+        ("simulate", "fem", ["--out", "{tmp}/out", "--n-paths", "2", "--horizon", "0.05"],
+         {"disk": 0, "drift": 0, "ball": 0}),
+        ("bench", "fem", ["--n-paths", "40", "--horizon", "0.5"],
+         {"disk": RUNS, "drift": RUNS, "ball": RUNS}),
+    ],
+    ids=["solve-fem", "solve-both", "verify", "check-conditions", "simulate", "bench"],
+)
+@pytest.mark.parametrize("case", ["disk", "drift", "ball"])
+def test_each_command_checks_what_it_runs(tmp_path, capsys, case, command, backend, flags,
+                                          expected):
+    # solve and verify need a 2-d domain for the mesh; a Monte-Carlo check of the
+    # coefficients needs b = 0; a refusal is one config error line before any output
+    text = CASES[case].replace("backend = fem", f"backend = {backend}")
+    cfg = write(tmp_path, text)
+    if command == "verify" and case == "disk":
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "field")]) == 0
+    capsys.readouterr()
+    code = main([command, "--config", cfg, *(f.format(tmp=tmp_path) for f in flags)])
+    want = expected[case]
+    if want == RUNS:
+        assert code in (0, 4)
+    elif isinstance(want, int):
+        assert code == want
+    else:
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {want} ")
+        assert not (tmp_path / "out").exists()
+
+
+def test_analytic_variant_without_drift_takes_sup_b_zero(tmp_path):
+    # with sup|b| taken as M = 4 the Young terms make these constants inadmissible
+    text = BASE_A.replace("k = 0.0", "k = 0.0\ntrace_norm = 0.5").replace(
+        "backend = fem", "backend = fem\nvariant = analytic"
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["gamma"] == 0.0
 
 
 def test_solve_b_corpus_with_verification_backend(tmp_path):

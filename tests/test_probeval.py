@@ -586,3 +586,16 @@ def test_probe_comparison_smoke(monkeypatch, disk, meshes, corpus_a):
     cmp = compare_frozen_at_probes(disk, u, corpus_a, p, allowance=0.08)
     assert cmp.passed, str(cmp)
     assert lifts == [u.mesh.quad_x.shape]  # one lift for all probes
+
+
+def test_probe_verdicts_are_the_pass_rule_per_probe():
+    # |fem - mc| <= 3 SE + allowance, probe by probe; passed is their conjunction
+    cmp = probeval.ProbeComparison(
+        probes=np.zeros((3, 2)), fem_values=np.array([1.0, 1.0, 1.0]),
+        mc_means=np.array([1.0, 1.25, 1.5]), mc_ses=np.array([0.0, 0.05, 0.1]),
+        allowance=0.1,
+    )
+    assert cmp.verdicts.tolist() == [True, True, False]
+    assert not cmp.passed
+    cmp.mc_means[2] = 1.3
+    assert cmp.verdicts.all() and cmp.passed
