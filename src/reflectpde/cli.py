@@ -366,6 +366,9 @@ def main(argv=None) -> int:
     except InadmissibleConstants as err:
         print(f"inadmissible constants: {err}", file=sys.stderr)
         return EXIT_INADMISSIBLE
+    except probeval.AdmissibilityError as err:
+        print(f"verification failed: {err}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ from dataclasses import MISSING, dataclass, fields
 from .coeffexpr import CoefficientSet, ExprError, StructureConstants
 from .geometry import Domain
 
-_DOMAIN_KEYS = {"kind", "radius", "dimension", "a", "b"}
+# the keys each domain kind takes besides `kind`; the disk is the 2-ball
+_DOMAIN_KEYS = {"disk": ("radius",), "ball": ("dimension", "radius"), "ellipse": ("a", "b")}
 _VARIANTS = {"probabilistic", "analytic"}
 
 
@@ -129,19 +130,20 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"missing required section [{name}]")
 
     dom = parser["domain"]
-    _reject_unknown(dom, _DOMAIN_KEYS)
     kind = dom.get("kind", "disk").strip().lower()
-    if kind == "disk":
-        make, args = Domain.disk, (_get_float(dom, "radius", 1.0),)
-    elif kind == "ball":
-        make, args = Domain.ball, (_get_int(dom, "dimension", 3), _get_float(dom, "radius", 1.0))
-    elif kind == "ellipse":
+    if kind not in _DOMAIN_KEYS:
+        raise ConfigError(f"[domain] unknown kind {kind!r} (disk | ball | ellipse)")
+    other = sorted(set(dom.keys()) - {"kind", *_DOMAIN_KEYS[kind]})
+    if other:
+        raise ConfigError(f"[domain] kind = {kind} takes {list(_DOMAIN_KEYS[kind])}, not {other}")
+    if kind == "ellipse":
         make, args = Domain.ellipse, (_get_float(dom, "a"), _get_float(dom, "b"))
     else:
-        raise ConfigError(f"[domain] unknown kind {kind!r} (disk | ball | ellipse)")
+        dim = _get_int(dom, "dimension", 3) if kind == "ball" else 2
+        make, args = Domain.ball, (dim, _get_float(dom, "radius", 1.0))
     try:
         domain = make(*args)
-    except ValueError as err:  # a size that is not positive, or a ball below 2-d
+    except ValueError as err:  # a size that is not positive, a ball below 2-d, or b > a
         raise ConfigError(f"[domain] {err}") from None
 
     dim = domain.dim

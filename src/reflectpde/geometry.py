@@ -2,8 +2,9 @@
 
 A domain is described by a smooth level-set function ``psi`` with ``psi > 0``
 inside, ``psi = 0`` on the boundary, and a gradient that equals the unit
-inward normal on the boundary.  Built-in shapes are the disk (2-d), the
-N-ball, and the axis-aligned ellipse.
+inward normal on the boundary.  Built-in shapes are the N-ball (the disk is
+the 2-ball) and the axis-aligned ellipse.  Only this module branches on the
+shape; other modules read ``semi_axes`` or call ``outside`` and ``project_points``.
 """
 
 from __future__ import annotations
@@ -33,19 +34,17 @@ class BadOrder(ValueError):
 class Domain:
     """Immutable description of a built-in smooth bounded domain.
 
-    kind: "disk" (2-d), "ball" (N-d, N >= 2), or "ellipse" (2-d, semi-axes a >= b).
+    kind: "ball" (N-d, N >= 2) or "ellipse" (2-d).  semi_axes holds one
+    half-width per axis: the radius on every axis of a ball, and (a, b) with
+    a >= b on the ellipse.  The disk is the 2-ball.
     """
 
     kind: str
-    dim: int
-    radius: float = 1.0
-    semi_axes: tuple[float, float] = (1.0, 1.0)
+    semi_axes: tuple[float, ...]
 
     @classmethod
     def disk(cls, radius: float = 1.0) -> "Domain":
-        if not radius > 0:
-            raise ValueError("radius must be positive")
-        return cls(kind="disk", dim=2, radius=float(radius))
+        return cls.ball(2, radius)
 
     @classmethod
     def ball(cls, dim: int = 3, radius: float = 1.0) -> "Domain":
@@ -53,20 +52,25 @@ class Domain:
             raise ValueError("ball dimension must be >= 2")
         if not radius > 0:
             raise ValueError("radius must be positive")
-        return cls(kind="ball", dim=int(dim), radius=float(radius))
+        return cls(kind="ball", semi_axes=(float(radius),) * int(dim))
 
     @classmethod
     def ellipse(cls, a: float, b: float) -> "Domain":
-        if not (a > 0 and b > 0):
-            raise ValueError("semi-axes must be positive")
-        if b > a:
-            a, b = b, a
-        return cls(kind="ellipse", dim=2, semi_axes=(float(a), float(b)))
+        if not a >= b > 0:
+            raise ValueError(f"need a >= b > 0, the x1 semi-axis a the longer; got a={a}, b={b}")
+        return cls(kind="ellipse", semi_axes=(float(a), float(b)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.semi_axes)
+
+    @property
+    def radius(self) -> float:
+        """The ball's radius; on the ellipse, its semi-major axis."""
+        return self.semi_axes[0]
 
     @property
     def volume(self) -> float:
-        if self.kind == "disk":
-            return math.pi * self.radius**2
         if self.kind == "ball":
             n = self.dim
             return math.pi ** (n / 2) / _gamma(n / 2 + 1) * self.radius**n
@@ -75,26 +79,23 @@ class Domain:
 
     @property
     def boundary_measure(self) -> float:
-        if self.kind == "disk":
-            return 2.0 * math.pi * self.radius
         if self.kind == "ball":
             n = self.dim
-            return n * self.volume / self.radius
+            # 2 pi^(n/2) / Gamma(n/2) r^(n-1): exactly 2 pi r on the disk
+            return 2.0 * math.pi ** (n / 2) / _gamma(n / 2) * self.radius ** (n - 1)
         a, b = self.semi_axes
         # perimeter of the ellipse, complete elliptic integral of 2nd kind
         return 4.0 * a * ellipe(1.0 - (b / a) ** 2)
 
     @property
     def diameter(self) -> float:
-        if self.kind == "ellipse":
-            return 2.0 * self.semi_axes[0]
-        return 2.0 * self.radius
+        return 2.0 * self.semi_axes[0]
 
 
 def eval_psi(domain: Domain, x) -> tuple:
     """Evaluate the level-set function and its gradient at ``x``.
 
-    For the disk/ball of radius r the canonical choice is
+    For the ball of radius r the canonical choice is
     ``psi(x) = (r^2 - |x|^2) / (2 r)``, whose gradient ``-x/r`` is the exact
     unit inward normal on the boundary.  For the ellipse, the value is the
     implicit quadratic scaled by the local gradient magnitude (floored away
@@ -107,7 +108,7 @@ def eval_psi(domain: Domain, x) -> tuple:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    if domain.kind in ("disk", "ball"):
+    if domain.kind == "ball":
         r0 = domain.radius
         sq = np.einsum("ij,ij->i", pts, pts)
         val = (r0 * r0 - sq) / (2.0 * r0)
@@ -135,6 +136,19 @@ def contains(domain: Domain, x, tol: float = 1e-12) -> str:
     if abs(val) <= band:
         return BOUNDARY
     return INTERIOR if val > 0 else EXTERIOR
+
+
+def outside(domain: Domain, pts: np.ndarray) -> np.ndarray:
+    """Mask of the points (m, d) outside the closed domain.
+
+    On the ball |x| > r with |x| rounded as project_points rounds it (|x|^2 >
+    r^2 differs on the last ulp of the sphere); on the ellipse the sign of the
+    implicit quadratic, which eval_psi only divides by a positive norm.
+    """
+    if domain.kind == "ball":
+        return np.sqrt(np.einsum("ij,ij->i", pts, pts)) > domain.radius
+    a, b = domain.semi_axes
+    return 1.0 - (pts[:, 0] / a) ** 2 - (pts[:, 1] / b) ** 2 < 0
 
 
 def _project_ellipse(domain: Domain, pts: np.ndarray):
@@ -219,21 +233,16 @@ def project_points(domain: Domain, x) -> tuple:
     Returns (foot, inward_normal, distance) for points of shape (m, d);
     ``distance`` is |x - foot| >= 0 regardless of side.  Where the nearest
     boundary point is not unique, a fixed tie-break decides: the first
-    coordinate axis at the disk/ball center, the positive second coordinate
-    at the ellipse's medial-axis points.
+    coordinate axis at the ball's center, the positive second coordinate at
+    the ellipse's medial-axis points.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if domain.kind in ("disk", "ball"):
+    if domain.kind == "ball":
         r0 = domain.radius
         r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        dirs = np.zeros_like(pts)
-        dirs[:, 0] = 1.0  # tie-break at the exact center
-        ok = r > 0
-        dirs[ok] = pts[ok] / r[ok, None]
-        foot = r0 * dirs
-        normal = -dirs
-        dist = np.abs(r - r0)
-        return foot, normal, dist
+        foot = pts * (r0 / np.where(r > 0, r, np.inf))[:, None]
+        foot[r == 0, 0] = r0  # tie-break at the exact center
+        return foot, -foot / r0, np.abs(r - r0)
     foot = _project_ellipse(domain, pts)
     a, b = domain.semi_axes
     normal = foot / np.array([-a * a, -b * b])  # -(x/a^2, y/b^2): inward at the foot
@@ -258,13 +267,13 @@ def boundary_quadrature(domain: Domain, m: int) -> list:
     Weights are positive and sum to the analytic boundary measure.  On the
     disk the rule is the uniform trapezoid rule (exact for trigonometric
     polynomials of degree < m); on the ellipse the arclength-weighted
-    trapezoid rule rescaled to the exact perimeter; on the sphere a Fibonacci
-    lattice with equal weights (constants exact).
+    trapezoid rule rescaled to the exact perimeter; on the sphere of the
+    3-ball a Fibonacci lattice with equal weights (constants exact).
     """
     if m < 3:
         raise BadOrder(f"boundary quadrature needs m >= 3, got {m}")
     sigma = domain.boundary_measure
-    if domain.kind == "disk":
+    if domain.kind == "ball" and domain.dim == 2:
         theta = 2.0 * math.pi * np.arange(m) / m
         r0 = domain.radius
         nodes = np.stack([r0 * np.cos(theta), r0 * np.sin(theta)], axis=1)
@@ -292,10 +301,7 @@ def boundary_quadrature(domain: Domain, m: int) -> list:
 
 def sample_uniform(domain: Domain, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points uniformly on the domain by rejection from its bounding box."""
-    if domain.kind == "ellipse":
-        half = np.array(domain.semi_axes)
-    else:
-        half = np.full(domain.dim, domain.radius)
+    half = np.array(domain.semi_axes)
     out = np.empty((n, domain.dim))
     got = 0
     while got < n:

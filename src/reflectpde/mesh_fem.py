@@ -1,4 +1,4 @@
-"""P1 finite elements on the disk/ellipse: meshing, assembly, linearized solves.
+"""P1 finite elements on the 2-ball and the ellipse: meshing, assembly, linearized solves.
 
 The deterministic backend discretizes the weak form obtained from the strong
 problem
@@ -344,23 +344,18 @@ class FemFunction:
 
 
 def build_mesh(domain: Domain, h_target: float, node_budget: int = 200_000) -> Mesh:
-    """Quasi-uniform triangulation of the disk or ellipse.
+    """Quasi-uniform triangulation of a 2-d domain: the disk or the ellipse.
 
-    Concentric rings of nodes (6j nodes on ring j) triangulated by Delaunay;
-    boundary nodes are placed exactly on the curved boundary.  Guarantees
-    h_max <= 1.5 h_target and minimum angle >= 20 degrees.
+    Concentric rings of nodes (6j nodes on ring j) scaled by the semi-axes,
+    triangulated by Delaunay; boundary nodes are placed exactly on the curved
+    boundary.  Guarantees h_max <= 1.5 h_target and minimum angle >= 20 degrees.
     """
-    if domain.kind == "ball" and domain.dim != 2:
+    if domain.dim != 2:
         raise BadResolution("meshing is 2-d only (disk/ellipse)")
     if not (0 < h_target < domain.diameter):
         raise BadResolution(f"h_target must lie in (0, diameter), got {h_target}")
-    if domain.kind == "ellipse":
-        a, b = domain.semi_axes
-        scale = np.array([a, b])
-        h_unit = h_target / a
-    else:
-        scale = np.array([domain.radius, domain.radius])
-        h_unit = h_target / domain.radius
+    scale = np.array(domain.semi_axes)
+    h_unit = h_target / domain.semi_axes[0]
 
     n_r = max(2, math.ceil(1.0 / h_unit))
     est = 3 * n_r * (n_r + 1) + 1

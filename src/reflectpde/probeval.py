@@ -313,9 +313,10 @@ def estimate_decay(times, values, power: int) -> DecayFit:
     """Fit C, theta in E[exp(power int_0^t q)] <= C exp(-theta t) by least squares.
 
     ``values`` are the mean weights at ``times``: a line is fitted through
-    their logarithms.  A mean that is not positive gives theta = 0.
+    their logarithms.  A mean that is not positive, or fewer than two distinct
+    times (a horizon of one step), gives theta = 0: no decay is shown.
     """
-    if np.any(values <= 0):
+    if np.unique(times).size < 2 or np.any(values <= 0):
         return DecayFit(C=float("nan"), theta=0.0, power=power, times=times, values=values)
     slope, intercept = np.polyfit(times, np.log(values), 1)
     return DecayFit(
@@ -446,14 +447,15 @@ def calibrate_boundary_constant(
 ) -> CalibrationResult:
     """One-time fit of the boundary constant on the calibration problem.
 
-    Solves q = -1, F = 0, H = 1 on the disk with the finite-element backend
-    (authoritative) and with raw Monte-Carlo boundary integrals (c = 1), then
-    fits c_bd through the origin over the probe points.  The analytic value
-    is 1/2; the fit also absorbs the scheme's O(sqrt(h_t)) local-time bias.
+    Solves q = -1, F = 0, H = 1 on the 2-d domain with the finite-element
+    backend (authoritative) and with raw Monte-Carlo boundary integrals (c =
+    1) at probes scaled by the semi-axes, then fits c_bd through the origin.
+    The analytic value is 1/2; the fit also absorbs the scheme's O(sqrt(h_t))
+    local-time bias.
     """
     if probes is None:
         probes = np.array([[0.0, 0.0], [0.35, 0.0], [0.0, 0.55], [-0.75, 0.0], [0.5, 0.5]])
-        probes = probes * domain.radius if domain.kind == "disk" else probes
+        probes = probes * np.array(domain.semi_axes)
     probes = np.asarray(probes, dtype=float)
     q = lambda x: -np.ones(len(x))  # noqa: E731
     one = lambda x: np.ones(len(x))  # noqa: E731

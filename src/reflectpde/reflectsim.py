@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, eval_psi, project_points
+from .geometry import Domain, eval_psi, outside, project_points
 
 LOCAL_TIME_FACTOR = 2.0  # reported dL per unit of projection overshoot
 
@@ -154,10 +154,7 @@ def _path_generator(seed: int, path_index: int) -> np.random.Generator:
 
 
 def _draw_start(domain: Domain, gen: np.random.Generator) -> np.ndarray:
-    if domain.kind == "ellipse":
-        half = np.array(domain.semi_axes)
-    else:
-        half = np.full(domain.dim, domain.radius)
+    half = np.array(domain.semi_axes)
     while True:
         cand = gen.uniform(-1.0, 1.0, size=(16, domain.dim)) * half
         val, _ = eval_psi(domain, cand)
@@ -179,16 +176,6 @@ def check_step(domain: Domain, T: float, h_t: float) -> int:
     return int(round(T / h_t)) if T > 0 else 0
 
 
-def _outside(domain: Domain, pts: np.ndarray) -> np.ndarray:
-    """Mask of the points outside the closed ellipse.
-
-    The sign of the implicit quadratic alone: eval_psi only divides the same
-    quadratic by a positive norm, so the test is the same.
-    """
-    a, b = domain.semi_axes
-    return 1.0 - (pts[:, 0] / a) ** 2 - (pts[:, 1] / b) ** 2 < 0
-
-
 def _reflect(domain: Domain, proposals: np.ndarray):
     """Project proposals back into the closed domain.
 
@@ -198,22 +185,9 @@ def _reflect(domain: Domain, proposals: np.ndarray):
     x_new = proposals.copy()
     push = np.zeros(len(proposals))
     normal = np.zeros_like(proposals)
-    if domain.kind in ("disk", "ball"):
-        r0 = domain.radius
-        r = np.sqrt(np.einsum("ij,ij->i", proposals, proposals))
-        hit = r > r0
-        if hit.any():
-            rh = r[hit]
-            x_new[hit] = proposals[hit] * (r0 / rh)[:, None]
-            push[hit] = rh - r0
-            normal[hit] = -x_new[hit] / r0
-    else:
-        hit = _outside(domain, proposals)
-        if hit.any():
-            foot, inward, dist = project_points(domain, proposals[hit])
-            x_new[hit] = foot
-            push[hit] = dist
-            normal[hit] = inward
+    hit = outside(domain, proposals)
+    if hit.any():
+        x_new[hit], normal[hit], push[hit] = project_points(domain, proposals[hit])
     return x_new, push, hit, normal
 
 

@@ -49,7 +49,7 @@ def write(tmp_path, text, name="run.ini"):
 
 def test_load_config_roundtrip(tmp_path):
     cfg = load_config(write(tmp_path, BASE_A))
-    assert cfg.domain.kind == "disk"
+    assert cfg.domain == Domain.disk()
     assert cfg.solver.mesh_h == 0.1
     assert cfg.consts.alpha == 1.0 and cfg.consts.K == 0.1 and cfg.consts.k == 0.0
 
@@ -382,6 +382,58 @@ def test_each_command_checks_what_it_runs(tmp_path, capsys, case, command, backe
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {want} ")
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("radius = 1.0", "radius = 1.0\ndimension = 3"),
+     ("kind = disk\nradius = 1.0", "kind = ellipse\na = 1.5\nb = 1.0\nradius = 2"),
+     ("kind = disk", "kind = ball\na = 1.5")],
+    ids=["disk-dimension", "ellipse-radius", "ball-a"],
+)
+def test_domain_key_of_another_kind_is_a_config_error(tmp_path, capsys, old, new):
+    # each kind takes its own keys; another kind's key was once accepted and ignored
+    cfg = write(tmp_path, BASE_A.replace(old, new))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: [domain] kind = ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_ellipse_with_longer_x2_axis_is_a_config_error(tmp_path, capsys):
+    # a = 1, b = 1.5 once built the ellipse with the 1.5 semi-axis along x1
+    text = BASE_A.replace("kind = disk\nradius = 1.0", "kind = ellipse\na = 1\nb = 1.5")
+    cfg = write(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: [domain] need a >= b > 0")
+
+
+def test_solve_on_the_2_ball_writes_the_disk_files(tmp_path, capsys):
+    # the disk is the 2-ball; the ball once had no boundary rule in 2-d
+    outs = {}
+    for kind in ("disk", "ball\ndimension = 2"):
+        text = SMALL.replace("kind = disk", f"kind = {kind}").replace(
+            "backend = fem", "backend = both"
+        )
+        out = tmp_path / kind.split()[0]
+        assert main(["solve", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        outs[kind] = (out, capsys.readouterr().out)
+    (disk, disk_stdout), (ball, ball_stdout) = outs.values()
+    assert ball_stdout == disk_stdout
+    names = ["mesh.txt", "solution.csv", "trace.csv", "summary.json"]
+    match, mismatch, errors = filecmp.cmpfiles(disk, ball, names, shallow=False)
+    assert match == names and not mismatch and not errors
+    assert "verification" in json.loads((ball / "summary.json").read_text())
+
+
+def test_inadmissible_killing_weight_exits_as_a_failed_check(tmp_path, capsys):
+    # with q = 0 the weight does not decay, so the probe comparison cannot truncate
+    text = SMALL.replace("q = -1", "q = 0").replace("backend = fem", "backend = both")
+    assert main(["solve", "--config", write(tmp_path, text), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("verification failed: ")
+    assert "no exponential decay" in err[0]
 
 
 def test_analytic_variant_without_drift_takes_sup_b_zero(tmp_path):

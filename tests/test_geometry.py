@@ -325,6 +325,30 @@ def test_newton_feet_do_not_depend_on_the_batch():
     assert np.array_equal(foot, alone)
 
 
+@pytest.mark.parametrize("r", [1.0, 0.7, 1.5, 0.3])
+def test_the_disk_is_the_2_ball(r):
+    disk = Domain.disk(r)
+    assert disk == Domain.ball(2, r) and disk.kind == "ball"
+    assert disk.dim == 2 and disk.radius == r and disk.semi_axes == (r, r)
+    # the ball formulas give the disk's own, bit for bit
+    assert disk.volume == math.pi * r**2
+    assert disk.boundary_measure == 2.0 * math.pi * r
+    # the 2-ball has the disk's trapezoid rule; the 4-ball has no rule
+    rule = boundary_quadrature(Domain.ball(2, r), 8)
+    assert sum(w for _, w in rule) == pytest.approx(2.0 * math.pi * r, rel=1e-14)
+    with pytest.raises(NotImplementedError):
+        boundary_quadrature(Domain.ball(4), 8)
+
+
+def test_ellipse_x1_semi_axis_is_the_longer():
+    # the x1 semi-axis a must be the longer: b > a once swapped the axes silently
+    with pytest.raises(ValueError, match="a >= b"):
+        Domain.ellipse(1.0, 1.5)
+    e = Domain.ellipse(1.5, 1.0)
+    assert e.semi_axes == (1.5, 1.0) and contains(e, (1.4, 0.0)) == INTERIOR
+    assert Domain.ellipse(1.0, 1.0).semi_axes == (1.0, 1.0)
+
+
 def test_ball_measures_and_sphere_rule():
     b = Domain.ball(3)
     assert b.volume == pytest.approx(4 * np.pi / 3, rel=1e-12)

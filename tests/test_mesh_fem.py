@@ -625,7 +625,7 @@ def test_walk_matches_bucket_locator(location_cases, case):
     domain, mesh = location_cases[case]
     ref = _TriLocator(mesh)
     rng = np.random.default_rng(5)
-    half = np.array(domain.semi_axes if domain.kind == "ellipse" else (1.0, 1.0))
+    half = np.array(domain.semi_axes)
     box = rng.uniform(-1.0, 1.0, (4000, 2)) * half
     uniform = box[eval_psi(domain, box)[0] > 0]
     _check_against_reference(mesh, ref, uniform)

@@ -66,6 +66,17 @@ def test_decay_fit_read_off_the_run(monkeypatch, disk):
     assert estimate_decay(np.arange(1.0, 3.0), np.array([0.5, 0.0]), 1).theta == 0.0
 
 
+def test_decay_fit_needs_two_distinct_times(disk):
+    # a horizon of one step leaves one fit time, through which any slope fits
+    fit = estimate_decay(np.array([1e-3]), np.array([0.999]), 1)
+    assert fit.theta == 0.0 and fit.tail_integral(1.0) == float("inf")
+    with pytest.raises(AdmissibilityError):
+        fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, ONE, ZERO, params(n=20, T=1e-3))
+    report = check_conditions_C(disk, Q_MINUS_ONE, params(n=20, T=1e-3), grid_n=1)
+    assert report.boundary_weight.tail_bound == float("inf")
+    assert report.q_square_sup.tail_bound == float("inf")
+
+
 def test_admissibility_error_for_flat_weight(disk):
     with pytest.raises(AdmissibilityError):
         fk_pure_boundary(disk, np.zeros(2), ZERO, ONE, params(n=50, T=2.0))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reflectpde import geometry, reflectsim
+from reflectpde import geometry
 from reflectpde.geometry import Domain, eval_psi
 from reflectpde.reflectsim import (
     Estimate,
@@ -134,7 +134,9 @@ def test_batch_matches_single_paths():
 
 # The engine step and noise drawing as they were before the ellipse hit test
 # became the quadratic's sign and the normals came from the foot in closed
-# form: verbatim copies, except that the foot solver is called directly.
+# form: verbatim copies, except that the foot solver is called directly.  They
+# are the reference for the disk, ball and ellipse steps alike, which the
+# engine now all takes through geometry.outside and geometry.project_points.
 
 
 def _ref_project_points(domain, pts):
@@ -226,7 +228,7 @@ def test_quadratic_hit_test_matches_eval_psi(axes):
     on = np.stack([axes[0] * np.cos(theta), axes[1] * np.sin(theta)], axis=1)
     ulps = rng.integers(-4, 5, on.shape)
     pts = on + ulps * np.spacing(on)
-    outside = reflectsim._outside(domain, pts)
+    outside = geometry.outside(domain, pts)
     assert np.array_equal(outside, eval_psi(domain, pts)[0] < 0)
     assert 0 < outside.sum() < len(pts)
 
