@@ -298,7 +298,7 @@ def cmd_bench(args) -> int:
             "estimate": name, "mean": est.mean, "standard_error": est.standard_error,
             "n_samples": est.n_samples,
         }, sort_keys=True))
-    path = simulate_paths(dom, 1, min(T, 1.0), h, cfg.solver.seed)[0]
+    path = simulate_paths(dom, 1, min(T, max(1.0, h)), h, cfg.solver.seed)[0]  # at least one step
     const = np.ones(dom.dim) / math.sqrt(dom.dim)
     s0 = star_integral(path, lambda x: np.broadcast_to(const, x.shape))
     print(f"constant-field star integral (pathwise): {s0:.3e}")

@@ -222,12 +222,12 @@ def star_integral(path: PathGrid, field) -> float:
 class StepContext:
     """Per-step arrays handed to observers (views into engine state).
 
-    Attributes: j (step index), t (time at the step start), h, x_prev, x_new,
-    dB, push (raw overshoot), dl (reported local-time increment), hit mask,
-    normal (inward unit normal at the foot; zero rows off the boundary).
+    Attributes: j (step index), h, x_prev, x_new, dB, push (raw overshoot),
+    dl (reported local-time increment), hit mask, normal (inward unit normal
+    at the foot; zero rows off the boundary).
     """
 
-    __slots__ = ("j", "t", "h", "x_prev", "x_new", "dB", "push", "dl", "hit", "normal")
+    __slots__ = ("j", "h", "x_prev", "x_new", "dB", "push", "dl", "hit", "normal")
 
 
 class PathObserver:
@@ -348,7 +348,6 @@ def run_paths(
                 dB = noise[:, jj, :] * sqh
                 x_new, push, hit, normal = _reflect(domain, x + dB)
                 ctx.j = j
-                ctx.t = j * h_t
                 ctx.x_prev = x
                 ctx.x_new = x_new
                 ctx.dB = dB

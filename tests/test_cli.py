@@ -205,6 +205,23 @@ def test_check_conditions_paths(tmp_path, capsys):
     assert main(["check-conditions", "--config", cfg]) != 0
 
 
+def test_check_conditions_fails_without_decay_at_a_short_horizon(tmp_path, capsys):
+    # q = 0 does not decay at any horizon; a window test once passed it at T = 0.1
+    text = BASE_A.replace("q = -1", "q = 0").replace("horizon = 6.0", "horizon = 0.1")
+    assert main(["check-conditions", "--config", write(tmp_path, text)]) == 4
+    out = capsys.readouterr().out
+    assert "DIVERGENT fit C=" in out and "tail<= nan" not in out
+
+
+def test_bench_stores_a_path_of_at_least_one_step(tmp_path, capsys):
+    # the stored path once ran over min(T, 1) < h and raised from the engine
+    text = BASE_A.replace("radius = 1.0", "radius = 10.0")
+    argv = ["bench", "--config", write(tmp_path, text), "--horizon", "3", "--step", "1.5",
+            "--n-paths", "4"]
+    assert main(argv) in (0, 4)
+    assert "constant-field star integral" in capsys.readouterr().out
+
+
 def test_verify_solved_field(tmp_path):
     text = BASE_A.replace("mesh_h = 0.1", "mesh_h = 0.05").replace(
         "n_paths = 300", "n_paths = 500"

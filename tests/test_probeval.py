@@ -443,8 +443,42 @@ def test_conditions_q_zero_divergent(disk):
     assert not rep.all_clear
 
 
+def test_conditions_flagged_by_the_decay_fit(disk):
+    # q = -1 fits theta = 1 exactly; a 10 % window test once flagged E[int w dL]
+    # at this horizon although the fit bounds its tail at 0.05
+    rep = check_conditions_C(disk, Q_MINUS_ONE, params(n=200, T=3.0, seed=7), grid_n=1)
+    assert rep.all_clear
+    assert rep.boundary_weight.tail_bound < 0.05
+    assert "theta=1 " in rep.boundary_weight.detail
+
+
+def test_conditions_exploding_weight_divergent(disk):
+    # q = +100: the weights overflow, the fits read theta = nan, which does not decay
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check_conditions_C(
+            disk, lambda x: np.full(len(x), 100.0), params(n=20, T=8.0, h=1e-2), grid_n=1
+        )
+    conds = (rep.boundary_weight, rep.boundary_weight_sq, rep.q_square_sup)
+    assert all(c.divergent and c.tail_bound == float("inf") for c in conds)
+
+
+def test_conditions_q_zero_third_tail_is_zero(disk):
+    # with q = 0 the q^2 integrand vanishes: its tail is 0, not 0 * inf = nan
+    rep = check_conditions_C(disk, ZERO, params(n=20, T=0.1), grid_n=1)
+    assert rep.boundary_weight.divergent and rep.boundary_weight_sq.divergent
+    assert rep.q_square_sup.tail_bound == 0.0
+    assert not rep.q_square_sup.divergent
+
+
+def test_conditions_on_a_ball_without_a_boundary_rule():
+    # the 4-ball has no boundary quadrature; the probes' tail needs none (sup|H| = 1)
+    rep = check_conditions_C(Domain.ball(4), Q_MINUS_ONE, params(n=20, T=1.0), grid_n=1)
+    assert np.isfinite(rep.boundary_weight.estimate.mean)
+    assert rep.boundary_weight.tail_bound >= 0.0
+
+
 def test_conditions_c1_equals_fk_quantity(disk):
-    # same quantity by definition (both carry the calibrated constant)
+    # same quantity by definition (both carry c_bd = DEFAULT_C_BD and run alike)
     p1 = params(n=250, T=8.0, seed=7)
     rep = check_conditions_C(disk, Q_MINUS_ONE, p1, grid_n=2)
     p2 = params(n=250, T=8.0, seed=7)
