@@ -21,6 +21,7 @@ from .coeffexpr import (
     Expr,
     ExprSyntaxError,
     InadmissibleConstants,
+    PointMismatch,
     StructureConstants,
     UnboundVariable,
     UnknownIdentifier,

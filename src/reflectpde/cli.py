@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: solve, verify, check-conditions, simulate, bench.  Exit codes
-form a stable contract: 0 success, 1 configuration error, 2 no contraction,
+form a stable contract: 0 success, 1 configuration error (among them a
+coefficient undefined where it is evaluated), 2 no contraction,
 3 inadmissible constants, 4 a verification or self-check failed.  All
 randomness flows from the single config seed (overridable with --seed);
 outputs carry no timestamps, so identical config + seed reproduce
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import picard, probeval
-from .coeffexpr import InadmissibleConstants, choose_constants, validate_structure
+from .coeffexpr import DomainError, InadmissibleConstants, choose_constants, validate_structure
 from .config import ConfigError, RunConfig, load_config
 from .mesh_fem import (
     build_mesh,
@@ -124,8 +125,6 @@ def cmd_solve(args) -> int:
     cfg = _load(args)
     _require_2d(cfg, "solve")
     params = _mc_params(cfg) if cfg.solver.backend == "both" else None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     consts, note = _derived_constants(cfg)
     report = validate_structure(
         cfg.domain, cfg.coeffs, cfg.consts,
@@ -142,6 +141,8 @@ def cmd_solve(args) -> int:
     except picard.NoContraction as err:
         trace = err.trace
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     export_mesh(mesh, out_dir / "mesh.txt")
     export_field(trace.solution, out_dir / "solution.csv")
     trace.export_csv(out_dir / "trace.csv")
@@ -362,6 +363,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DomainError as err:
+        print(f"config error: [coefficients] {err}", file=sys.stderr)
         return EXIT_CONFIG
     except InadmissibleConstants as err:
         print(f"inadmissible constants: {err}", file=sys.stderr)

@@ -7,6 +7,11 @@ the container types for a coefficient set and its structure constants, a
 sampling-based checker for the monotonicity/Lipschitz/growth conditions, and
 the deterministic recipe that fills in the derived Picard constants
 (eps1, eps2, eps3, lambda, mu, gamma).
+
+An expression evaluated again and again at the same points, such as f at the
+quadrature points of a mesh, can be bound to them (:meth:`Expr.bind`): every
+subtree that reads only x1..xN is evaluated once, and each later evaluation
+computes only what reads y or z, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -78,6 +83,10 @@ class DomainError(ExprError):
     """log/sqrt of a negative argument, or a non-real power."""
 
 
+class PointMismatch(ExprError):
+    """A bound expression evaluated at points other than the ones it was bound to."""
+
+
 class InadmissibleConstants(ValueError):
     """Structure constants violate an admissibility inequality (named in args)."""
 
@@ -114,7 +123,14 @@ class Call:
     args: tuple
 
 
-Node = Num | Var | Neg | BinOp | Call
+@dataclass(frozen=True, eq=False)
+class Arr:
+    """A subtree that reads only x1..xN, evaluated at the points of a binding."""
+
+    value: object  # a scalar, or an array with one entry per point
+
+
+Node = Num | Var | Neg | BinOp | Call | Arr
 
 
 @dataclass(frozen=True)
@@ -128,6 +144,25 @@ class Expr:
     def __call__(self, env: dict):
         return eval_expr(self, env)
 
+    def at(self, x, env: dict):
+        """Value at the points ``x`` (n, N), with y and z bound in ``env``."""
+        return eval_expr(self, {**_env_x(x), **env})
+
+    def bind(self, x) -> "BoundExpr":
+        """Partial evaluation at the fixed points ``x`` (n, N).
+
+        Every maximal subtree that reads only x1..xN (a variable, a call, an
+        operation) is evaluated once and becomes an :class:`Arr` leaf holding
+        its value; numbers stay as they are.  A subtree that also reads y or z,
+        such as ``x1*y``, keeps its own x leaves, now as arrays.  The same numpy
+        operations then run in the same order on the same values, so the bound
+        expression's results are bit-identical to this one's at ``x``.
+        Raises :class:`DomainError` when an x-only subtree is undefined at ``x``.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            root = _partial(self.root, _env_x(x))
+        return BoundExpr(root, x, self.source)
+
     def __str__(self) -> str:
         return print_expr(self)
 
@@ -139,6 +174,63 @@ class Expr:
         anything else is not known to be zero.
         """
         return _is_zero(self.root)
+
+
+@dataclass(frozen=True, eq=False)
+class BoundExpr:
+    """An expression bound to fixed ``points`` by :meth:`Expr.bind`."""
+
+    root: Node
+    points: np.ndarray
+    source: str = ""
+
+    def at(self, x, env: dict):
+        """Value at ``x``, which must be the bound points; y and z bound in ``env``.
+
+        Raises :class:`PointMismatch` at any other points, whose x-only parts
+        the bound values do not hold.
+        """
+        require_points(x, self.points, repr(self.source))
+        return eval_expr(self, env)
+
+
+def require_points(x, points, what: str):
+    """Raise :class:`PointMismatch` unless ``x`` are the ``points`` that ``what`` is bound to."""
+    if x is not points and not np.array_equal(x, points):
+        raise PointMismatch(f"{what} is bound to {len(points)} points, not to these {len(x)}")
+
+
+def _reads(node: Node) -> frozenset:
+    """Names of the variables a subtree reads."""
+    if isinstance(node, Var):
+        return frozenset((node.name,))
+    if isinstance(node, Neg):
+        return _reads(node.child)
+    if isinstance(node, BinOp):
+        return _reads(node.left) | _reads(node.right)
+    if isinstance(node, Call):
+        return frozenset().union(*(_reads(a) for a in node.args))
+    return frozenset()
+
+
+def _reads_z(expr) -> bool:
+    """True when the expression reads any of z1..zN, decided from its form."""
+    return any(name.startswith("z") for name in _reads(expr.root))
+
+
+def _partial(node: Node, env_x: dict) -> Node:
+    """``node`` with each maximal subtree that reads only ``env_x`` replaced by its value."""
+    if isinstance(node, (Num, Arr)):
+        return node
+    if _reads(node) <= env_x.keys():
+        return Arr(_eval(node, env_x))
+    if isinstance(node, Neg):
+        return Neg(_partial(node.child, env_x))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _partial(node.left, env_x), _partial(node.right, env_x))
+    if isinstance(node, Call):
+        return Call(node.func, tuple(_partial(a, env_x) for a in node.args))
+    return node  # y or a z
 
 
 def _is_zero(node: Node) -> bool:
@@ -336,7 +428,7 @@ def eval_expr(expr: Expr, env: dict):
 
 
 def _eval(node: Node, env: dict):
-    if isinstance(node, Num):
+    if isinstance(node, (Num, Arr)):
         return node.value
     if isinstance(node, Var):
         try:
@@ -398,7 +490,10 @@ def _env_x(x: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Problem data f, g, h, q, b as parsed expressions over dimension ``dim``."""
+    """Problem data f, g, h, q, b as parsed expressions over dimension ``dim``.
+
+    In a set returned by :meth:`bind`, f, g and h are :class:`BoundExpr`.
+    """
 
     dim: int
     f: Expr
@@ -424,37 +519,76 @@ class CoefficientSet:
             b=tuple(parse_expr(s, variables_for("b", dim)) for s in b),
         )
 
+    def bind(self, x_dom, x_bd) -> "CoefficientSet":
+        """This set with f and g bound to the points ``x_dom`` and h to ``x_bd``.
+
+        See :meth:`Expr.bind`: the parts of f, g and h that read only x are
+        evaluated here, once.  The bound set's f_at and g_at accept only
+        ``x_dom``, its h_at only ``x_bd``; q and b stay unbound.  Raises a
+        :class:`DomainError` naming the coefficient that is undefined at the points.
+        """
+        return replace(
+            self,
+            f=_named("f", self.f, "bind", x_dom),
+            g=tuple(_named(f"g{i + 1}", e, "bind", x_dom) for i, e in enumerate(self.g)),
+            h=_named("h", self.h, "bind", x_bd),
+        )
+
+    @property
+    def f_reads_z(self) -> bool:
+        return _reads_z(self.f)
+
+    @property
+    def g_reads_z(self) -> bool:
+        return any(_reads_z(e) for e in self.g)
+
     # vectorized evaluation over point batches -----------------------------
+    # z may be None where the expression reads no z (see f_reads_z, g_reads_z)
 
     def f_at(self, x, y, z):
-        env = _env_x(x)
-        env["y"] = y
-        env.update({f"z{i + 1}": z[:, i] for i in range(self.dim)})
-        return np.broadcast_to(eval_expr(self.f, env), x.shape[:1]).astype(float)
+        env = _env_yz(y, z)
+        return np.broadcast_to(_named("f", self.f, "at", x, env), x.shape[:1]).astype(float)
 
     def g_at(self, x, y, z):
-        env = _env_x(x)
-        env["y"] = y
-        env.update({f"z{i + 1}": z[:, i] for i in range(self.dim)})
-        cols = [np.broadcast_to(eval_expr(e, env), x.shape[:1]) for e in self.g]
+        env = _env_yz(y, z)
+        cols = [
+            np.broadcast_to(_named(f"g{i + 1}", e, "at", x, env), x.shape[:1])
+            for i, e in enumerate(self.g)
+        ]
         return np.stack(cols, axis=1).astype(float)
 
     def h_at(self, x, y):
-        env = _env_x(x)
-        env["y"] = y
-        return np.broadcast_to(eval_expr(self.h, env), x.shape[:1]).astype(float)
+        env = {"y": y}
+        return np.broadcast_to(_named("h", self.h, "at", x, env), x.shape[:1]).astype(float)
 
     def q_at(self, x):
-        return np.broadcast_to(eval_expr(self.q, _env_x(x)), x.shape[:1]).astype(float)
+        return np.broadcast_to(_named("q", self.q, "at", x, {}), x.shape[:1]).astype(float)
 
     def b_at(self, x):
-        env = _env_x(x)
-        cols = [np.broadcast_to(eval_expr(e, env), x.shape[:1]) for e in self.b]
+        cols = [
+            np.broadcast_to(_named(f"b{i + 1}", e, "at", x, {}), x.shape[:1])
+            for i, e in enumerate(self.b)
+        ]
         return np.stack(cols, axis=1).astype(float)
 
     @property
     def b_is_zero(self) -> bool:
         return all(e.is_zero() for e in self.b)
+
+
+def _env_yz(y, z) -> dict:
+    env = {"y": y}
+    if z is not None:
+        env.update({f"z{i + 1}": z[:, i] for i in range(z.shape[1])})
+    return env
+
+
+def _named(name: str, expr, method: str, *args):
+    """``expr.<method>(*args)``, with a DomainError that names the coefficient."""
+    try:
+        return getattr(expr, method)(*args)
+    except DomainError as err:
+        raise DomainError(f"{name} = {expr.source}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

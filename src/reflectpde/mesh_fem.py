@@ -460,23 +460,29 @@ class WeakForm:
     """The discretized weak form of one (mesh, coefficients) pair.
 
     The left-hand side is assembled on first use and factorized once, on the
-    first solve.  The divergence part (g, grad v) of the right-hand side is
-    passed in as a load vector, so a caller freezing g evaluates it once.
+    first solve.  At construction f and g are bound to the quadrature points
+    ``mesh.quad_x`` and h to the boundary points ``mesh.edge_x`` (see
+    ``CoefficientSet.bind``), so the parts of f, g and h that read only x are
+    evaluated once per mesh; each load evaluates only what reads u, and builds
+    the gradient z only when f or g reads it.  The divergence part (g, grad v)
+    of the right-hand side is passed in as a load vector, so a caller freezing
+    g evaluates it once.
     """
 
     def __init__(self, mesh: Mesh, coeffs):
         self.mesh = mesh
-        self.coeffs = coeffs
+        self._qx = mesh.quad_x.reshape(-1, 2)
+        self._ex = mesh.edge_x.reshape(-1, 2)
+        self.coeffs = coeffs.bind(self._qx, self._ex)
 
     @cached_property
     def lhs(self):
         mesh = self.mesh
-        qx = mesh.quad_x.reshape(-1, 2)
         nq = mesh.quad_w.shape
-        q_quad = np.asarray(self.coeffs.q_at(qx), dtype=float).reshape(nq)
+        q_quad = np.asarray(self.coeffs.q_at(self._qx), dtype=float).reshape(nq)
         lhs = 0.5 * mesh.stiffness() - mesh.weighted_mass(q_quad)
         if not self.coeffs.b_is_zero:  # decided from the expression, not from samples
-            b_quad = np.asarray(self.coeffs.b_at(qx), dtype=float).reshape(nq + (2,))
+            b_quad = np.asarray(self.coeffs.b_at(self._qx), dtype=float).reshape(nq + (2,))
             lhs = lhs - mesh.convection(b_quad)
         return lhs
 
@@ -487,32 +493,39 @@ class WeakForm:
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
 
-    def _state(self, values):
-        """Points, field values and gradients at the quadrature points, flattened."""
+    def _state(self, values, reads_z: bool):
+        """Points, field values and, when read, gradients at the quadrature points, flattened."""
         mesh = self.mesh
         y = mesh.quad_values(values).reshape(-1)
-        z = np.repeat(mesh.tri_gradients(values), len(_QW), axis=0)
-        return mesh.quad_x.reshape(-1, 2), y, z
+        z = np.repeat(mesh.tri_gradients(values), len(_QW), axis=0) if reads_z else None
+        return self._qx, y, z
 
     def divergence(self, values):
         """g(., u, grad u) at ``mesh.quad_x`` for the nodal ``values``, shape (m, 6, 2)."""
-        g = self.coeffs.g_at(*self._state(values))
+        g = self.coeffs.g_at(*self._state(values, self.coeffs.g_reads_z))
         return np.asarray(g, dtype=float).reshape(self.mesh.quad_x.shape)
 
     def load(self, values, g_load):
         """Right-hand side with f and h at the nodal ``values``, plus ``g_load``."""
         mesh = self.mesh
-        f = self.coeffs.f_at(*self._state(values))
-        h = self.coeffs.h_at(mesh.edge_x.reshape(-1, 2), mesh.edge_values(values).reshape(-1))
+        f = self.coeffs.f_at(*self._state(values, self.coeffs.f_reads_z))
+        h = self.coeffs.h_at(self._ex, mesh.edge_values(values).reshape(-1))
         f_quad = np.asarray(f, dtype=float).reshape(mesh.quad_w.shape)
         h_edge = np.asarray(h, dtype=float).reshape(mesh.edge_w.shape)
         return mesh.load(f_quad) + g_load + 0.5 * mesh.boundary_load(h_edge)
 
+    def load_residual(self, values, g_load):
+        """The load at the nodal ``values``, and the dual norm of H^1 of the residual there."""
+        rhs = self.load(values, g_load)
+        return rhs, self.mesh.dual_norm(self.lhs @ values - rhs)
+
     def residual(self, values, g_load) -> float:
         """Dual norm of H^1 of the weak-form residual at the nodal ``values``."""
-        return self.mesh.dual_norm(self.lhs @ values - self.load(values, g_load))
+        return self.load_residual(values, g_load)[1]
 
-    def solve(self, g_load, inner_tol: float = 1e-10, u0=None, budget: int = 200) -> FemFunction:
+    def solve(
+        self, g_load, inner_tol: float = 1e-10, u0=None, budget: int = 200, start=None
+    ) -> FemFunction:
         """Solve with the divergence load ``g_load`` frozen.
 
         The implicit dependence of f and h on the solution is resolved by an
@@ -522,7 +535,8 @@ class WeakForm:
         u_{k+1} = G(u_k) - dG gamma, gamma the least-squares fit of dF gamma to
         f_k.  Raises :class:`InnerDivergence` when the residual (dual norm of
         H^1), checked before each step, fails to reach ``inner_tol`` within
-        ``budget`` loads.
+        ``budget`` loads.  ``start``, when given, is ``load_residual(u0, g_load)``,
+        which the caller has already computed; the first step reuses it.
         """
         n = self.mesh.n_nodes
         u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
@@ -530,8 +544,7 @@ class WeakForm:
         d_g = np.empty((n, _ANDERSON_DEPTH), order="F")
         resid = float("inf")
         for k in range(budget):
-            rhs = self.load(u, g_load)
-            resid = self.mesh.dual_norm(self.lhs @ u - rhs)
+            rhs, resid = self.load_residual(u, g_load) if k or start is None else start
             if not np.isfinite(resid):
                 raise InnerDivergence("inner iteration diverged (non-finite residual)", resid)
             if resid <= inner_tol:
@@ -557,8 +570,9 @@ def solve_semilinear_g_frozen(
 ) -> FemFunction:
     """One outer step: solve the problem with the divergence field frozen.
 
-    ``coeffs`` provides vectorized ``f_at(x, y, z)``, ``h_at(x, y)``, ``q_at(x)``,
-    ``b_is_zero`` and, unless b is zero, ``b_at(x)``; ``g_quad`` is the frozen
+    ``coeffs`` provides ``bind(x_dom, x_bd)``, which returns data with vectorized
+    ``f_at(x, y, z)``, ``h_at(x, y)``, ``q_at(x)``, ``f_reads_z``, ``b_is_zero``
+    and, unless b is zero, ``b_at(x)`` (see ``CoefficientSet``); ``g_quad`` is the frozen
     g at ``mesh.quad_x``, shape (m, 6, 2), or None for g = 0.  See :meth:`WeakForm.solve`.
     """
     g_load = np.zeros(mesh.n_nodes) if g_quad is None else mesh.gradient_load(g_quad)

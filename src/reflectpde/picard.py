@@ -90,15 +90,17 @@ def run_picard(
     )
     # g at the latest iterate: its residual's divergence part, and the next step's frozen field
     g_load = mesh.gradient_load(form.divergence(u.values))
+    start = None  # load and residual at the latest iterate, where the next solve starts
     bad_run = 0
     for n in range(1, max_iter + 1):
         u_prev = trace.iterates[-1]
-        u_new = form.solve(g_load, inner_tol=inner_tol, u0=u_prev.values)
+        u_new = form.solve(g_load, inner_tol=inner_tol, u0=u_prev.values, start=start)
         g_load = mesh.gradient_load(form.divergence(u_new.values))
         inc = h1_norm(u_new - u_prev)
         trace.iterates.append(u_new)
         trace.increments.append(inc)
-        trace.residuals.append(form.residual(u_new.values, g_load))
+        start = form.load_residual(u_new.values, g_load)
+        trace.residuals.append(start[1])
         trace.n_iterations = n
         if n >= 2:
             prev = trace.increments[-2]

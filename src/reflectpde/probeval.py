@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coeffexpr import require_points
 from .geometry import Domain, boundary_quadrature, interior_grid
 from .mesh_fem import (
     FemFunction, Mesh, WeakForm, build_mesh, solve_g_lifting, solve_semilinear_g_frozen,
@@ -431,9 +432,14 @@ class _LinearData:
     """Adapter exposing frozen fields with the coefficient-set call signatures."""
 
     b_is_zero = True
+    f_reads_z = False
 
     def __init__(self, q, F, H):
         self._q, self._F, self._H = q, F, H
+
+    def bind(self, x_dom, x_bd) -> "_LinearData":
+        """F at ``x_dom`` and H at ``x_bd``, evaluated once; see ``CoefficientSet.bind``."""
+        return _LinearData(self._q, _bound(self._F, x_dom), _bound(self._H, x_bd))
 
     def q_at(self, x):
         return np.asarray(self._q(x), dtype=float)
@@ -443,6 +449,17 @@ class _LinearData:
 
     def h_at(self, x, y):
         return np.asarray(self._H(x), dtype=float)
+
+
+def _bound(fn, points):
+    """``fn`` evaluated once at ``points``; at any other points it raises PointMismatch."""
+    values = fn(points)
+
+    def at(x):
+        require_points(x, points, "a frozen field")
+        return values
+
+    return at
 
 
 def fem_linear_solve(mesh: Mesh, q, F, H) -> FemFunction:

@@ -499,3 +499,21 @@ seed = 3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is True
     assert "verification" in summary
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "check-conditions"])
+def test_coefficient_undefined_on_the_domain_is_a_config_error(tmp_path, capsys, command):
+    # sqrt(x1) is undefined on the left half of the disk: a named error, not a traceback
+    field = tmp_path / "field"
+    assert main(["solve", "--config", write(tmp_path, SMALL, "ok.ini"), "--out", str(field)]) == 0
+    cfg = write(tmp_path, SMALL.replace(f"f = {F_A}", "f = sqrt(x1) - y"))
+    flags = {
+        "solve": ["--out", str(tmp_path / "out")],
+        "verify": ["--field", str(field / "solution.csv"), "--out", str(tmp_path / "out")],
+        "check-conditions": [],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--config", cfg, *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: [coefficients] f = sqrt(x1) - y: sqrt of a negative argument"]
+    assert not (tmp_path / "out").exists()

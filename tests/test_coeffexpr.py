@@ -5,6 +5,7 @@ import pytest
 
 from reflectpde.coeffexpr import (
     ArityMismatch,
+    Arr,
     BinOp,
     Call,
     CoefficientSet,
@@ -13,6 +14,7 @@ from reflectpde.coeffexpr import (
     InadmissibleConstants,
     Neg,
     Num,
+    PointMismatch,
     StructureConstants,
     UnboundVariable,
     UnknownIdentifier,
@@ -23,7 +25,7 @@ from reflectpde.coeffexpr import (
     print_expr,
     validate_structure,
 )
-from reflectpde.geometry import Domain
+from reflectpde.geometry import Domain, sample_uniform
 
 # ---------------------------------------------------------------------------
 # parser and evaluator
@@ -139,6 +141,89 @@ def test_print_parse_roundtrip_property():
 
         text = print_expr(Expr(tree, frozenset(names)))
         assert parse_expr(text, names).root == tree
+
+
+# ---------------------------------------------------------------------------
+# partial evaluation at fixed points
+
+NAMES = ("x1", "x2", "y", "z1", "z2")
+F_B = "-2 + x1^2 + x2^2 + 0.2*x1*(1 - tanh(x1^2 + x2^2)^2) + (x1^2 + x2^2) - y"
+
+
+def _points(n=500, seed=5):
+    rng = np.random.default_rng(seed)
+    x = sample_uniform(Domain.disk(), n, rng)
+    return x, {"y": rng.uniform(-2, 2, n), "z1": rng.uniform(-2, 2, n), "z2": rng.uniform(-2, 2, n)}
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["2.5", "x1", "y", "z2", "-x1", "-y", "x1 + x2", "x1 + y", "x2 - y", "x1 * x2", "x1*y",
+     "x1 / (2 + x2)", "x1/(2 + y)", "x1^2", "y^2", "(2 + x1)^y", "2^(x1 - z1)",
+     "sin(x1*x2)", "sin(x1 - y)", "cos(x1*x2)", "cos(x1 - y)", "exp(x1*x2)", "exp(x1 - y)",
+     "log(2 + x1)", "log(2 + x1 + y^2)", "sqrt(1 + x2)", "sqrt(1 + x2 + y^2)",
+     "abs(x1*x2)", "abs(x1 - y)", "tanh(x1*x2)", "tanh(x1 - y)",
+     "min(x1, x2)", "min(x1, y)", "max(x2, 0.5)", "max(z1, x1)", "-(x1^2) * y + 3", F_B],
+)
+def test_bound_expression_is_bit_identical(src):
+    x, env = _points()
+    e = parse_expr(src, NAMES)
+    n = len(x)
+    want = np.broadcast_to(e.at(x, env), n)
+    assert np.array_equal(np.broadcast_to(e.bind(x).at(x, env), n), want)
+
+
+def test_binding_replaces_each_maximal_x_only_subtree():
+    x, _ = _points()
+    # all of f_B but its last term reads x alone: one leaf, evaluated once
+    root = parse_expr(F_B, NAMES).bind(x).root
+    assert isinstance(root, BinOp) and isinstance(root.left, Arr) and root.right == Var("y")
+    assert np.array_equal(root.left.value, parse_expr(F_B[:-4], NAMES).at(x, {}))
+    # a mixed subtree keeps its x, now as an array
+    mixed = parse_expr("x1*y + 2", NAMES).bind(x).root
+    assert isinstance(mixed.left.left, Arr) and mixed.left.right == Var("y")
+    assert np.array_equal(mixed.left.left.value, x[:, 0]) and mixed.right == Num(2.0)
+
+
+def test_bound_expression_refuses_other_points():
+    x, env = _points()
+    bound = parse_expr("x1*y", NAMES).bind(x)
+    assert np.array_equal(bound.at(x.copy(), env), x[:, 0] * env["y"])  # equal points are the same
+    other, _ = _points(seed=6)
+    with pytest.raises(PointMismatch):
+        bound.at(other, env)
+    with pytest.raises(PointMismatch):
+        bound.at(x[:10], {"y": env["y"][:10]})
+
+
+def test_coefficient_set_binding_with_z():
+    x, env = _points()
+    y, z = env["y"], np.column_stack([env["z1"], env["z2"]])
+    xb = x[:40] / np.linalg.norm(x[:40], axis=1)[:, None]
+    coeffs = CoefficientSet.from_strings(
+        2, f="x1*z1 - y + sin(x2)*z2", g=["tanh(z1)*x2", "0.1*y"], h="3 - x1*y", q="-1"
+    )
+    assert coeffs.f_reads_z and coeffs.g_reads_z
+    bound = coeffs.bind(x, xb)
+    assert np.array_equal(bound.f_at(x, y, z), coeffs.f_at(x, y, z))
+    assert np.array_equal(bound.g_at(x, y, z), coeffs.g_at(x, y, z))
+    assert np.array_equal(bound.h_at(xb, y[:40]), coeffs.h_at(xb, y[:40]))
+    assert np.array_equal(bound.q_at(xb), coeffs.q_at(xb))  # q stays unbound
+    with pytest.raises(PointMismatch):
+        bound.h_at(x, y)
+    plain = CoefficientSet.from_strings(2, f=F_B, g=["0.1*tanh(y)", "0"], h="3 - y", q="-1")
+    assert not plain.f_reads_z and not plain.g_reads_z
+    # without z the bound set needs none
+    assert np.array_equal(plain.bind(x, xb).f_at(x, y, None), plain.f_at(x, y, z))
+
+
+def test_binding_names_a_coefficient_undefined_at_the_points():
+    x, env = _points()
+    coeffs = CoefficientSet.from_strings(2, f="sqrt(x1) - y", g=["0", "0"], h="1", q="-1")
+    with pytest.raises(DomainError, match=r"^f = sqrt\(x1\) - y: sqrt of a negative argument"):
+        coeffs.bind(x, x[:4])
+    with pytest.raises(DomainError, match=r"^f = "):
+        coeffs.f_at(x, env["y"], None)
 
 
 # ---------------------------------------------------------------------------

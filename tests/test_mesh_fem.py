@@ -4,6 +4,7 @@ from scipy.special import iv
 
 from reflectpde import PointLocationError as ExportedPointLocationError
 from reflectpde import mesh_fem
+from reflectpde.coeffexpr import CoefficientSet, DomainError, PointMismatch
 from reflectpde.geometry import Domain, eval_psi, project_points
 from reflectpde.mesh_fem import (
     BadResolution,
@@ -29,7 +30,8 @@ from reflectpde.mesh_fem import (
     solve_semilinear_g_frozen,
 )
 from reflectpde.reflectsim import PathObserver, run_paths
-from .conftest import F_A, H_A, exact_solution
+from reflectpde.probeval import _LinearData
+from .conftest import F_A, F_B, G_B, H_A, H_B, exact_solution
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +306,75 @@ def test_accelerated_solve_matches_damped_iteration(meshes, corpus_b):
         assert h1_norm(fast - slow) <= 1e-9
         warm = form.solve(g_load, inner_tol=1e-11, u0=0.5 * u_star)
         assert h1_norm(warm - slow) <= 1e-9
+
+
+def _unbound_load(mesh, coeffs, values, g_load):
+    """WeakForm.load with f and h evaluated in full at every call, z always built."""
+    y = mesh.quad_values(values).reshape(-1)
+    z = np.repeat(mesh.tri_gradients(values), 6, axis=0)
+    f = coeffs.f_at(mesh.quad_x.reshape(-1, 2), y, z).reshape(mesh.quad_w.shape)
+    h = coeffs.h_at(mesh.edge_x.reshape(-1, 2), mesh.edge_values(values).reshape(-1))
+    return mesh.load(f) + g_load + 0.5 * mesh.boundary_load(h.reshape(mesh.edge_w.shape))
+
+
+def _linear_data():
+    return _LinearData(
+        lambda x: -np.ones(len(x)), lambda x: x[:, 0] ** 2 - 2.0, lambda x: 2.0 - x[:, 1]
+    )
+
+
+def test_bound_load_is_bit_identical(meshes, corpus_b):
+    mesh = meshes[0.05]
+    u = mesh.nodes[:, 0] ** 2 + np.sin(mesh.nodes[:, 1])
+    z_reading = CoefficientSet.from_strings(2, f=F_B + " + 0.1*x1*z2", g=G_B, h=H_B, q="-1")
+    for coeffs in (corpus_b, z_reading, _linear_data()):
+        form = mesh_fem.WeakForm(mesh, coeffs)
+        linear = isinstance(coeffs, _LinearData)  # g = 0, and no g_at
+        g_load = np.zeros(mesh.n_nodes) if linear else mesh.gradient_load(form.divergence(u))
+        assert np.array_equal(form.load(u, g_load), _unbound_load(mesh, coeffs, u, g_load))
+    g_reading = CoefficientSet.from_strings(2, f=F_A, g=["0.1*tanh(z1)", "x1*y"], h=H_A, q="-1")
+    want = g_reading.g_at(mesh.quad_x.reshape(-1, 2), mesh.quad_values(u).reshape(-1),
+                          np.repeat(mesh.tri_gradients(u), 6, axis=0))
+    got = mesh_fem.WeakForm(mesh, g_reading).divergence(u)
+    assert np.array_equal(got, want.reshape(mesh.quad_x.shape))
+
+
+def test_load_builds_the_gradient_only_when_f_reads_it(monkeypatch, meshes, corpus_b):
+    mesh = meshes[0.05]
+    u = mesh.nodes[:, 0] ** 2
+    z_reading = CoefficientSet.from_strings(2, f=F_B + " + 0.1*z1", g=G_B, h=H_B, q="-1")
+    plain, with_z = mesh_fem.WeakForm(mesh, corpus_b), mesh_fem.WeakForm(mesh, z_reading)
+    calls = []
+    tri_gradients = Mesh.tri_gradients
+
+    def counting(self, values):
+        calls.append(1)
+        return tri_gradients(self, values)
+
+    monkeypatch.setattr(Mesh, "tri_gradients", counting)
+    g_load = mesh.gradient_load(plain.divergence(u))  # g = 0.1 tanh(y) e1 reads no z either
+    plain.load(u, g_load)
+    assert calls == []
+    with_z.load(u, g_load)
+    assert calls == [1]
+
+
+def test_bound_data_refuses_other_points(meshes):
+    mesh = meshes[0.1]
+    for data in (CoefficientSet.from_strings(2, f=F_A, g=["0", "0"], h=H_A, q="-1"),
+                 _linear_data()):
+        form = mesh_fem.WeakForm(mesh, data)
+        y = np.zeros(mesh.n_nodes)
+        with pytest.raises(PointMismatch):
+            form.coeffs.f_at(mesh.nodes, y, None)
+        with pytest.raises(PointMismatch):
+            form.coeffs.h_at(mesh.quad_x.reshape(-1, 2), y)
+
+
+def test_weak_form_names_a_coefficient_undefined_at_the_quadrature_points(meshes):
+    c = CoefficientSet.from_strings(2, f=F_A, g=["0", "0"], h="log(x1 + 0.5) - y", q="-1")
+    with pytest.raises(DomainError, match=r"^h = log\(x1 \+ 0\.5\) - y: log of"):
+        mesh_fem.WeakForm(meshes[0.1], c)
 
 
 def test_weak_form_consistency_rate(meshes, corpus_a):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reflectpde import mesh_fem
+from reflectpde import coeffexpr, mesh_fem
 from reflectpde.coeffexpr import CoefficientSet, StructureConstants
 from reflectpde.mesh_fem import (
     FemFunction,
@@ -47,6 +47,40 @@ def test_manufactured_nonlinear_run(disk, corpus_b, consts_k01, meshes):
     # squared ratios below 1 from iteration 2 on
     assert all(r * r < 1.0 for r in trace.ratios)
     assert trace.final_residual < 1e-8
+
+
+def test_picard_measures_each_residual_once(monkeypatch, disk, corpus_b, consts_k01, meshes):
+    # the residual recorded after step n is where step n + 1 starts: reused, not redone
+    residuals = []
+    dual_norm = Mesh.dual_norm
+
+    def recording(self, residual):
+        residuals.append(residual.tobytes())
+        return dual_norm(self, residual)
+
+    monkeypatch.setattr(Mesh, "dual_norm", recording)
+    trace = run_picard(disk, corpus_b, consts_k01, h_mesh=0.05, mesh=meshes[0.05])
+    assert trace.n_iterations == 7
+    # 64 with the 6 repeats, one per outer step after the first
+    assert len(residuals) == len(set(residuals)) == 58
+
+
+def test_picard_evaluates_x_only_subtrees_once(monkeypatch, disk, corpus_b, consts_k01, meshes):
+    mesh = meshes[0.05]
+    # all of f and of h but their last term, "- y", read x alone
+    x_only = {"f": corpus_b.f.root.left, "h": corpus_b.h.root.left}
+    seen = []
+    evaluate = coeffexpr._eval
+
+    def spy(node, env):
+        out = evaluate(node, env)
+        seen.extend((name, np.size(out)) for name, part in x_only.items() if node == part)
+        return out
+
+    monkeypatch.setattr(coeffexpr, "_eval", spy)
+    trace = run_picard(disk, corpus_b, consts_k01, h_mesh=0.05, mesh=mesh)
+    assert trace.n_iterations == 7
+    assert sorted(seen) == [("f", mesh.quad_w.size), ("h", mesh.edge_w.size)]
 
 
 def test_convergence_rate_across_meshes(disk, corpus_b, consts_k01, meshes):
