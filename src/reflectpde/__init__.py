@@ -32,14 +32,7 @@ from .coeffexpr import (
     validate_structure,
 )
 from .config import ConfigError, RunConfig, load_config
-from .geometry import (
-    BadOrder,
-    Domain,
-    boundary_quadrature,
-    contains,
-    eval_psi,
-    project_to_boundary,
-)
+from .geometry import BadOrder, Domain, boundary_quadrature, eval_psi
 from .mesh_fem import (
     BadResolution,
     FemFunction,

@@ -15,10 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ellipe, gamma as _gamma
 
-INTERIOR = "interior"
-BOUNDARY = "boundary"
-EXTERIOR = "exterior"
-
 _TINY = np.finfo(float).tiny
 # |G| at which a foot has converged: three ulps of 1, which every point of the
 # sweep in _secular_start reaches; 2e-15 left feet near the major vertex of the
@@ -124,18 +120,6 @@ def eval_psi(domain: Domain, x) -> tuple:
     if single:
         return float(val[0]), grad[0]
     return val, grad
-
-
-def contains(domain: Domain, x, tol: float = 1e-12) -> str:
-    """Classify a point as interior, boundary, or exterior.
-
-    The boundary band is ``tol`` relative to the domain diameter.
-    """
-    val, _ = eval_psi(domain, np.asarray(x, dtype=float))
-    band = tol * domain.diameter
-    if abs(val) <= band:
-        return BOUNDARY
-    return INTERIOR if val > 0 else EXTERIOR
 
 
 def outside(domain: Domain, pts: np.ndarray) -> np.ndarray:
@@ -249,16 +233,6 @@ def project_points(domain: Domain, x) -> tuple:
     normal /= np.sqrt(np.einsum("ij,ij->i", normal, normal))[:, None]
     dist = np.sqrt(np.einsum("ij,ij->i", pts - foot, pts - foot))
     return foot, normal, dist
-
-
-def project_to_boundary(domain: Domain, x) -> tuple:
-    """Nearest boundary point of a single point ``x``.
-
-    Returns (foot, inward_normal, distance).  Symmetry centers are resolved
-    deterministically (see :func:`project_points`).
-    """
-    foot, normal, dist = project_points(domain, np.asarray(x, dtype=float)[None, :])
-    return foot[0], normal[0], float(dist[0])
 
 
 def boundary_quadrature(domain: Domain, m: int) -> list:

@@ -3,9 +3,11 @@
 Starting from u^0 = 0, step n solves the linearized problem in which
 g(., u, grad u) is frozen at the previous iterate while f and h stay implicit
 (resolved inside the inner fixed point of the element backend).  The H^1
-increments are recorded together with their squared ratios, which the theory
-bounds by the contraction factor gamma < 1 whenever the structure constants
-are admissible.
+increments and their ratios are recorded for reference.  What the theory
+bounds by the contraction factor gamma < 1, when the structure constants are
+admissible, is the squared ratio of the increments in the paper's weighted
+norm; :func:`weighted_increment_ratios` computes those with one adjoint
+solve.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mesh_fem
+from .coeffexpr import CoefficientSet, print_expr
 from .geometry import Domain
 from .mesh_fem import FemFunction, Mesh, h1_norm
-from .probeval import SEED_PICARD_INCREMENTS, McParams, TimeIntegralObserver
-from .reflectsim import run_paths
+from .reflectsim import run_paths  # noqa: F401  perfbench/tracing.py patches picard.run_paths
 
 
 class NoContraction(RuntimeError):
@@ -163,8 +165,10 @@ class ContractionReport:
 def contraction_report(trace: PicardTrace, weighted_ratios=None) -> ContractionReport:
     """Per-iteration squared increment ratios against the theoretical gamma.
 
-    ``weighted_ratios`` (optional) attaches the stochastic weighted-norm
-    ratios computed by :func:`weighted_increment_ratios`.
+    ``weighted_ratios``, from :func:`weighted_increment_ratios`, are the
+    ratios in the norm that gamma bounds: when given, ``exceeds_gamma``
+    compares them with gamma, and the H^1 squared ratio stays in the row as a
+    diagnostic.  Without them the H^1 squared ratio stands in.
     """
     if len(trace.iterates) < 3:
         raise TooFewIterates(
@@ -173,53 +177,67 @@ def contraction_report(trace: PicardTrace, weighted_ratios=None) -> ContractionR
     rows = []
     for i, ratio in enumerate(trace.ratios):
         sq = ratio * ratio
-        wrow = float("nan")
-        if weighted_ratios is not None and i < len(weighted_ratios):
-            wrow = weighted_ratios[i]
+        wsq = float("nan") if weighted_ratios is None else weighted_ratios[i]
+        bounded = sq if weighted_ratios is None else wsq
         rows.append(
             ContractionRow(
                 iteration=i + 2,
                 increment=trace.increments[i + 1],
                 squared_ratio=sq,
                 theoretical_gamma=trace.gamma,
-                exceeds_gamma=bool(math.isfinite(trace.gamma) and sq > trace.gamma),
-                weighted_squared_ratio=wrow,
+                exceeds_gamma=bool(math.isfinite(trace.gamma) and bounded > trace.gamma),
+                weighted_squared_ratio=wsq,
             )
         )
     return ContractionReport(rows=rows, gamma=trace.gamma)
 
 
-def weighted_increment_ratios(
-    domain: Domain,
-    trace: PicardTrace,
-    coeffs,
-    consts,
-    params: McParams,
-) -> list:
-    """Stochastic weighted-norm ratios of consecutive Picard increments.
+def adjoint_weight(mesh: Mesh, coeffs, consts) -> FemFunction:
+    """The weight psi of the paper's norm under uniform starts.
 
-    For each increment d_n = u^n - u^{n-1} estimates
-    E int_0^T e^{2 int q + lam r + mu L_r} (|d_n|^2 + |grad d_n|^2)(X_r) dr
-    under uniform starts and returns the consecutive ratios.
+    For the driftless generator, which is self-adjoint,
+    E int_0^inf e^{2 int q + lam t + mu L} F(X_t) dt = (1/|D|) int psi F dx under
+    uniform starts on D, where psi solves
+
+        (1/2) lap psi + (2q + lam) psi + 1 = 0  in D,    <grad psi, n> + 2 mu psi = 0  on dD
+
+    (inward n): the weak form with f = 1, g = 0, h = 2 mu y and q replaced by
+    2q + lam.  Raises ValueError for a nonzero drift b, under which the generator
+    is not self-adjoint, and for constants without the derived lam and mu.
     """
+    if not coeffs.b_is_zero:
+        raise ValueError("the weighted norm needs b = 0: a drift breaks self-adjointness")
+    if not getattr(consts, "derived_filled", False):
+        raise ValueError("the weighted norm needs the derived constants lam and mu")
+    weight = CoefficientSet.from_strings(
+        coeffs.dim, f="1", g=["0"] * coeffs.dim, h=f"2*({consts.mu!r})*y",
+        q=f"2*({print_expr(coeffs.q)}) + ({consts.lam!r})",
+    )
+    return mesh_fem.solve_semilinear_g_frozen(mesh, weight)
+
+
+def weighted_increment_norms(trace: PicardTrace, coeffs, consts) -> list:
+    """The paper's squared norm of each Picard increment d_n = u^n - u^{n-1},
+
+        ||d_n||^2 = E int_0^inf e^{2 int q + lam t + mu L} (|d_n|^2 + |grad d_n|^2)(X_t) dt
+
+    under uniform starts, as (1/|D|) int psi (d_n^2 + |grad d_n|^2) dx by the
+    element quadrature, with psi from :func:`adjoint_weight` solved once.
+    """
+    mesh = trace.iterates[0].mesh
+    psi = mesh.quad_w * mesh.quad_values(adjoint_weight(mesh, coeffs, consts).values)
+    psi /= mesh.areas.sum()
     norms = []
-    for n in range(1, len(trace.iterates)):
-        delta = trace.iterates[n] - trace.iterates[n - 1]
+    for prev, new in zip(trace.iterates, trace.iterates[1:]):
+        d = new.values - prev.values
+        grad = mesh.tri_gradients(d)
+        sq = mesh.quad_values(d) ** 2 + np.einsum("md,md->m", grad, grad)[:, None]
+        norms.append(float(np.sum(psi * sq)))
+    return norms
 
-        def weight_field(x, tri, _d=delta):
-            val, grad = _d.value_grad_at(x, tri)
-            return val * val + np.einsum("pd,pd->p", grad, grad)
 
-        obs = TimeIntegralObserver(
-            coeffs.q_at, F=weight_field, lam=consts.lam, mu=consts.mu, power=2,
-            mesh=delta.mesh,
-        )
-        run_paths(
-            domain, params.n_paths, params.horizon, params.step,
-            params.seed + SEED_PICARD_INCREMENTS + n, [obs],
-        )
-        norms.append(obs.estimate().mean)
-    return [
-        norms[i + 1] / norms[i] if norms[i] > 0 else float("nan")
-        for i in range(len(norms) - 1)
-    ]
+def weighted_increment_ratios(trace: PicardTrace, coeffs, consts) -> list:
+    """Ratios of consecutive squared weighted norms (:func:`weighted_increment_norms`),
+    the quantities that the contraction factor gamma bounds."""
+    norms = weighted_increment_norms(trace, coeffs, consts)
+    return [b / a if a > 0 else float("nan") for a, b in zip(norms, norms[1:])]

@@ -95,7 +95,6 @@ SEED_CALIBRATION_PROBES = 0      # calibrate_boundary_constant: + i for probe i
 SEED_SECOND_BOUNDARY_PROBE = 1   # check_conditions_C: the E[int w^2 dL] probe
 SEED_CONDITIONS_GRID = 100       # check_conditions_C: + i for grid start i
 SEED_PROBE_STRIDE = 7            # compare_frozen_at_probes: + 7 i for probe i
-SEED_PICARD_INCREMENTS = 1000    # picard.weighted_increment_ratios: + n for increment n
 
 
 def _shifted(params: McParams, seed_shift: int) -> McParams:

@@ -6,17 +6,12 @@ import pytest
 
 from reflectpde import geometry
 from reflectpde.geometry import (
-    BOUNDARY,
-    EXTERIOR,
-    INTERIOR,
     BadOrder,
     Domain,
     boundary_quadrature,
-    contains,
     eval_psi,
     interior_grid,
     project_points,
-    project_to_boundary,
 )
 
 
@@ -42,22 +37,23 @@ def test_builtin_measures_analytic():
     assert Domain.ball(3).volume == pytest.approx(4 * np.pi / 3, rel=1e-12)
 
 
-def test_contains_classification():
+def test_psi_sign_classifies_disk_points():
+    # psi > 0 inside and < 0 outside; on the boundary, and within 1e-13 of it,
+    # |psi| stays in a band of 1e-12 times the diameter
     d = Domain.disk()
-    assert contains(d, (0, 0)) == INTERIOR
-    assert contains(d, (1, 0)) == BOUNDARY
-    assert contains(d, (1.1, 0)) == EXTERIOR
+    band = 1e-12 * d.diameter
+    val, _ = eval_psi(d, np.array([[0.0, 0.0], [1.0, 0.0], [1.0 + 1e-13, 0.0], [1.1, 0.0]]))
+    assert val[0] > band and val[3] < -band
+    assert np.all(np.abs(val[1:3]) <= band)
 
 
 def test_projection_examples():
     d = Domain.disk()
-    foot, n, dist = project_to_boundary(d, (1.5, 0.0))
-    assert foot == pytest.approx([1, 0]) and n == pytest.approx([-1, 0]) and dist == 0.5
-    foot, n, dist = project_to_boundary(d, (0.5, 0.0))
-    assert foot == pytest.approx([1, 0]) and dist == 0.5
+    foot, n, dist = project_points(d, np.array([[1.5, 0.0], [0.5, 0.0], [0.0, 0.0]]))
+    assert foot == pytest.approx(np.array([[1, 0]] * 3))
+    assert n[0] == pytest.approx([-1, 0]) and list(dist[:2]) == [0.5, 0.5]
     # symmetry center resolved along the first axis
-    foot, n, dist = project_to_boundary(d, (0.0, 0.0))
-    assert foot == pytest.approx([1, 0]) and n == pytest.approx([-1, 0]) and dist == 1.0
+    assert n[2] == pytest.approx([-1, 0]) and dist[2] == 1.0
 
 
 def test_boundary_quadrature_uniform_rule():
@@ -135,9 +131,9 @@ def test_ellipse_projection_against_brute_force():
 
 def test_ellipse_medial_axis_tiebreak():
     e = Domain.ellipse(2.0, 1.0)
-    foot, _, dist = project_to_boundary(e, (0.0, 0.0))
+    foot, _, dist = project_points(e, np.array([[0.0, 0.0]]))
     # nearest points are (0, +-1); the tie-break picks the positive one
-    assert foot == pytest.approx([0, 1]) and dist == pytest.approx(1.0)
+    assert foot[0] == pytest.approx([0, 1]) and dist[0] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +341,7 @@ def test_ellipse_x1_semi_axis_is_the_longer():
     with pytest.raises(ValueError, match="a >= b"):
         Domain.ellipse(1.0, 1.5)
     e = Domain.ellipse(1.5, 1.0)
-    assert e.semi_axes == (1.5, 1.0) and contains(e, (1.4, 0.0)) == INTERIOR
+    assert e.semi_axes == (1.5, 1.0) and eval_psi(e, (1.4, 0.0))[0] > 0
     assert Domain.ellipse(1.0, 1.0).semi_axes == (1.0, 1.0)
 
 

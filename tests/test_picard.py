@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from reflectpde import coeffexpr, mesh_fem
-from reflectpde.coeffexpr import CoefficientSet, StructureConstants
+from reflectpde.coeffexpr import CoefficientSet, StructureConstants, parse_expr
 from reflectpde.mesh_fem import (
     FemFunction,
     Mesh,
@@ -15,12 +17,15 @@ from reflectpde.picard import (
     NoContraction,
     PicardTrace,
     TooFewIterates,
+    adjoint_weight,
     contraction_report,
     run_picard,
+    weighted_increment_norms,
     weighted_increment_ratios,
 )
-from reflectpde.probeval import McParams
-from .conftest import count_locations, exact_solution
+from reflectpde.probeval import TimeIntegralObserver
+from reflectpde.reflectsim import run_paths
+from .conftest import exact_solution
 
 
 def located_g_quad(mesh, coeffs, u):
@@ -168,24 +173,65 @@ def test_underived_constants_report_nan_gamma(disk, corpus_a):
 
 def test_weighted_increment_ratios_smoke(disk, corpus_b, consts_k01, meshes):
     trace = run_picard(disk, corpus_b, consts_k01, h_mesh=0.05, tol=1e-9, mesh=meshes[0.05])
-    ratios = weighted_increment_ratios(
-        disk, trace, corpus_b, consts_k01, McParams(n_paths=200, horizon=1.0, step=1e-3, seed=1)
-    )
+    ratios = weighted_increment_ratios(trace, corpus_b, consts_k01)
     assert len(ratios) == len(trace.increments) - 1
-    assert all(np.isfinite(r) or np.isnan(r) for r in ratios)
+    assert all(np.isfinite(r) for r in ratios)
     report = contraction_report(trace, weighted_ratios=ratios)
-    assert np.isfinite(report.rows[0].weighted_squared_ratio)
+    assert [r.weighted_squared_ratio for r in report.rows] == ratios
+    assert not report.any_exceeds  # the weighted ratios stay below gamma ~ 0.194
 
 
-def test_weighted_increment_ratios_locates_once_per_step(monkeypatch, disk, corpus_b, consts_k01):
-    trace = run_picard(disk, corpus_b, consts_k01, h_mesh=0.1, tol=1e-9)
-    calls = count_locations(monkeypatch)
-    weighted_increment_ratios(
-        disk, trace, corpus_b, consts_k01, McParams(n_paths=20, horizon=0.01, step=1e-3, seed=1)
+def test_exceeds_gamma_reads_the_weighted_ratios():
+    # the H^1 squared ratio 0.25 is above gamma; the weighted one, which gamma bounds, is not
+    trace = PicardTrace(
+        iterates=[None, None, None], increments=[1.0, 0.5], ratios=[0.5], gamma=0.194,
+        converged=True, n_iterations=2,
     )
-    # per increment: the uniform starts without a hint, then each of the 10 steps
-    # walks the new points from their paths' triangles one step earlier
-    assert calls == ([(20, False)] + [(20, True)] * 10) * (len(trace.iterates) - 1)
+    assert contraction_report(trace).any_exceeds
+    report = contraction_report(trace, weighted_ratios=[0.1])
+    row = report.rows[0]
+    assert row.squared_ratio == 0.25 and row.weighted_squared_ratio == 0.1
+    assert not row.exceeds_gamma and not report.any_exceeds
+    assert contraction_report(trace, weighted_ratios=[0.2]).any_exceeds
+
+
+def test_adjoint_weight_constant_closed_form(meshes, consts_k01):
+    # with mu = 0 and constant q, psi solves (2q + lam) psi + 1 = 0 with no flux
+    coeffs = CoefficientSet.from_strings(2, f="0", g=["0", "0"], h="0", q="-1")
+    consts = replace(consts_k01, mu=0.0)
+    psi = adjoint_weight(meshes[0.05], coeffs, consts)
+    assert np.max(np.abs(psi.values - 1.0 / abs(2.0 * -1.0 + consts.lam))) <= 1e-12
+
+
+def test_weighted_norm_matches_monte_carlo(disk, corpus_b, consts_k01, meshes):
+    # E int_0^T e^{2 int q + lam t + mu L} (|d|^2 + |grad d|^2)(X_t) dt under uniform
+    # starts, for the first increment d; T = 2 leaves a tail below e^{-7}.  The
+    # reflection scheme overstates the norm by 3-9 % at this step.
+    mesh = meshes[0.05]
+    trace = run_picard(disk, corpus_b, consts_k01, h_mesh=0.05, tol=1e-9, mesh=mesh)
+    fem = weighted_increment_norms(trace, corpus_b, consts_k01)[0]
+    delta = trace.iterates[1] - trace.iterates[0]
+
+    def weight_field(x, tri):
+        val, grad = delta.value_grad_at(x, tri)
+        return val * val + np.einsum("pd,pd->p", grad, grad)
+
+    obs = TimeIntegralObserver(
+        corpus_b.q_at, F=weight_field, lam=consts_k01.lam, mu=consts_k01.mu, power=2, mesh=mesh,
+    )
+    run_paths(disk, 400, 2.0, 1e-3, 1, [obs])
+    mc = obs.estimate()
+    assert abs(mc.mean - fem) <= 3.0 * mc.standard_error + 0.1 * fem
+
+
+def test_weighted_norm_refuses_a_drift_and_underived_constants(disk, corpus_b, consts_k01, meshes):
+    trace = run_picard(disk, corpus_b, consts_k01, h_mesh=0.1, tol=1e-9, mesh=meshes[0.1])
+    drift = replace(corpus_b, b=(parse_expr("x1", ("x1", "x2")), parse_expr("0")))
+    with pytest.raises(ValueError, match="b = 0"):
+        weighted_increment_ratios(trace, drift, consts_k01)
+    raw = StructureConstants(alpha=1, beta=1, K=0.1, M=4, k=0.1, beta_prime=1)
+    with pytest.raises(ValueError, match="derived"):
+        weighted_increment_ratios(trace, corpus_b, raw)
 
 
 def test_trace_export_csv(tmp_path, disk, corpus_a, consts_k0):
