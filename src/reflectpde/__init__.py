@@ -51,7 +51,7 @@ from .mesh_fem import (
     solve_g_lifting,
     solve_semilinear_g_frozen,
 )
-from .picard import NoContraction, PicardTrace, TooFewIterates, contraction_report, run_picard
+from .picard import NoContraction, PicardTrace, run_picard
 from .probeval import (
     AdmissibilityError,
     McParams,

@@ -457,7 +457,7 @@ def solve_g_lifting(mesh: Mesh, g_quad) -> FemFunction:
 
 
 class WeakForm:
-    """The discretized weak form of one (mesh, coefficients) pair.
+    """The discretized weak form of one mesh and one ``CoefficientSet``.
 
     The left-hand side is assembled on first use and factorized once, on the
     first solve.  At construction f and g are bound to the quadrature points
@@ -479,10 +479,10 @@ class WeakForm:
     def lhs(self):
         mesh = self.mesh
         nq = mesh.quad_w.shape
-        q_quad = np.asarray(self.coeffs.q_at(self._qx), dtype=float).reshape(nq)
+        q_quad = self.coeffs.q_at(self._qx).reshape(nq)
         lhs = 0.5 * mesh.stiffness() - mesh.weighted_mass(q_quad)
         if not self.coeffs.b_is_zero:  # decided from the expression, not from samples
-            b_quad = np.asarray(self.coeffs.b_at(self._qx), dtype=float).reshape(nq + (2,))
+            b_quad = self.coeffs.b_at(self._qx).reshape(nq + (2,))
             lhs = lhs - mesh.convection(b_quad)
         return lhs
 
@@ -503,15 +503,15 @@ class WeakForm:
     def divergence(self, values):
         """g(., u, grad u) at ``mesh.quad_x`` for the nodal ``values``, shape (m, 6, 2)."""
         g = self.coeffs.g_at(*self._state(values, self.coeffs.g_reads_z))
-        return np.asarray(g, dtype=float).reshape(self.mesh.quad_x.shape)
+        return g.reshape(self.mesh.quad_x.shape)
 
     def load(self, values, g_load):
         """Right-hand side with f and h at the nodal ``values``, plus ``g_load``."""
         mesh = self.mesh
         f = self.coeffs.f_at(*self._state(values, self.coeffs.f_reads_z))
         h = self.coeffs.h_at(self._ex, mesh.edge_values(values).reshape(-1))
-        f_quad = np.asarray(f, dtype=float).reshape(mesh.quad_w.shape)
-        h_edge = np.asarray(h, dtype=float).reshape(mesh.edge_w.shape)
+        f_quad = f.reshape(mesh.quad_w.shape)
+        h_edge = h.reshape(mesh.edge_w.shape)
         return mesh.load(f_quad) + g_load + 0.5 * mesh.boundary_load(h_edge)
 
     def load_residual(self, values, g_load):
@@ -565,18 +565,13 @@ class WeakForm:
         )
 
 
-def solve_semilinear_g_frozen(
-    mesh: Mesh, coeffs, g_quad=None, inner_tol: float = 1e-10, u0=None, budget: int = 200
-) -> FemFunction:
-    """One outer step: solve the problem with the divergence field frozen.
+def solve_semilinear_g_frozen(mesh: Mesh, coeffs, inner_tol: float = 1e-10) -> FemFunction:
+    """Solve with the divergence load frozen at g = 0, from u = 0.
 
-    ``coeffs`` provides ``bind(x_dom, x_bd)``, which returns data with vectorized
-    ``f_at(x, y, z)``, ``h_at(x, y)``, ``q_at(x)``, ``f_reads_z``, ``b_is_zero``
-    and, unless b is zero, ``b_at(x)`` (see ``CoefficientSet``); ``g_quad`` is the frozen
-    g at ``mesh.quad_x``, shape (m, 6, 2), or None for g = 0.  See :meth:`WeakForm.solve`.
+    ``coeffs`` is a ``CoefficientSet``; its g is not read.  To freeze another g,
+    pass its load to :meth:`WeakForm.solve`.
     """
-    g_load = np.zeros(mesh.n_nodes) if g_quad is None else mesh.gradient_load(g_quad)
-    return WeakForm(mesh, coeffs).solve(g_load, inner_tol=inner_tol, u0=u0, budget=budget)
+    return WeakForm(mesh, coeffs).solve(np.zeros(mesh.n_nodes), inner_tol=inner_tol)
 
 
 def residual_dual_norm(mesh: Mesh, coeffs, u: FemFunction) -> float:

@@ -12,7 +12,6 @@ solve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,33 +31,37 @@ class NoContraction(RuntimeError):
         self.trace = trace
 
 
-class TooFewIterates(ValueError):
-    """Contraction reporting needs at least three iterates."""
-
-
 @dataclass
 class PicardTrace:
     """Full record of one Picard run."""
 
     iterates: list                  # FemFunction, u^0 .. u^n
     increments: list                # ||u^n - u^{n-1}||_{H^1}, length n_iterations
-    ratios: list                    # increment ratios, length n_iterations - 1
     gamma: float                    # theoretical squared-increment factor (nan if unset)
-    converged: bool
-    n_iterations: int
+    converged: bool = False
     residuals: list = field(default_factory=list)  # full weak residual per iterate
     no_contraction: bool = False
     final_residual: float = float("nan")
+
+    @property
+    def n_iterations(self) -> int:
+        return len(self.increments)
+
+    @property
+    def ratios(self) -> list:
+        """Consecutive H^1 increment ratios (0 after a zero increment), length n_iterations - 1."""
+        return [b / a if a > 0 else 0.0 for a, b in zip(self.increments, self.increments[1:])]
 
     @property
     def solution(self) -> FemFunction:
         return self.iterates[-1]
 
     def export_csv(self, path):
+        ratios = self.ratios
         with open(path, "w") as out:
             out.write("iteration,increment,ratio,residual\n")
             for i, inc in enumerate(self.increments, start=1):
-                r = float(self.ratios[i - 2]) if i >= 2 else float("nan")
+                r = float(ratios[i - 2]) if i >= 2 else float("nan")
                 res = float(self.residuals[i - 1]) if i <= len(self.residuals) else float("nan")
                 out.write(f"{i},{float(inc)!r},{r!r},{res!r}\n")
 
@@ -86,10 +89,7 @@ def run_picard(
     form = mesh_fem.WeakForm(mesh, coeffs)
     gamma = consts.gamma if getattr(consts, "derived_filled", False) else float("nan")
     u = FemFunction(mesh, np.zeros(mesh.n_nodes))
-    trace = PicardTrace(
-        iterates=[u], increments=[], ratios=[], gamma=gamma,
-        converged=False, n_iterations=0,
-    )
+    trace = PicardTrace(iterates=[u], increments=[], gamma=gamma)
     # g at the latest iterate: its residual's divergence part, and the next step's frozen field
     g_load = mesh.gradient_load(form.divergence(u.values))
     start = None  # load and residual at the latest iterate, where the next solve starts
@@ -103,12 +103,8 @@ def run_picard(
         trace.increments.append(inc)
         start = form.load_residual(u_new.values, g_load)
         trace.residuals.append(start[1])
-        trace.n_iterations = n
         if n >= 2:
-            prev = trace.increments[-2]
-            ratio = inc / prev if prev > 0 else 0.0
-            trace.ratios.append(ratio)
-            bad_run = bad_run + 1 if ratio > 1.0 else 0
+            bad_run = bad_run + 1 if trace.ratios[-1] > 1.0 else 0
             if bad_run >= 3:
                 trace.no_contraction = True
                 if not override:
@@ -121,75 +117,6 @@ def run_picard(
         trace.residuals[-1] if trace.residuals else form.residual(u.values, g_load)
     )
     return trace
-
-
-@dataclass
-class ContractionRow:
-    iteration: int
-    increment: float
-    squared_ratio: float
-    theoretical_gamma: float
-    exceeds_gamma: bool
-    weighted_squared_ratio: float = float("nan")
-
-
-@dataclass
-class ContractionReport:
-    rows: list
-    gamma: float
-
-    @property
-    def any_exceeds(self) -> bool:
-        return any(r.exceeds_gamma for r in self.rows)
-
-    def __str__(self) -> str:
-        out = [
-            f"theoretical gamma = {self.gamma:.6f}"
-            if math.isfinite(self.gamma)
-            else "theoretical gamma unavailable (constants not derived)"
-        ]
-        for r in self.rows:
-            extra = (
-                f"  weighted {r.weighted_squared_ratio:.4f}"
-                if math.isfinite(r.weighted_squared_ratio)
-                else ""
-            )
-            out.append(
-                f"  n={r.iteration:3d} increment {r.increment:.3e} "
-                f"squared ratio {r.squared_ratio:.4f}"
-                f"{'  (> gamma)' if r.exceeds_gamma else ''}{extra}"
-            )
-        return "\n".join(out)
-
-
-def contraction_report(trace: PicardTrace, weighted_ratios=None) -> ContractionReport:
-    """Per-iteration squared increment ratios against the theoretical gamma.
-
-    ``weighted_ratios``, from :func:`weighted_increment_ratios`, are the
-    ratios in the norm that gamma bounds: when given, ``exceeds_gamma``
-    compares them with gamma, and the H^1 squared ratio stays in the row as a
-    diagnostic.  Without them the H^1 squared ratio stands in.
-    """
-    if len(trace.iterates) < 3:
-        raise TooFewIterates(
-            f"need at least 3 iterates, have {len(trace.iterates)}"
-        )
-    rows = []
-    for i, ratio in enumerate(trace.ratios):
-        sq = ratio * ratio
-        wsq = float("nan") if weighted_ratios is None else weighted_ratios[i]
-        bounded = sq if weighted_ratios is None else wsq
-        rows.append(
-            ContractionRow(
-                iteration=i + 2,
-                increment=trace.increments[i + 1],
-                squared_ratio=sq,
-                theoretical_gamma=trace.gamma,
-                exceeds_gamma=bool(math.isfinite(trace.gamma) and bounded > trace.gamma),
-                weighted_squared_ratio=wsq,
-            )
-        )
-    return ContractionReport(rows=rows, gamma=trace.gamma)
 
 
 def adjoint_weight(mesh: Mesh, coeffs, consts) -> FemFunction:

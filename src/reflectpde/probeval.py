@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffexpr import require_points
+from .coeffexpr import CoefficientSet
 from .geometry import Domain, boundary_quadrature, interior_grid
 from .mesh_fem import (
-    FemFunction, Mesh, WeakForm, build_mesh, solve_g_lifting, solve_semilinear_g_frozen,
+    FemFunction, WeakForm, build_mesh, solve_g_lifting, solve_semilinear_g_frozen,
 )
 from .reflectsim import Estimate, PathObserver, run_paths
 
@@ -358,7 +358,13 @@ def _run_fk(domain: Domain, x0, obs: WeightedObserver, params: McParams, context
     Raises :class:`AdmissibilityError`, after the run, when the fit shows no
     exponential decay; otherwise fills ``params.truncation_tail_bound`` with
     (sup|F| + |c| sup|H| rate) times the fit's tail integral past the horizon.
+    Both sups are taken before the run, so a domain with no boundary rule
+    fails before any path is drawn.
     """
+    fmax = 0.0 if obs.F is None else float(
+        np.max(np.abs(np.asarray(obs.F(interior_grid(domain, 32)))))
+    )
+    hmax = _boundary_max(domain, obs.H)
     est, fit = _run_and_fit(domain, x0, obs, params)
     if not fit.decays:
         raise AdmissibilityError(
@@ -366,13 +372,9 @@ def _run_fk(domain: Domain, x0, obs: WeightedObserver, params: McParams, context
             f"(fitted theta={fit.theta:g}); the infinite-horizon integral "
             "cannot be truncated"
         )
-    fmax = 0.0 if obs.F is None else float(
-        np.max(np.abs(np.asarray(obs.F(interior_grid(domain, 32)))))
-    )
     rate = domain.boundary_measure / domain.volume
     params.truncation_tail_bound = float(
-        (fmax + abs(obs.c) * _boundary_max(domain, obs.H) * rate)
-        * fit.tail_integral(params.horizon)
+        (fmax + abs(obs.c) * hmax * rate) * fit.tail_integral(params.horizon)
     )
     return est
 
@@ -427,45 +429,6 @@ class CalibrationResult:
         return "\n".join([f"c_bd = {self.c_bd:.5f}"] + rows)
 
 
-class _LinearData:
-    """Adapter exposing frozen fields with the coefficient-set call signatures."""
-
-    b_is_zero = True
-    f_reads_z = False
-
-    def __init__(self, q, F, H):
-        self._q, self._F, self._H = q, F, H
-
-    def bind(self, x_dom, x_bd) -> "_LinearData":
-        """F at ``x_dom`` and H at ``x_bd``, evaluated once; see ``CoefficientSet.bind``."""
-        return _LinearData(self._q, _bound(self._F, x_dom), _bound(self._H, x_bd))
-
-    def q_at(self, x):
-        return np.asarray(self._q(x), dtype=float)
-
-    def f_at(self, x, y, z):
-        return np.asarray(self._F(x), dtype=float)
-
-    def h_at(self, x, y):
-        return np.asarray(self._H(x), dtype=float)
-
-
-def _bound(fn, points):
-    """``fn`` evaluated once at ``points``; at any other points it raises PointMismatch."""
-    values = fn(points)
-
-    def at(x):
-        require_points(x, points, "a frozen field")
-        return values
-
-    return at
-
-
-def fem_linear_solve(mesh: Mesh, q, F, H) -> FemFunction:
-    """Finite-element solution of (1/2) lap v + q v + F = 0, <grad v, n> + H = 0."""
-    return solve_semilinear_g_frozen(mesh, _LinearData(q, F, H), inner_tol=1e-11)
-
-
 def calibrate_boundary_constant(
     domain: Domain,
     params: McParams,
@@ -486,10 +449,9 @@ def calibrate_boundary_constant(
     probes = np.asarray(probes, dtype=float)
     q = lambda x: -np.ones(len(x))  # noqa: E731
     one = lambda x: np.ones(len(x))  # noqa: E731
-    zero = lambda x: np.zeros(len(x))  # noqa: E731
-    mesh = build_mesh(domain, mesh_h)
     # FEM problem with h-data = 2 c_bd * phi at the analytic c_bd = 1/2
-    v = fem_linear_solve(mesh, q, zero, one)
+    calibration = CoefficientSet.from_strings(2, f="0", g=["0", "0"], h="1", q="-1")
+    v = solve_semilinear_g_frozen(build_mesh(domain, mesh_h), calibration, inner_tol=1e-11)
     fem_vals = v.value_at(probes)
     ests = [
         fk_pure_boundary(

@@ -49,7 +49,7 @@ class Estimate:
     """Monte-Carlo estimate as mergeable sufficient statistics.
 
     Stores (n, mean, m2), m2 the sum of squared deviations from the mean; the
-    variance, the standard error and the sums ``total`` and ``total_sq`` are
+    variance, the standard error and the sum of squares ``total_sq`` are
     derived.  Merging is the pairwise update of Chan, Golub & LeVeque, so it
     preserves the pooled mean and variance, also when the mean is large
     against the spread.
@@ -65,10 +65,6 @@ class Estimate:
         mean = float(v.sum()) / v.size
         dev = v - mean
         return cls(n_samples=v.size, mean=mean, m2=float((dev * dev).sum()))
-
-    @property
-    def total(self) -> float:
-        return self.n_samples * self.mean
 
     @property
     def total_sq(self) -> float:

@@ -30,7 +30,6 @@ from reflectpde.mesh_fem import (
     solve_semilinear_g_frozen,
 )
 from reflectpde.reflectsim import PathObserver, run_paths
-from reflectpde.probeval import _LinearData
 from .conftest import F_A, F_B, G_B, H_A, H_B, exact_solution
 
 
@@ -232,7 +231,8 @@ def test_galerkin_orthogonality(meshes):
         2, f="x1 + 0.3*x2", g=["x2", "x1"], h="x1", q="-1"
     )
     mesh = meshes[0.05]
-    u = solve_semilinear_g_frozen(mesh, c, g_quad=mesh.quad_x[..., ::-1], inner_tol=1e-12)
+    g_load = mesh.gradient_load(mesh.quad_x[..., ::-1])
+    u = mesh_fem.WeakForm(mesh, c).solve(g_load, inner_tol=1e-12)
     res = residual_dual_norm(mesh, c, u)
     assert res <= 1e-10
 
@@ -243,8 +243,9 @@ def test_inner_divergence_reported(meshes):
     # no solution: against v = 1 the weak form asks int (e^u - u + 1) = 0, and the
     # integrand is at least 2, so any inner solver must give up
     c = CoefficientSet.from_strings(2, f="exp(y) + 1", g=["0", "0"], h="0", q="-1")
+    form = mesh_fem.WeakForm(meshes[0.1], c)
     with pytest.raises(InnerDivergence) as err:
-        solve_semilinear_g_frozen(meshes[0.1], c, inner_tol=1e-12, budget=40)
+        form.solve(np.zeros(meshes[0.1].n_nodes), inner_tol=1e-12, budget=40)
     assert err.value.residual > 0 or not np.isfinite(err.value.residual)
 
 
@@ -285,12 +286,8 @@ def test_inner_loads_corpus_b(monkeypatch, meshes, corpus_b):
 
 
 def test_inner_loads_data_independent_of_the_solution(monkeypatch, meshes):
-    from reflectpde.probeval import _LinearData
-
     # an affine map: two steps of the accelerated iteration reach its fixed point
-    data = _LinearData(
-        lambda x: -np.ones(len(x)), lambda x: x[:, 0] ** 2 - 2.0, lambda x: 2.0 * np.ones(len(x))
-    )
+    data = CoefficientSet.from_strings(2, f="x1^2 - 2", g=["0", "0"], h="2", q="-1")
     loads = _count_loads(monkeypatch)
     solve_semilinear_g_frozen(meshes[0.05], data, inner_tol=1e-11)
     assert len(loads) <= 3  # the plain damped iteration takes 38
@@ -318,9 +315,8 @@ def _unbound_load(mesh, coeffs, values, g_load):
 
 
 def _linear_data():
-    return _LinearData(
-        lambda x: -np.ones(len(x)), lambda x: x[:, 0] ** 2 - 2.0, lambda x: 2.0 - x[:, 1]
-    )
+    """Data that does not read the solution."""
+    return CoefficientSet.from_strings(2, f="x1^2 - 2", g=["0", "0"], h="2 - x2", q="-1")
 
 
 def test_bound_load_is_bit_identical(meshes, corpus_b):
@@ -329,8 +325,7 @@ def test_bound_load_is_bit_identical(meshes, corpus_b):
     z_reading = CoefficientSet.from_strings(2, f=F_B + " + 0.1*x1*z2", g=G_B, h=H_B, q="-1")
     for coeffs in (corpus_b, z_reading, _linear_data()):
         form = mesh_fem.WeakForm(mesh, coeffs)
-        linear = isinstance(coeffs, _LinearData)  # g = 0, and no g_at
-        g_load = np.zeros(mesh.n_nodes) if linear else mesh.gradient_load(form.divergence(u))
+        g_load = mesh.gradient_load(form.divergence(u))
         assert np.array_equal(form.load(u, g_load), _unbound_load(mesh, coeffs, u, g_load))
     g_reading = CoefficientSet.from_strings(2, f=F_A, g=["0.1*tanh(z1)", "x1*y"], h=H_A, q="-1")
     want = g_reading.g_at(mesh.quad_x.reshape(-1, 2), mesh.quad_values(u).reshape(-1),

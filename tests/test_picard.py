@@ -5,20 +5,11 @@ import pytest
 
 from reflectpde import coeffexpr, mesh_fem
 from reflectpde.coeffexpr import CoefficientSet, StructureConstants, parse_expr
-from reflectpde.mesh_fem import (
-    FemFunction,
-    Mesh,
-    build_mesh,
-    h1_error,
-    h1_norm,
-    solve_semilinear_g_frozen,
-)
+from reflectpde.mesh_fem import FemFunction, Mesh, WeakForm, build_mesh, h1_error, h1_norm
 from reflectpde.picard import (
     NoContraction,
     PicardTrace,
-    TooFewIterates,
     adjoint_weight,
-    contraction_report,
     run_picard,
     weighted_increment_norms,
     weighted_increment_ratios,
@@ -28,11 +19,11 @@ from reflectpde.reflectsim import run_paths
 from .conftest import exact_solution
 
 
-def located_g_quad(mesh, coeffs, u):
-    """g(., u, grad u) at ``mesh.quad_x``, with u evaluated by point location."""
+def located_g_load(mesh, coeffs, u):
+    """The load of g(., u, grad u) at ``mesh.quad_x``, with u evaluated by point location."""
     val, grad = u.value_grad_at(mesh.quad_x.reshape(-1, 2))
     g = coeffs.g_at(mesh.quad_x.reshape(-1, 2), val, grad)
-    return np.asarray(g, dtype=float).reshape(mesh.quad_x.shape)
+    return mesh.gradient_load(g.reshape(mesh.quad_x.shape))
 
 
 def test_frozen_g_converges_in_two_steps(disk, corpus_a, consts_k0):
@@ -101,42 +92,24 @@ def test_discrete_fixed_point(disk, corpus_b, consts_k01, meshes):
     trace = run_picard(disk, corpus_b, consts_k01, h_mesh=0.05, tol=1e-9, mesh=meshes[0.05])
     # one extra outer step changes the iterate by at most the tolerance scale
     u = trace.solution
-    u_next = solve_semilinear_g_frozen(
-        meshes[0.05], corpus_b, located_g_quad(meshes[0.05], corpus_b, u),
-        inner_tol=1e-10, u0=u.values,
+    u_next = WeakForm(meshes[0.05], corpus_b).solve(
+        located_g_load(meshes[0.05], corpus_b, u), inner_tol=1e-10, u0=u.values
     )
     assert h1_norm(u_next - u) <= 10 * 1e-9
 
 
-def test_contraction_report_rows(disk, corpus_b, consts_k01, meshes):
+def test_h1_squared_ratios_stay_below_gamma(disk, corpus_b, consts_k01, meshes):
     trace = run_picard(disk, corpus_b, consts_k01, h_mesh=0.05, tol=1e-9, mesh=meshes[0.05])
-    report = contraction_report(trace)
-    assert len(report.rows) == len(trace.ratios)
-    assert not report.any_exceeds  # observed ratios stay below gamma ~ 0.194
-    assert "gamma" in str(report)
+    assert len(trace.ratios) == trace.n_iterations - 1
+    assert all(r * r <= trace.gamma for r in trace.ratios)  # gamma ~ 0.194
 
 
-def test_contraction_report_squared_ratios():
-    # increments [1, 0.2, 0.04] -> squared ratios [0.04, 0.04]
-    trace = PicardTrace(
-        iterates=[None, None, None, None],
-        increments=[1.0, 0.2, 0.04],
-        ratios=[0.2, 0.2],
-        gamma=0.194,
-        converged=True,
-        n_iterations=3,
-    )
-    report = contraction_report(trace)
-    assert [r.squared_ratio for r in report.rows] == pytest.approx([0.04, 0.04])
-
-
-def test_too_few_iterates():
-    trace = PicardTrace(
-        iterates=[None, None], increments=[1.0], ratios=[], gamma=0.1,
-        converged=False, n_iterations=1,
-    )
-    with pytest.raises(TooFewIterates):
-        contraction_report(trace)
+def test_trace_ratios_follow_the_increments():
+    # increments [1, 0.2, 0.04] -> ratios [0.2, 0.2]; a zero increment is followed by 0
+    trace = PicardTrace(iterates=[None] * 6, increments=[1.0, 0.2, 0.04, 0.0, 0.0], gamma=0.194)
+    assert trace.n_iterations == 5
+    assert trace.ratios == pytest.approx([0.2, 0.2, 0.0, 0.0])
+    assert PicardTrace(iterates=[None], increments=[], gamma=0.194).ratios == []
 
 
 def test_no_contraction_raised(disk):
@@ -166,9 +139,6 @@ def test_underived_constants_report_nan_gamma(disk, corpus_a):
     raw = StructureConstants(alpha=1, beta=1, K=0.1, M=4, k=0.0, beta_prime=1)
     trace = run_picard(disk, corpus_a, raw, h_mesh=0.1, tol=1e-8)
     assert np.isnan(trace.gamma)
-    report = contraction_report(trace) if len(trace.iterates) >= 3 else None
-    if report is not None:
-        assert "unavailable" in str(report)
 
 
 def test_weighted_increment_ratios_smoke(disk, corpus_b, consts_k01, meshes):
@@ -176,23 +146,7 @@ def test_weighted_increment_ratios_smoke(disk, corpus_b, consts_k01, meshes):
     ratios = weighted_increment_ratios(trace, corpus_b, consts_k01)
     assert len(ratios) == len(trace.increments) - 1
     assert all(np.isfinite(r) for r in ratios)
-    report = contraction_report(trace, weighted_ratios=ratios)
-    assert [r.weighted_squared_ratio for r in report.rows] == ratios
-    assert not report.any_exceeds  # the weighted ratios stay below gamma ~ 0.194
-
-
-def test_exceeds_gamma_reads_the_weighted_ratios():
-    # the H^1 squared ratio 0.25 is above gamma; the weighted one, which gamma bounds, is not
-    trace = PicardTrace(
-        iterates=[None, None, None], increments=[1.0, 0.5], ratios=[0.5], gamma=0.194,
-        converged=True, n_iterations=2,
-    )
-    assert contraction_report(trace).any_exceeds
-    report = contraction_report(trace, weighted_ratios=[0.1])
-    row = report.rows[0]
-    assert row.squared_ratio == 0.25 and row.weighted_squared_ratio == 0.1
-    assert not row.exceeds_gamma and not report.any_exceeds
-    assert contraction_report(trace, weighted_ratios=[0.2]).any_exceeds
+    assert all(r <= trace.gamma for r in ratios)  # the paper's claim: gamma ~ 0.194 bounds them
 
 
 def test_adjoint_weight_constant_closed_form(meshes, consts_k01):
@@ -272,8 +226,8 @@ def test_picard_matches_located_reference(disk, corpus_b, consts_k01, meshes):
     # with one full solve per outer step
     u = FemFunction(mesh, np.zeros(mesh.n_nodes))
     for n in range(1, 51):
-        u_new = solve_semilinear_g_frozen(
-            mesh, corpus_b, located_g_quad(mesh, corpus_b, u), inner_tol=1e-10, u0=u.values
+        u_new = WeakForm(mesh, corpus_b).solve(
+            located_g_load(mesh, corpus_b, u), inner_tol=1e-10, u0=u.values
         )
         inc = h1_norm(u_new - u)
         u = u_new

@@ -4,7 +4,9 @@ import pytest
 from reflectpde import probeval
 from reflectpde.coeffexpr import CoefficientSet
 from reflectpde.geometry import Domain
-from reflectpde.mesh_fem import FemFunction, Mesh, solve_g_lifting, solve_semilinear_g_frozen
+from reflectpde.mesh_fem import (
+    FemFunction, Mesh, WeakForm, solve_g_lifting, solve_semilinear_g_frozen,
+)
 from reflectpde.probeval import (
     AdmissibilityError,
     BoundaryIntegralObserver,
@@ -18,7 +20,6 @@ from reflectpde.probeval import (
     check_conditions_C,
     compare_frozen_at_probes,
     estimate_decay,
-    fem_linear_solve,
     fk_linear_frozen,
     fk_pure_boundary,
     martingale_residual_test,
@@ -322,6 +323,18 @@ def test_fk_linear_evaluates_q_once_per_step(disk):
     assert len(calls) == 20
 
 
+def test_fk_without_a_boundary_rule_fails_before_any_run(monkeypatch):
+    # no boundary quadrature on the 4-ball: sup|H| of the tail bound is taken first
+    ball = Domain.ball(4)
+    runs, _ = _spy(monkeypatch, "run_paths")
+    p = params(n=50, T=0.5, h=1e-2)
+    with pytest.raises(NotImplementedError):
+        fk_pure_boundary(ball, np.zeros(4), Q_MINUS_ONE, ONE, p)
+    with pytest.raises(NotImplementedError):
+        fk_linear_frozen(ball, np.zeros(4), Q_MINUS_ONE, ONE, ONE, p)
+    assert runs == []
+
+
 def test_fk_unit_source_exact(disk):
     # F = 1, H = 0, q = -1: v = 1; the in-step exponential rule is exact here
     p = params(n=40, T=16.0)
@@ -348,10 +361,11 @@ def test_fk_boundary_reduces_to_linear_frozen(disk):
     assert a.mean == pytest.approx(b.mean, abs=1e-12)
 
 
-def test_fem_linear_solve_matches_bessel(disk, meshes):
+def test_calibration_problem_fem_matches_bessel(disk, meshes):
     from scipy.special import iv
 
-    v = fem_linear_solve(meshes[0.025], Q_MINUS_ONE, ZERO, ONE)
+    calibration = CoefficientSet.from_strings(2, f="0", g=["0", "0"], h="1", q="-1")
+    v = solve_semilinear_g_frozen(meshes[0.025], calibration, inner_tol=1e-11)
     r = np.array([0.0, 0.3, 0.6, 0.9])
     probes = np.stack([r, np.zeros(4)], axis=1)
     exact = iv(0, np.sqrt(2) * r) / (np.sqrt(2) * iv(1, np.sqrt(2)))
@@ -364,7 +378,7 @@ def test_fk_with_divergence_against_fem(disk, meshes):
         2, f="1 - x1", g=["x1", "x2"], h="0.5 + x2", q="-1"
     )
     mesh = meshes[0.05]
-    u = solve_semilinear_g_frozen(mesh, coeffs, g_quad=mesh.quad_x, inner_tol=1e-11)
+    u = WeakForm(mesh, coeffs).solve(mesh.gradient_load(mesh.quad_x), inner_tol=1e-11)
     x0 = np.array([0.2, -0.1])
     p = params(n=1500, T=10.0, h=1e-3, seed=8)
     cmp = compare_frozen_at_probes(disk, u, coeffs, p, probes=[x0])

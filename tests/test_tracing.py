@@ -1,8 +1,10 @@
-"""The perfbench tracer patches package attributes by name; they must all exist.
+"""The benchmark reaches into the package by name; those names must keep working.
 
-The tracer lives outside the package (perfbench/tracing.py) and is only
-imported by the benchmark, so a renamed or deleted function it wraps would
-otherwise fail only traced benchmark runs.
+The tracer (perfbench/tracing.py) patches package attributes by name, and the
+workloads (perfbench/workloads.py) call package functions with keyword
+arguments.  Both live outside the package and are only imported by the
+benchmark, so a renamed or deleted function, or a narrowed signature, would
+otherwise fail only benchmark runs.
 """
 
 import importlib.util
@@ -10,15 +12,20 @@ from pathlib import Path
 
 from reflectpde import mesh_fem
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 _MISSING = object()
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("perfbench_tracing", TRACING)
 
 
 def test_tracer_installs_and_restores_every_patched_attribute():
@@ -33,3 +40,12 @@ def test_tracer_installs_and_restores_every_patched_attribute():
         tracer.uninstall()
     after = [owner.__dict__.get(attr, _MISSING) for owner, attr in slots]
     assert all(now is then for now, then in zip(after, before))
+
+
+def test_every_workload_sets_up(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports its sibling checks.py
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload(seed=1, workdir=workdir).setup()
