@@ -124,12 +124,13 @@ def _phi1(a: np.ndarray) -> np.ndarray:
 
 
 class _StepMemo:
-    """``fn`` evaluated once per input array.
+    """``fn`` evaluated once per step block.
 
-    The engine hands every observer of a step the same ``x_prev`` array, so
-    functions of it called by several observers, or by an observer and its
-    data, share one evaluation.  The array is held, so its identity is not
-    reused; the engine does not modify it in place.
+    The engine hands every observer of a block the same ``x_prev`` array, a
+    view it makes afresh for each block, so functions of it called by several
+    observers, or by an observer and its data, share one evaluation.  The
+    view is held while its value is, so its identity is not reused for
+    another block's points although the engine reuses the memory under it.
     """
 
     def __init__(self, fn):
@@ -139,6 +140,11 @@ class _StepMemo:
         if x is not self._x:
             self._x, self._v = x, np.asarray(self.fn(x), dtype=float)
         return self._v
+
+
+def _rows(first, rest, m: int):
+    """Values at a block's step starts: ``first``, then ``rest`` less its last m rows."""
+    return np.concatenate([first, rest[:-m]])
 
 
 class WeightedObserver(PathObserver):
@@ -154,9 +160,12 @@ class WeightedObserver(PathObserver):
     ``estimate()`` the horizon.  At ``fit_steps`` the weight e^{E} itself is
     recorded, and ``decay_fit`` fits its decay from the run's own paths.
     With a ``mesh``, for data on it, each path keeps its triangle: the start
-    points are located once, and each step walks the new points from their
-    paths' triangles one step earlier.  F and H are then called as F(x, tri)
-    and H(x, tri) with the triangles of their points; Phi is always Phi(x).
+    points are located once, and each block's new points are walked from
+    their paths' triangles at the block's start.  F and H are then called as
+    F(x, tri) and H(x, tri) with the triangles of their points; Phi is always
+    Phi(x).  q, F and H are evaluated once per block on all its points; the
+    sums run step by step, in the order of a one-step-at-a-time loop, so the
+    samples do not depend on the block length.
     """
 
     def __init__(self, q, F=None, H=None, Phi=None, c=1.0, lam=0.0, mu=0.0, power=1,
@@ -173,25 +182,46 @@ class WeightedObserver(PathObserver):
         self._bnd = None if self.H is None else np.zeros(n)
         self._tri = None if self.mesh is None else self.mesh.find_triangles(x0)
 
-    def step(self, ctx):
-        a = (self.lam + self.power * np.asarray(self.q(ctx.x_prev), dtype=float)) * ctx.h
-        at_prev, at_new = (ctx.x_prev,), (ctx.x_new,)
+    def step(self, blk):
+        k, m = blk.dl.shape
+        q = np.asarray(self.q(blk.x_prev), dtype=float).reshape(k, m)
+        a = (self.lam + self.power * q) * blk.h
+        at_prev, at_new = (blk.x_prev,), (blk.x_new,)
         if self._tri is not None:
-            at_prev = (ctx.x_prev, self._tri)
-            self._tri = self.mesh.find_triangles(ctx.x_new, self._tri)
-            at_new = (ctx.x_new, self._tri)
+            tri = self.mesh.find_triangles(blk.x_new, np.tile(self._tri, k))
+            at_prev, at_new = (blk.x_prev, _rows(self._tri, tri, m)), (blk.x_new, tri)
+            self._tri = tri[-m:]
+        # expo[s]: the exponent before step j + s, advanced as expo += a + mu dl
+        expo = np.empty((k + 1, m))
+        expo[0] = self._expo
+        expo[1:] = a + self.mu * blk.dl
+        np.add.accumulate(expo, axis=0, out=expo)
         if self._time is not None:
-            fv = np.asarray(self.F(*at_prev), dtype=float)
-            self._time += fv * np.exp(self._expo) * ctx.h * _phi1(a)
-        if self._bnd is not None and ctx.hit.any():
-            hit = ctx.hit
-            hv = np.asarray(self.H(*(v[hit] for v in at_new)), dtype=float)
-            self._bnd[hit] += np.exp(self._expo[hit]) * hv * self.c * ctx.dl[hit]
-        self._expo += a + self.mu * ctx.dl
-        if ctx.j + 1 in self._values:
-            self._values[ctx.j + 1].append(self._value(ctx.x_new))
-        if ctx.j + 1 in self._weights:
-            self._weights[ctx.j + 1].append(np.exp(self._expo))
+            fv = np.asarray(self.F(*at_prev), dtype=float).reshape(k, m)
+            time = fv * np.exp(expo[:-1]) * blk.h * _phi1(a)
+        if self._bnd is not None:
+            rows, cols = np.nonzero(blk.hit)  # step-major, as the loop met them
+            bnd = np.zeros(0)
+            if rows.size:
+                flat = rows * m + cols
+                hv = np.asarray(self.H(*(v[flat] for v in at_new)), dtype=float)
+                bnd = np.exp(expo[rows, cols]) * hv * self.c * blk.dl[rows, cols]
+        # the sums up to each step whose value or weight is read, then to the block's end
+        stops = [s for s in range(1, k) if blk.j + s in self._values or blk.j + s in self._weights]
+        lo = 0
+        for s0, s1 in zip([0] + stops, stops + [k]):
+            if self._time is not None:
+                for row in time[s0:s1]:
+                    self._time += row
+            if self._bnd is not None:
+                hi = np.searchsorted(rows, s1)
+                np.add.at(self._bnd, cols[lo:hi], bnd[lo:hi])
+                lo = hi
+            self._expo = expo[s1]
+            if blk.j + s1 in self._values:
+                self._values[blk.j + s1].append(self._value(blk.x[s1]))
+            if blk.j + s1 in self._weights:
+                self._weights[blk.j + s1].append(np.exp(self._expo))
 
     def end_chunk(self, x_final):
         self._values[None].append(self._value(x_final))
@@ -243,9 +273,10 @@ class ResidualObserver(PathObserver):
     scheme bias is the field-independent O(sqrt(h_t)) overshoot effect.  The
     observer also accumulates the quadratic-variation predictor
     int |grad u|^2 dr and the explicit martingale sum for diagnostics.
-    Each path keeps its triangle from step to step as the hint of the next
-    point location.  ``q_at`` is evaluated once per step; an observer of the
-    same run that takes it as its q shares that evaluation.
+    Each path keeps its triangle from block to block as the hint of the next
+    point location.  ``q_at`` is evaluated once per block, on all of a block
+    that ``n_end`` cuts short too; an observer of the same run that takes it
+    as its q shares that evaluation.
     """
 
     def __init__(self, u: FemFunction, coeffs, n_end: int):
@@ -273,34 +304,44 @@ class ResidualObserver(PathObserver):
         self._qv = np.zeros(len(indices))
         self._uend = None
 
-    def step(self, ctx):
-        if ctx.j >= self.n_end:
+    def step(self, blk):
+        k = min(len(blk.dl), self.n_end - blk.j)  # the block's steps before n_end
+        if k <= 0:
             return
-        self._tri = self.u.mesh.find_triangles(ctx.x_new, self._tri)
-        val, grad = self.u.value_grad_at(ctx.x_new, self._tri)
-        q_prev = self.q_at(ctx.x_prev)
-        f_prev = np.asarray(
-            self.coeffs.f_at(ctx.x_prev, self._uprev, self._gprev), dtype=float
-        )
-        self._drift += (q_prev * self._uprev + f_prev) * ctx.h
+        m = blk.dl.shape[1]
+        n = k * m
+        x_prev, x_new = blk.x_prev[:n], blk.x_new[:n]
+        dB = blk.dB[:k].reshape(n, -1)
+        tri = self.u.mesh.find_triangles(x_new, np.tile(self._tri, k))
+        self._tri = tri[-m:]
+        val, grad = self.u.value_grad_at(x_new, tri)
+        u_prev, g_prev = _rows(self._uprev, val, m), _rows(self._gprev, grad, m)
+        q_prev = self.q_at(blk.x_prev)[:n]
+        f_prev = np.asarray(self.coeffs.f_at(x_prev, u_prev, g_prev), dtype=float)
+        sums = [(self._drift, (q_prev * u_prev + f_prev) * blk.h)]
         if not self._g_zero:
-            g_cur = self.coeffs.g_at(ctx.x_new, val, grad)
-            self._star -= np.einsum("pd,pd->p", g_cur - self._gpath_prev, ctx.dB)
-            self._gpath_prev = g_cur
-        if ctx.hit.any():
-            hit = ctx.hit
-            flux = -np.asarray(self.coeffs.h_at(ctx.x_new[hit], val[hit]), dtype=float)
+            g_cur = self.coeffs.g_at(x_new, val, grad)
+            star = np.einsum("pd,pd->p", g_cur - _rows(self._gpath_prev, g_cur, m), dB)
+            sums.append((self._star, -star))
+            self._gpath_prev = g_cur[-m:]
+        sums.append((self._mg, np.einsum("pd,pd->p", g_prev, dB)))
+        sums.append((self._qv, np.einsum("pd,pd->p", g_prev, g_prev) * blk.h))
+        for acc, terms in sums:
+            for row in terms.reshape(k, m):
+                acc += row
+        rows, cols = np.nonzero(blk.hit[:k])
+        if rows.size:
+            hit = rows * m + cols
+            flux = -np.asarray(self.coeffs.h_at(x_new[hit], val[hit]), dtype=float)
             if not self._g_zero:
                 flux = flux + 2.0 * np.einsum(
-                    "pd,pd->p", g_cur[hit], ctx.normal[hit]
+                    "pd,pd->p", g_cur[hit], blk.normal[rows, cols]
                 )
-            self._lt[hit] += flux * ctx.push[hit]
-        self._mg += np.einsum("pd,pd->p", self._gprev, ctx.dB)
-        self._qv += np.einsum("pd,pd->p", self._gprev, self._gprev) * ctx.h
-        self._uprev = val
-        self._gprev = grad
-        if ctx.j + 1 == self.n_end:
-            self._uend = val.copy()
+            np.add.at(self._lt, cols, flux * blk.push[rows, cols])
+        self._uprev = val[-m:]
+        self._gprev = grad[-m:]
+        if blk.j + k == self.n_end:
+            self._uend = self._uprev.copy()
 
     def end_chunk(self, x_final):
         uend = self._uend if self._uend is not None else self._uprev

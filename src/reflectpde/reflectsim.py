@@ -22,6 +22,16 @@ path functionals that need it (e.g. the martingale-residual check) use the
 Reproducibility.  Path i of a run draws all of its randomness from a
 counter-based Philox stream keyed by (seed, i): the same (seed, i) gives the
 same path bit for bit, independently of batch size or chunking.
+
+The batch engine.  :func:`run_paths` steps a chunk of paths one step at a
+time and hands observers a :class:`StepBlock` of k consecutive steps at a
+time: the positions, increments, pushes, local-time increments, hit masks
+and normals of those steps, as views into buffers that the engine reuses,
+valid only during the observer's call.  An observer evaluates its data once
+per block, on all k m points of a chunk of m paths, and keeps its sums in
+step order, so nothing it returns depends on k.  The engine's memory is the
+noise of ``block`` steps (min(n_paths, chunk_size) * block * d doubles) plus
+the buffers of one observer block, about ``BLOCK_PATH_STEPS`` path-steps.
 """
 
 from __future__ import annotations
@@ -172,18 +182,22 @@ def check_step(domain: Domain, T: float, h_t: float) -> int:
     return int(round(T / h_t)) if T > 0 else 0
 
 
-def _reflect(domain: Domain, proposals: np.ndarray):
+def _reflect(domain: Domain, proposals: np.ndarray, out=None):
     """Project proposals back into the closed domain.
 
     Returns (x_new, push, hit, normal); push is the raw overshoot distance,
     normal the inward unit normal at the foot (zero rows off the boundary).
+    ``out = (x_new, push, normal)`` are arrays to write the results into: x_new
+    holding the proposals (it may be ``proposals`` itself), push and normal
+    zero.
     """
-    x_new = proposals.copy()
-    push = np.zeros(len(proposals))
-    normal = np.zeros_like(proposals)
+    if out is None:
+        out = (proposals.copy(), np.zeros(len(proposals)), np.zeros_like(proposals))
+    x_new, push, normal = out
     hit = outside(domain, proposals)
-    if hit.any():
-        x_new[hit], normal[hit], push[hit] = project_points(domain, proposals[hit])
+    at = np.flatnonzero(hit)  # few hits: indices index faster than the mask
+    if at.size:
+        x_new[at], normal[at], push[at] = project_points(domain, proposals[at])
     return x_new, push, hit, normal
 
 
@@ -215,28 +229,37 @@ def star_integral(path: PathGrid, field) -> float:
 # batch engine
 
 
-class StepContext:
-    """Per-step arrays handed to observers (views into engine state).
+BLOCK_PATH_STEPS = 16384  # path-steps per observer call: k = this // paths per chunk
 
-    Attributes: j (step index), h, x_prev, x_new, dB, push (raw overshoot),
-    dl (reported local-time increment), hit mask, normal (inward unit normal
-    at the foot; zero rows off the boundary).
+
+class StepBlock:
+    """k consecutive steps of a chunk's m paths, handed to observers at once.
+
+    Attributes: j (index of the block's first step), h, x ((k+1, m, d): the
+    positions before steps j, ..., j+k-1 and after the last; step j+s moves
+    x[s] to x[s+1]), x_prev and x_new (x[:-1] and x[1:] as (k m, d) rows,
+    step-major), dB (k, m, d), push (k, m) raw overshoot, dl (k, m) reported
+    local-time increment, hit (k, m) mask, normal (k, m, d) inward unit normal
+    at the foot, zero rows off the boundary.  Every array is a view into
+    buffers that the engine reuses: valid only during the observer call.
     """
 
-    __slots__ = ("j", "h", "x_prev", "x_new", "dB", "push", "dl", "hit", "normal")
+    __slots__ = ("j", "h", "x", "x_prev", "x_new", "dB", "push", "dl", "hit", "normal")
 
 
 class PathObserver:
     """Accumulates path functionals over a batch run.
 
     Engine contract: ``start_chunk(indices, x0)`` once per chunk of paths,
-    ``step(ctx)`` once per time step, ``end_chunk(x_final)`` at the horizon.
+    ``step(blk)`` once per :class:`StepBlock` of consecutive steps, in order,
+    ``end_chunk(x_final)`` at the horizon.  The arrays passed are valid only
+    during the call; an observer copies what it keeps.
     """
 
     def start_chunk(self, indices, x0):  # pragma: no cover - trivial default
         pass
 
-    def step(self, ctx: StepContext):  # pragma: no cover - trivial default
+    def step(self, blk: StepBlock):  # pragma: no cover - trivial default
         pass
 
     def end_chunk(self, x_final):  # pragma: no cover - trivial default
@@ -253,8 +276,9 @@ class LocalTimeObserver(PathObserver):
     def start_chunk(self, indices, x0):
         self._acc = np.zeros(len(indices))
 
-    def step(self, ctx):
-        self._acc += ctx.dl
+    def step(self, blk):
+        for dl in blk.dl:
+            self._acc += dl
 
     def end_chunk(self, x_final):
         self.samples.append(self._acc)
@@ -279,12 +303,14 @@ class StarObserver(PathObserver):
 
     def start_chunk(self, indices, x0):
         self._acc = np.zeros(len(indices))
-        self._prev = np.asarray(self.field(x0), dtype=float)
+        self._prev = np.array(self.field(x0), dtype=float)
 
-    def step(self, ctx):
-        cur = np.asarray(self.field(ctx.x_new), dtype=float)
-        self._acc -= np.einsum("pd,pd->p", cur - self._prev, ctx.dB)
-        self._prev = cur
+    def step(self, blk):
+        cur = np.asarray(self.field(blk.x_new), dtype=float).reshape(blk.dB.shape)
+        prev = np.concatenate([self._prev[None], cur[:-1]])
+        for term in np.einsum("spd,spd->sp", cur - prev, blk.dB):
+            self._acc -= term
+        self._prev = cur[-1].copy()  # the field may return its argument, an engine view
 
     def end_chunk(self, x_final):
         self.samples.append(self._acc)
@@ -302,7 +328,7 @@ def run_paths(
     observers,
     x0=None,
     chunk_size: int = 2048,
-    block: int = 512,
+    block: int = 256,
 ) -> int:
     """Drive observers over ``n_paths`` reflecting paths; returns the step count.
 
@@ -310,9 +336,13 @@ def run_paths(
     uses its own (seed, index)-keyed stream, so results do not depend on
     ``chunk_size`` or ``block``.  The normals of ``block`` steps are drawn at
     a time into one buffer, which bounds the engine's noise memory to
-    min(n_paths, chunk_size) * block * d doubles.  ``x0`` is a fixed start
-    point or None for uniform starts.  Raises ValueError when ``n_paths``,
-    ``chunk_size`` or ``block`` is below 1.
+    min(n_paths, chunk_size) * block * d doubles.  Each path steps one step
+    at a time; the steps are written into buffers of the chunk that every
+    block reuses, and handed to the observers as one :class:`StepBlock` of
+    k = min(block, BLOCK_PATH_STEPS // m) steps (at least one) for a chunk of
+    m paths, the last of a noise block shorter; its arrays are valid only
+    during the call.  ``x0`` is a fixed start point or None for uniform starts.
+    Raises ValueError when ``n_paths``, ``chunk_size`` or ``block`` is below 1.
     """
     for name, value in (("n_paths", n_paths), ("chunk_size", chunk_size), ("block", block)):
         if value < 1:
@@ -320,43 +350,53 @@ def run_paths(
     n_steps = check_step(domain, T, h_t)
     d = domain.dim
     sqh = math.sqrt(h_t)
-    ctx = StepContext()
-    ctx.h = h_t
     fixed = None if x0 is None else np.asarray(x0, dtype=float)
-    buffer = np.empty((min(chunk_size, n_paths), min(block, n_steps), d))
+    m_max = min(chunk_size, n_paths)
+    nb_max = min(block, n_steps)
+    k = max(1, min(nb_max, BLOCK_PATH_STEPS // m_max))
+    noise_buffer = np.empty((m_max, nb_max, d))
+    blk = StepBlock()
+    blk.h = h_t
     for c0 in range(0, n_paths, chunk_size):
         idx = np.arange(c0, min(c0 + chunk_size, n_paths))
+        m = len(idx)
         gens = [_path_generator(seed, int(i)) for i in idx]
         if fixed is None:
             starts = np.stack([_draw_start(domain, g) for g in gens])
         else:
-            starts = np.broadcast_to(fixed, (len(idx), d)).copy()
+            starts = np.broadcast_to(fixed, (m, d)).copy()
+        xs, dBs, normals = np.empty((k + 1, m, d)), np.empty((k, m, d)), np.empty((k, m, d))
+        pushes, dls, hits = np.empty((k, m)), np.empty((k, m)), np.empty((k, m), dtype=bool)
         for obs in observers:
             obs.start_chunk(idx, starts)
-        x = starts
+        xs[0] = starts
         j = 0
         while j < n_steps:
             nb = min(block, n_steps - j)
-            noise = buffer[: len(idx), :nb]
+            noise = noise_buffer[:m, :nb]
             for g, row in zip(gens, noise):
                 g.standard_normal(out=row)
-            for jj in range(nb):
-                dB = noise[:, jj, :] * sqh
-                x_new, push, hit, normal = _reflect(domain, x + dB)
-                ctx.j = j
-                ctx.x_prev = x
-                ctx.x_new = x_new
-                ctx.dB = dB
-                ctx.push = push
-                ctx.dl = LOCAL_TIME_FACTOR * push
-                ctx.hit = hit
-                ctx.normal = normal
+            for s0 in range(0, nb, k):
+                kb = min(k, nb - s0)
+                pushes[:kb] = 0.0
+                normals[:kb] = 0.0
+                for s in range(kb):
+                    np.multiply(noise[:, s0 + s, :], sqh, out=dBs[s])
+                    np.add(xs[s], dBs[s], out=xs[s + 1])
+                    hits[s] = _reflect(domain, xs[s + 1], out=(xs[s + 1], pushes[s], normals[s]))[2]
+                np.multiply(LOCAL_TIME_FACTOR, pushes[:kb], out=dls[:kb])
+                blk.j = j
+                blk.x = xs[: kb + 1]
+                blk.x_prev = xs[:kb].reshape(kb * m, d)
+                blk.x_new = xs[1 : kb + 1].reshape(kb * m, d)
+                blk.dB, blk.push, blk.dl = dBs[:kb], pushes[:kb], dls[:kb]
+                blk.hit, blk.normal = hits[:kb], normals[:kb]
                 for obs in observers:
-                    obs.step(ctx)
-                x = x_new
-                j += 1
+                    obs.step(blk)
+                xs[0] = xs[kb]
+                j += kb
         for obs in observers:
-            obs.end_chunk(x)
+            obs.end_chunk(xs[0])
     return n_steps
 
 
@@ -376,11 +416,12 @@ class _PathRecorder(PathObserver):
         self.dl = np.empty((m, n))
         self.normals = np.empty((m, n, d))
 
-    def step(self, ctx):
-        self.states[:, ctx.j + 1] = ctx.x_new
-        self.dB[:, ctx.j] = ctx.dB
-        self.dl[:, ctx.j] = ctx.dl
-        self.normals[:, ctx.j] = ctx.normal
+    def step(self, blk):
+        j, k = blk.j, len(blk.dl)
+        self.states[:, j + 1 : j + k + 1] = blk.x[1:].swapaxes(0, 1)
+        self.dB[:, j : j + k] = blk.dB.swapaxes(0, 1)
+        self.dl[:, j : j + k] = blk.dl.T
+        self.normals[:, j : j + k] = blk.normal.swapaxes(0, 1)
 
     def end_chunk(self, x_final):
         self.chunks.append((self.states, self.dB, self.dl, self.normals))

@@ -12,12 +12,15 @@ alpha = beta = 1 without changing the solution.
                         boundary h compensates 2 <g, n> = -0.2 tanh(1) x1.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from reflectpde.coeffexpr import CoefficientSet, StructureConstants, choose_constants
 from reflectpde.geometry import Domain
 from reflectpde.mesh_fem import Mesh, build_mesh
+from reflectpde.reflectsim import PathObserver
 
 F_A = "2*(x1^2 + x2^2) - 2 - y"
 H_A = "3 - y"
@@ -37,6 +40,31 @@ def count_locations(monkeypatch):
 
     monkeypatch.setattr(Mesh, "find_triangles", counting)
     return calls
+
+
+class Unrolled(PathObserver):
+    """Feeds a one-step-at-a-time observer: each engine block unrolled into per-step contexts.
+
+    Step j + s of a block starting at step j gets x_prev = x[s], x_new = x[s+1]
+    and row s of dB, push, dl, hit and normal, so reference observers written
+    against single steps run unchanged beside the block observers.
+    """
+
+    def __init__(self, obs):
+        self.obs = obs
+
+    def start_chunk(self, indices, x0):
+        self.obs.start_chunk(indices, x0)
+
+    def step(self, blk):
+        for s in range(len(blk.dl)):
+            self.obs.step(SimpleNamespace(
+                j=blk.j + s, h=blk.h, x_prev=blk.x[s], x_new=blk.x[s + 1], dB=blk.dB[s],
+                push=blk.push[s], dl=blk.dl[s], hit=blk.hit[s], normal=blk.normal[s],
+            ))
+
+    def end_chunk(self, x_final):
+        self.obs.end_chunk(x_final)
 
 
 def exact_solution(points):

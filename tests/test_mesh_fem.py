@@ -30,7 +30,7 @@ from reflectpde.mesh_fem import (
     solve_semilinear_g_frozen,
 )
 from reflectpde.reflectsim import PathObserver, run_paths
-from .conftest import F_A, F_B, G_B, H_A, H_B, exact_solution
+from .conftest import F_A, F_B, G_B, H_A, H_B, Unrolled, exact_solution
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +722,7 @@ class _HintedLocation(PathObserver):
 def test_walk_along_reflected_paths(location_cases, case):
     domain, mesh = location_cases[case]
     obs = _HintedLocation(mesh)
-    run_paths(domain, 200, 0.06, 2e-3, 17, [obs])
+    run_paths(domain, 200, 0.06, 2e-3, 17, [Unrolled(obs)])
     assert obs.steps == 30
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from reflectpde import probeval
+from reflectpde import probeval, reflectsim
 from reflectpde.coeffexpr import CoefficientSet
-from reflectpde.geometry import Domain
+from reflectpde.geometry import Domain, interior_grid
 from reflectpde.mesh_fem import (
-    FemFunction, Mesh, WeakForm, solve_g_lifting, solve_semilinear_g_frozen,
+    FemFunction, Mesh, WeakForm, build_mesh, solve_g_lifting, solve_semilinear_g_frozen,
 )
 from reflectpde.probeval import (
     AdmissibilityError,
@@ -16,6 +16,7 @@ from reflectpde.probeval import (
     TimeIntegralObserver,
     WeightedObserver,
     _phi1,
+    _StepMemo,
     calibrate_boundary_constant,
     check_conditions_C,
     compare_frozen_at_probes,
@@ -25,7 +26,7 @@ from reflectpde.probeval import (
     martingale_residual_test,
 )
 from reflectpde.reflectsim import Estimate, PathObserver, run_paths
-from .conftest import F_A, H_A, count_locations
+from .conftest import F_A, H_A, Unrolled, count_locations
 
 Q_MINUS_ONE = lambda x: -np.ones(len(x))  # noqa: E731
 ONE = lambda x: np.ones(len(x))  # noqa: E731
@@ -264,7 +265,7 @@ def test_weighted_observer_matches_reference(domain, weights):
         "fhphi": WeightedObserver(q, F=F, H=H, Phi=Phi, c=c, marks=marks, **weights),
     }
     run_paths(domain, 150, n_steps * 2e-3, 2e-3, seed=13,
-              observers=list(ref.values()) + list(new.values()),
+              observers=[Unrolled(obs) for obs in ref.values()] + list(new.values()),
               x0=np.array([0.8, 0.1]), chunk_size=64)
     assert new["bnd"].estimate().mean != 0.0  # the paths reach the boundary
     for key in ("time", "bnd"):
@@ -283,6 +284,154 @@ def test_weighted_observer_matches_reference(domain, weights):
         assert new["fh"].estimate(m) == Estimate.from_samples(st + sb)
         phi = np.concatenate(ref["term"].records[m])
         assert new["fhphi"].estimate(m) == Estimate.from_samples(st + sb + phi)
+
+
+# ---------------------------------------------------------------------------
+# block edges: the block observers against one-step-at-a-time references
+
+
+class RefResidualObserver(PathObserver):
+    """The one-step-at-a-time ResidualObserver, verbatim (renamed only)."""
+
+    def __init__(self, u: FemFunction, coeffs, n_end: int):
+        self.u = u
+        self.coeffs = coeffs
+        self.n_end = n_end
+        self.q_at = _StepMemo(coeffs.q_at)
+        self.res_samples: list = []
+        self.qv_samples: list = []
+        self.mg_samples: list = []
+        self._g_zero = all(e.is_zero() for e in coeffs.g)
+
+    def start_chunk(self, indices, x0):
+        self._tri = self.u.mesh.find_triangles(x0)
+        val, grad = self.u.value_grad_at(x0, self._tri)
+        self._u0 = val.copy()
+        self._uprev = val
+        self._gprev = grad
+        if not self._g_zero:
+            self._gpath_prev = self.coeffs.g_at(x0, val, grad)
+        self._drift = np.zeros(len(indices))
+        self._star = np.zeros(len(indices))
+        self._lt = np.zeros(len(indices))
+        self._mg = np.zeros(len(indices))
+        self._qv = np.zeros(len(indices))
+        self._uend = None
+
+    def step(self, ctx):
+        if ctx.j >= self.n_end:
+            return
+        self._tri = self.u.mesh.find_triangles(ctx.x_new, self._tri)
+        val, grad = self.u.value_grad_at(ctx.x_new, self._tri)
+        q_prev = self.q_at(ctx.x_prev)
+        f_prev = np.asarray(
+            self.coeffs.f_at(ctx.x_prev, self._uprev, self._gprev), dtype=float
+        )
+        self._drift += (q_prev * self._uprev + f_prev) * ctx.h
+        if not self._g_zero:
+            g_cur = self.coeffs.g_at(ctx.x_new, val, grad)
+            self._star -= np.einsum("pd,pd->p", g_cur - self._gpath_prev, ctx.dB)
+            self._gpath_prev = g_cur
+        if ctx.hit.any():
+            hit = ctx.hit
+            flux = -np.asarray(self.coeffs.h_at(ctx.x_new[hit], val[hit]), dtype=float)
+            if not self._g_zero:
+                flux = flux + 2.0 * np.einsum(
+                    "pd,pd->p", g_cur[hit], ctx.normal[hit]
+                )
+            self._lt[hit] += flux * ctx.push[hit]
+        self._mg += np.einsum("pd,pd->p", self._gprev, ctx.dB)
+        self._qv += np.einsum("pd,pd->p", self._gprev, self._gprev) * ctx.h
+        self._uprev = val
+        self._gprev = grad
+        if ctx.j + 1 == self.n_end:
+            self._uend = val.copy()
+
+    def end_chunk(self, x_final):
+        uend = self._uend if self._uend is not None else self._uprev
+        res = uend - self._u0 + self._drift + self._star - self._lt
+        self.res_samples.append(res)
+        self.qv_samples.append(self._qv)
+        self.mg_samples.append(self._mg)
+
+
+EDGE_DOMAINS = {"disk": Domain.disk(), "ellipse": Domain.ellipse(1.5, 1.0), "ball": Domain.ball(3)}
+
+
+@pytest.mark.parametrize("kind", list(EDGE_DOMAINS))
+def test_block_observers_match_step_references(monkeypatch, kind):
+    # 40 path-steps per block: 4 steps for the chunk of 9 paths, the noise block of 13
+    # for chunks of 1 and 2 paths; 101 steps are a multiple of neither, and the marks,
+    # fit steps and n_end = 55 lie off the block edges, but for the mark at 26
+    monkeypatch.setattr(reflectsim, "BLOCK_PATH_STEPS", 40)
+    domain = EDGE_DOMAINS[kind]
+    n_steps, n_end, marks, fits = 101, 55, [6, 26, 27, 50], [3, 41, 76]
+    weights = {"lam": 0.3, "mu": -0.2, "power": 2}
+    q = lambda x: -1.0 - 0.5 * x[:, 0] ** 2  # noqa: E731
+    F = lambda x: 1.0 + x[:, 0] * x[:, 1]  # noqa: E731
+    H = lambda x: 0.5 + x[:, 1]  # noqa: E731
+    Phi = lambda x: x[:, 0] ** 2 + 0.1  # noqa: E731
+    if domain.dim == 2:
+        mesh = build_mesh(domain, 0.15)
+        u = FemFunction(mesh, mesh.nodes[:, 0] ** 2 - 0.3 * mesh.nodes[:, 1])
+
+        def F_mesh(x, tri=None):  # the gradient tells the triangles apart
+            val, grad = u.value_grad_at(x, tri)
+            return val + grad[:, 0] * grad[:, 1]
+
+        def H_mesh(x, tri=None):
+            return u.value_at(x, tri) + 0.5
+
+        coeffs = {"g0": CoefficientSet.from_strings(2, f=F_A, g=["0", "0"], h=H_A, q="-1"),
+                  "g": CoefficientSet.from_strings(2, f=F_A, g=["0.1*tanh(y)", "x1"], h=H_A,
+                                                   q="-1 - x1^2")}
+    for chunk_size in (1, 2, 2048):
+        ref = {
+            "time": RefTimeIntegralObserver(q, F, snapshot_steps=marks, **weights),
+            "bnd": RefBoundaryIntegralObserver(q, H, c=0.47, snapshot_steps=marks, **weights),
+            "term": RefTerminalObserver(q, Phi, horizons=marks + [n_steps], **weights),
+            "fit": RefTerminalObserver(q, None, horizons=fits, **weights),
+        }
+        new = {"w": WeightedObserver(q, F=F, H=H, Phi=Phi, c=0.47, marks=marks,
+                                     fit_steps=fits, **weights)}
+        if domain.dim == 2:
+            ref["time_mesh"] = RefTimeIntegralObserver(q, F_mesh, snapshot_steps=marks)
+            ref["bnd_mesh"] = RefBoundaryIntegralObserver(q, H_mesh, snapshot_steps=marks)
+            new["w_mesh"] = WeightedObserver(q, F=F_mesh, H=H_mesh, marks=marks, mesh=mesh)
+            for key, c in coeffs.items():
+                ref["res_" + key] = RefResidualObserver(u, c, n_end)
+                ref["term_" + key] = RefTerminalObserver(c.q_at, Phi, horizons=[n_end, n_steps],
+                                                         **weights)
+                new["res_" + key] = res = ResidualObserver(u, c, n_end)
+                new["term_" + key] = TerminalObserver(res.q_at, Phi=Phi, marks=[n_end], **weights)
+        run_paths(domain, 9, n_steps * 2e-3, 2e-3, seed=31, chunk_size=chunk_size,
+                  observers=[Unrolled(obs) for obs in ref.values()] + list(new.values()))
+
+        def cat(arrays):
+            return np.concatenate(arrays)
+
+        assert cat(ref["bnd"].samples).any()  # the paths reach the boundary
+        w, term = new["w"], ref["term"].records
+        for step, want in [(m, cat(ref["time"].snapshots[m]) + cat(ref["bnd"].snapshots[m])
+                            + cat(term[m])) for m in marks] + [
+                (None, cat(ref["time"].samples) + cat(ref["bnd"].samples) + cat(term[n_steps]))]:
+            assert np.array_equal(cat(w._values[step]), want)
+        for s in fits:
+            assert np.array_equal(cat(w._weights[s]), cat(ref["fit"].records[s]))
+        if domain.dim == 2:
+            w = new["w_mesh"]
+            for m in marks:
+                want = cat(ref["time_mesh"].snapshots[m]) + cat(ref["bnd_mesh"].snapshots[m])
+                assert np.array_equal(cat(w._values[m]), want)
+            want = cat(ref["time_mesh"].samples) + cat(ref["bnd_mesh"].samples)
+            assert np.array_equal(cat(w._values[None]), want)
+            for key in coeffs:
+                got, want = new["res_" + key], ref["res_" + key]
+                for name in ("res_samples", "qv_samples", "mg_samples"):
+                    assert np.array_equal(cat(getattr(got, name)), cat(getattr(want, name)))
+                got, want = new["term_" + key], ref["term_" + key].records
+                assert np.array_equal(cat(got._values[n_end]), cat(want[n_end]))
+                assert np.array_equal(cat(got._values[None]), cat(want[n_steps]))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +469,7 @@ def test_fk_linear_evaluates_q_once_per_step(disk):
     # 20 engine steps in one chunk of 30 paths; the decay fit reads the same run
     p = params(n=30, T=0.2, h=1e-2)
     fk_linear_frozen(disk, np.zeros(2), q, ONE, ONE, p)
-    assert len(calls) == 20
+    assert sum(calls) == 20 * 30  # each path-step point once, in blocks of steps
 
 
 def test_fk_without_a_boundary_rule_fails_before_any_run(monkeypatch):
@@ -405,8 +554,10 @@ def test_fk_with_divergence_evaluates_q_once_per_step(disk, meshes):
     u = FemFunction(meshes[0.1], np.zeros(meshes[0.1].n_nodes))
     # 20 engine steps in one chunk of 30 paths; the decay fit reads the same run
     compare_frozen_at_probes(disk, u, coeffs, params(n=30, T=0.2, h=1e-2), probes=[[0.0, 0.0]])
-    assert coeffs.calls.count(30) == 20  # one per path-step: the observer's, shared with f_tilde
-    assert len(coeffs.calls) == 21  # and one on the tail-bound grid
+    grid, *blocks = coeffs.calls
+    assert grid == len(interior_grid(disk, 32))  # the tail bound's, before the run
+    # each path-step point once: the observer's evaluation, shared with f_tilde
+    assert sum(blocks) == 20 * 30
 
 
 # ---------------------------------------------------------------------------
@@ -573,10 +724,10 @@ def test_residual_evaluates_q_once_per_step(monkeypatch, disk, meshes, corpus_a,
     u = solve_semilinear_g_frozen(meshes[0.1], corpus_a, inner_tol=1e-11)
     calls.clear()
     # t_res = 10 steps, run to 20: the residual observer and the terminal
-    # observer share one evaluation per step
+    # observer share one evaluation of each path-step point
     martingale_residual_test(disk, u, corpus_a, consts_k0, params(n=20, T=0.02, h=1e-3),
                              t_res=0.01)
-    assert calls == [20] * 20
+    assert sum(calls) == 20 * 20
 
 
 def test_residual_locates_once_per_step_from_the_last_triangle(
@@ -586,9 +737,12 @@ def test_residual_locates_once_per_step_from_the_last_triangle(
     calls = count_locations(monkeypatch)
     martingale_residual_test(disk, u, corpus_b, consts_k01, params(n=20, T=0.02, h=1e-3),
                              t_res=0.01)
-    # x0, then one hinted call per step up to t_res, then the terminal value
-    # at t_res and at 2 t_res
-    assert calls == [(20, False)] + [(20, True)] * 10 + [(20, False)] * 2
+    # x0, then hinted calls that locate each path-step point up to t_res once,
+    # then the terminal value at t_res and at 2 t_res
+    start, *steps, t1, t2 = calls
+    assert start == t1 == t2 == (20, False)
+    assert all(hinted for _, hinted in steps)
+    assert sum(size for size, _ in steps) == 20 * 10
 
 
 def test_probe_comparison_locates_once_per_step(monkeypatch, disk, meshes, corpus_b):
@@ -605,16 +759,18 @@ def test_probe_comparison_locates_once_per_step(monkeypatch, disk, meshes, corpu
     probes = np.array([[0.0, 0.1], [0.8, -0.3]])
     compare_frozen_at_probes(disk, u, corpus_b, params(n=40, T=0.05, h=1e-3), probes=probes)
     n_steps = 50
-    # per probe chunk: the start points without a hint, then each step's new points
-    # walked from their paths' triangles; u, grad u, G and h all read these
-    paths = [call for call in calls if call[0] == 40]
-    assert paths == ([(40, False)] + [(40, True)] * n_steps) * len(probes)
-    # the boundary term reads the hits' triangles from the step's walk: no call on
+    # per probe chunk: the start points without a hint, then each path-step's new
+    # point walked once from its path's triangle; u, grad u, G and h all read these
+    starts = [i for i, call in enumerate(calls) if call == (40, False)]
+    assert len(starts) == len(probes)
+    for i0, i1 in zip(starts, starts[1:] + [len(calls)]):
+        assert sum(size for size, hinted in calls[i0:i1] if hinted) == 40 * n_steps
+    # the boundary term reads the hits' triangles from the block's walk: no call on
     # the hits alone; the rest are the probes and, per probe, the tail-bound grid,
     # the boundary nodes and the shift 2 G(x0), each located once without a hint
-    assert len(h_calls) > len(probes)  # steps with hits, besides one tail bound per probe
-    assert all(not hinted for size, hinted in calls if size != 40)
-    assert len(calls) - len(paths) == 1 + 3 * len(probes)
+    assert len(h_calls) > len(probes)  # blocks with hits, besides one tail bound per probe
+    unhinted = [size for size, hinted in calls if not hinted]
+    assert len(unhinted) == len(probes) + 1 + 3 * len(probes)
 
 
 def test_probe_comparison_hints_the_boundary_hits(monkeypatch, disk, meshes, corpus_b):

@@ -19,6 +19,7 @@ from reflectpde.reflectsim import (
     simulate_paths,
     star_integral,
 )
+from .conftest import Unrolled
 
 
 def const_field(c):
@@ -99,12 +100,12 @@ DOMAINS = {
 
 
 def _check_stored_paths(domain):
-    # 600 steps: not a multiple of 13 nor of the default block of 512
+    # 600 steps: not a multiple of 13 nor of the default block of 256
     paths = simulate_paths(domain, 16, 0.6, 1e-3, seed=11)
     for chunk_size in (1, 2, 2048):
         for block in (1, 13, 512):
             rec = Recorder()
-            run_paths(domain, 16, 0.6, 1e-3, seed=11, observers=[rec],
+            run_paths(domain, 16, 0.6, 1e-3, seed=11, observers=[Unrolled(rec)],
                       chunk_size=chunk_size, block=block)
             for i, p in enumerate(paths):
                 xs, dl, _, _, normal, dB = rec.all[i]
@@ -208,7 +209,7 @@ def test_engine_step_matches_the_reference(kind):
     domain = DOMAINS[kind]
     ref = _ref_run(domain, 7, 0.6, 1e-3, seed=21, chunk_size=4)
     rec = Recorder()
-    run_paths(domain, 7, 0.6, 1e-3, seed=21, observers=[rec], chunk_size=4)
+    run_paths(domain, 7, 0.6, 1e-3, seed=21, observers=[Unrolled(rec)], chunk_size=4)
     hits = 0
     for i in range(7):
         xs, dl, push, hit, normal, dB = rec.all[i]
@@ -246,14 +247,14 @@ def test_run_paths_rejects_bad_sizes(disk, arg):
 
 
 def test_noise_memory_is_bounded_by_the_block(disk):
-    # 1024 steps of 2048 paths, with the default block of 512 steps
+    # 1024 steps of 2048 paths, with the default block of 256 steps
     tracemalloc.start()
     try:
         run_paths(disk, 2048, 1.024, 1e-3, seed=1, observers=[PathObserver()])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2048 * 512 * 2 * 8 + 8 * 2**20
+    assert peak < 2048 * 256 * 2 * 8 + 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ otherwise fail only benchmark runs.
 import importlib.util
 from pathlib import Path
 
-from reflectpde import mesh_fem
+import numpy as np
+
+from reflectpde import mesh_fem, reflectsim
+from reflectpde.geometry import Domain
+from reflectpde.reflectsim import PathObserver
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -49,3 +53,26 @@ def test_every_workload_sets_up(monkeypatch, tmp_path):
         workdir = tmp_path / name
         workdir.mkdir()
         workload(seed=1, workdir=workdir).setup()
+
+
+class _HitCount(PathObserver):
+    def __init__(self):
+        self.hits = 0
+
+    def step(self, blk):
+        self.hits += int(np.count_nonzero(blk.hit))
+
+
+def test_traced_hits_are_the_hits_observers_see():
+    tracer = _load_tracing().Tracer()
+    obs = _HitCount()
+    tracer.install()
+    try:
+        mark = tracer.mark()
+        reflectsim.run_paths(Domain.disk(), 300, 0.3, 1e-3, seed=1, observers=[obs])
+        per_layer = tracer.per_layer(mark)
+    finally:
+        tracer.uninstall()
+    assert obs.hits > 0
+    assert per_layer["reflectsim.boundary_hits"] == (obs.hits, "count")
+    assert per_layer["reflectsim.path_steps"] == (300 * 300, "count")

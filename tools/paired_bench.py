@@ -1,0 +1,178 @@
+"""Paired benchmark runs: a parent commit against the working tree, alternating.
+
+Run from the root of the repository:
+
+    python3 tools/paired_bench.py --workload residual_disk --pairs 10 \
+        --other fk_ellipse solve_disk --traced
+
+Both sides run ``perfbench/run.py`` from directories of their own: the parent
+commit (``--parent``, HEAD by default) exported with ``git archive``, and the
+working tree's files (tracked and untracked, not ignored) copied.  Pair i runs
+both sides on seed ``--seed + i``; the side that runs first switches with each
+pair.  The record goes to ``BENCH_<workload>.json`` (``--out``): each side's
+median and quartiles of every end-to-end metric, how many pairs each side won,
+the ratio of the medians, and every run made.  ``--other`` runs the same
+design on more workloads, stored under ``other_workloads``; ``--traced`` adds
+one traced round of the main workload per side (seed 1, one second).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+METRICS = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")
+DESIGN = (
+    "alternating pairs: the side that runs first switches with each pair; each side runs from "
+    "its own directory holding the files of its tree; lower is better for every metric; "
+    "quartiles are numpy.percentile (linear) over the pairs"
+)
+
+
+def _git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout
+
+
+def _export(parent: str, into: Path) -> dict:
+    """Directories holding the parent commit's files and the working tree's files."""
+    sides = {"parent": into / "parent", "change": into / "change"}
+    archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    sides["parent"].mkdir()
+    subprocess.run(["tar", "-x", "-C", str(sides["parent"])], input=archive, check=True)
+    for name in _git("ls-files", "-co", "--exclude-standard", "-z").split("\0"):
+        src = ROOT / name
+        if name and src.is_file():
+            dst = sides["change"] / name
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dst)
+    return sides
+
+
+def _run(side: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
+    """(environment, result) of one perfbench/run.py process; its two JSON lines."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=side, check=True, capture_output=True, text=True).stdout
+    env, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
+    return env["environment"], result
+
+
+def _row(result: dict) -> dict:
+    row = {key: result[key] for key in ("correct", "attempted", "failed")}
+    row.update({m: result["metrics"][m]["value"] for m in METRICS})
+    return row
+
+
+def _quartiles(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
+            "q3": round(float(q3), 4), "iqr": round(float(q3 - q1), 4)}
+
+
+def _summary(pairs: list) -> dict:
+    out = {}
+    for m in METRICS:
+        parent = [p["parent"][m] for p in pairs]
+        change = [p["change"][m] for p in pairs]
+        sp, sc = _quartiles(parent), _quartiles(change)
+        out[m] = {
+            "parent": sp, "change": sc,
+            "change_wins": sum(c < p for p, c in zip(parent, change)),
+            "parent_wins": sum(p < c for p, c in zip(parent, change)),
+            "ratio_of_medians": round(sc["median"] / sp["median"], 4),
+        }
+    return out
+
+
+def _pairs(sides: dict, workload: str, n_pairs: int, seed: int, seconds: float) -> tuple:
+    pairs, env = [], None
+    for i in range(n_pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed + i, "first": order[0]}
+        for name in order:
+            env, result = _run(sides[name], workload, seed + i, seconds, 0)
+            pair[name] = _row(result)
+        pairs.append(pair)
+        wall = {name: round(pair[name]["wall_s"], 3) for name in order}
+        print(f"{workload} pair {i + 1}/{n_pairs} seed {seed + i}: wall_s {wall}", flush=True)
+    return {"n_pairs": n_pairs, "summary": _summary(pairs), "pairs": pairs}, env
+
+
+def _machine(env: dict) -> dict:
+    cpu = platform.processor() or None
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    keys = ("nproc", "cpus_usable", "machine", "python", "numpy", "scipy", "blas_threads")
+    return {"cpu": cpu, **{k: env.get(k) for k in keys}}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--other", nargs="*", default=[], help="more workloads, same design")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
+    parser.add_argument("--parent", default="HEAD", help="the commit to compare against")
+    parser.add_argument("--traced", action="store_true", help="add one traced round per side")
+    parser.add_argument("--note", default="", help="a remark on the machine, stored with it")
+    parser.add_argument("--out", default=None, help="default: BENCH_<workload>.json")
+    args = parser.parse_args(argv)
+
+    parent = _git("rev-parse", "--short", args.parent).strip()
+    with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
+        sides = _export(args.parent, Path(tmp))
+        main_run, env = _pairs(sides, args.workload, args.pairs, args.seed, args.seconds)
+        record = {
+            "workload": args.workload,
+            "command": f"python3 perfbench/run.py --workload {args.workload} --seed <seed> "
+                       f"--seconds {args.seconds:g} --trace 0",
+            "design": DESIGN,
+            "parent": parent,
+            "change": "the commit that adds this file",
+            "machine": {**_machine(env), "note": args.note},
+            **main_run,
+        }
+        if args.traced:
+            record["traced_round"] = {
+                "command": f"python3 perfbench/run.py --workload {args.workload} --seed 1 "
+                           "--seconds 1 --trace 1",
+            }
+            for name in ("parent", "change"):
+                _, result = _run(sides[name], args.workload, 1, 1.0, 1)
+                record["traced_round"][name] = {
+                    "correct": result["correct"],
+                    **{k: v["value"] for k, v in result["metrics"].items()},
+                }
+        if args.other:
+            record["other_workloads"] = {
+                "note": "the no-regression check: same command and design with each "
+                        "workload's name; every run made is listed",
+            }
+            for workload in args.other:
+                record["other_workloads"][workload], _ = _pairs(
+                    sides, workload, args.pairs, args.seed, args.seconds)
+    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.workload}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
