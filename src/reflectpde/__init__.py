@@ -32,7 +32,7 @@ from .coeffexpr import (
     validate_structure,
 )
 from .config import ConfigError, RunConfig, load_config
-from .geometry import BadOrder, Domain, boundary_quadrature, eval_psi
+from .geometry import BadOrder, Domain, boundary_quadrature
 from .mesh_fem import (
     BadResolution,
     FemFunction,
@@ -59,7 +59,6 @@ from .probeval import (
     calibrate_boundary_constant,
     check_conditions_C,
     fk_linear_frozen,
-    fk_pure_boundary,
     martingale_residual_test,
 )
 from .reflectsim import Estimate, PathGrid, StepTooLarge, simulate_paths, star_integral

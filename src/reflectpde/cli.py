@@ -21,7 +21,7 @@ import numpy as np
 
 from . import picard, probeval
 from .coeffexpr import DomainError, InadmissibleConstants, choose_constants, validate_structure
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, check_seed, load_config
 from .mesh_fem import (
     build_mesh,
     export_field,
@@ -44,7 +44,7 @@ EXIT_CHECK_FAILED = 4
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
-        cfg.solver.seed = args.seed
+        cfg.solver.seed = check_seed(args.seed, f"--seed {args.seed}")
     if getattr(args, "override_admissibility", False):
         cfg.solver.override_admissibility = True
     return cfg
@@ -235,7 +235,7 @@ def cmd_check_conditions(args) -> int:
         budget=cfg.solver.validate_budget, seed=cfg.solver.seed,
     )
     print(report)
-    creport = probeval.check_conditions_C(cfg.domain, cfg.coeffs.q_at, params)
+    creport = probeval.check_conditions_C(cfg.domain, cfg.coeffs, params)
     print(creport)
     ok = report.passed and creport.all_clear
     return EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -141,9 +141,6 @@ class Expr:
     variables: frozenset[str]
     source: str = ""
 
-    def __call__(self, env: dict):
-        return eval_expr(self, env)
-
     def at(self, x, env: dict):
         """Value at the points ``x`` (n, N), with y and z bound in ``env``."""
         return eval_expr(self, {**_env_x(x), **env})

@@ -12,10 +12,18 @@ from .geometry import Domain
 # the keys each domain kind takes besides `kind`; the disk is the 2-ball
 _DOMAIN_KEYS = {"disk": ("radius",), "ball": ("dimension", "radius"), "ellipse": ("a", "b")}
 _VARIANTS = {"probabilistic", "analytic"}
+_SEED_LIMIT = 2**63  # a path stream's Philox key is seed + a small offset, as a uint64
 
 
 class ConfigError(ValueError):
     """Malformed configuration; the message carries section/key diagnostics."""
+
+
+def check_seed(seed: int, source: str) -> int:
+    """``seed`` when it lies in [0, 2^63); otherwise a ConfigError naming ``source``."""
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ConfigError(f"{source} must lie in [0, 2^63)")
+    return seed
 
 
 @dataclass
@@ -107,7 +115,7 @@ def load_config(path) -> RunConfig:
     """Parse and fully validate a run configuration file.
 
     Rejects unknown sections/keys, numbers that are not finite, and [solver]
-    sizes, steps and tolerances out of range; parses every coefficient
+    sizes, steps, tolerances and seeds out of range; parses every coefficient
     expression so a malformed formula fails here with its offset diagnostic,
     before any compute starts.  A command checks what it needs beyond the
     file (a 2-d domain, b = 0) itself.
@@ -196,6 +204,7 @@ def load_config(path) -> RunConfig:
             value = getattr(solver, key)
             if value < 1:
                 raise ConfigError(f"[solver] {key} = {value} must be at least 1")
+        check_seed(solver.seed, f"[solver] seed = {solver.seed}")
     return RunConfig(
         domain=domain, coeffs=coeffs, consts=consts, solver=solver, trace_norm=trace_norm
     )

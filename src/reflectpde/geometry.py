@@ -1,10 +1,11 @@
-"""Bounded smooth domains: level-set description, normals, projection, quadrature.
+"""Bounded smooth domains: hit test, projection, measures, quadrature.
 
-A domain is described by a smooth level-set function ``psi`` with ``psi > 0``
-inside, ``psi = 0`` on the boundary, and a gradient that equals the unit
-inward normal on the boundary.  Built-in shapes are the N-ball (the disk is
-the 2-ball) and the axis-aligned ellipse.  Only this module branches on the
-shape; other modules read ``semi_axes`` or call ``outside`` and ``project_points``.
+A domain is what the path engine asks of it: ``outside``, the mask of the
+points that left the closed domain, and ``project_points``, their nearest
+boundary points with the inward unit normal there and the distance to them.
+Built-in shapes are the N-ball (the disk is the 2-ball) and the axis-aligned
+ellipse.  Only this module branches on the shape; other modules read
+``semi_axes`` or call ``outside`` and ``project_points``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ _TINY = np.finfo(float).tiny
 # sweep in _secular_start reaches; 2e-15 left feet near the major vertex of the
 # 1.5 x 1 ellipse up to 1.5e-15 off it
 _G_TOL = 3.0 * np.finfo(float).eps
+_GRID_SEED = 20_250_101  # the rejection sample of interior_grid
 
 
 class BadOrder(ValueError):
@@ -88,46 +90,12 @@ class Domain:
         return 2.0 * self.semi_axes[0]
 
 
-def eval_psi(domain: Domain, x) -> tuple:
-    """Evaluate the level-set function and its gradient at ``x``.
-
-    For the ball of radius r the canonical choice is
-    ``psi(x) = (r^2 - |x|^2) / (2 r)``, whose gradient ``-x/r`` is the exact
-    unit inward normal on the boundary.  For the ellipse, the value is the
-    implicit quadratic scaled by the local gradient magnitude (floored away
-    from the center) and the returned gradient is the scaled quadratic
-    gradient, which is the exact unit inward normal on the boundary.
-
-    Accepts a single point (shape (d,)) or a batch (m, d); returns
-    (value, gradient) with matching leading shape.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if domain.kind == "ball":
-        r0 = domain.radius
-        sq = np.einsum("ij,ij->i", pts, pts)
-        val = (r0 * r0 - sq) / (2.0 * r0)
-        grad = -pts / r0
-    else:
-        a, b = domain.semi_axes
-        q = 1.0 - (pts[:, 0] / a) ** 2 - (pts[:, 1] / b) ** 2
-        gq = np.stack([-2.0 * pts[:, 0] / a**2, -2.0 * pts[:, 1] / b**2], axis=1)
-        # floor the normalization so psi stays finite at the center where grad q = 0
-        norm = np.maximum(np.hypot(gq[:, 0], gq[:, 1]), 1.0 / a)
-        val = q / norm
-        grad = gq / norm[:, None]
-    if single:
-        return float(val[0]), grad[0]
-    return val, grad
-
-
 def outside(domain: Domain, pts: np.ndarray) -> np.ndarray:
     """Mask of the points (m, d) outside the closed domain.
 
     On the ball |x| > r with |x| rounded as project_points rounds it (|x|^2 >
     r^2 differs on the last ulp of the sphere); on the ellipse the sign of the
-    implicit quadratic, which eval_psi only divides by a positive norm.
+    implicit quadratic 1 - (x/a)^2 - (y/b)^2.
     """
     if domain.kind == "ball":
         return np.sqrt(np.einsum("ij,ij->i", pts, pts)) > domain.radius
@@ -280,15 +248,13 @@ def sample_uniform(domain: Domain, n: int, rng: np.random.Generator) -> np.ndarr
     got = 0
     while got < n:
         cand = rng.uniform(-1.0, 1.0, size=(2 * (n - got) + 8, domain.dim)) * half
-        val, _ = eval_psi(domain, cand)
-        cand = cand[val > 0]
+        cand = cand[~outside(domain, cand)]
         take = min(len(cand), n - got)
         out[got : got + take] = cand[:take]
         got += take
     return out
 
 
-def interior_grid(domain: Domain, n: int, seed: int = 20_250_101) -> np.ndarray:
-    """Deterministic pseudo-grid of n interior points (seeded rejection sample)."""
-    rng = np.random.default_rng(seed)
-    return sample_uniform(domain, n, rng)
+def interior_grid(domain: Domain, n: int) -> np.ndarray:
+    """Deterministic pseudo-grid of n points of the domain: a fixed-seed rejection sample."""
+    return sample_uniform(domain, n, np.random.default_rng(_GRID_SEED))

@@ -48,6 +48,8 @@ _QL = np.array(
 # than SuperLU's default COLAMD.
 _ORDERING = "MMD_AT_PLUS_A"
 
+_NODE_BUDGET = 200_000  # the most nodes build_mesh makes
+
 # 3-point Gauss on [0, 1] (degree 5)
 _ET = np.array([0.5 - 0.5 * math.sqrt(3.0 / 5.0), 0.5, 0.5 + 0.5 * math.sqrt(3.0 / 5.0)])
 _EW = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
@@ -314,11 +316,6 @@ class FemFunction:
             raise MeshMismatch("fields live on different meshes")
         return FemFunction(self.mesh, self.values - other.values)
 
-    def __add__(self, other: "FemFunction") -> "FemFunction":
-        if other.mesh is not self.mesh:
-            raise MeshMismatch("fields live on different meshes")
-        return FemFunction(self.mesh, self.values + other.values)
-
     def value_grad_at(self, points, tri=None):
         """Field value and (piecewise-constant) gradient at arbitrary points.
 
@@ -343,12 +340,13 @@ class FemFunction:
 # meshing
 
 
-def build_mesh(domain: Domain, h_target: float, node_budget: int = 200_000) -> Mesh:
+def build_mesh(domain: Domain, h_target: float) -> Mesh:
     """Quasi-uniform triangulation of a 2-d domain: the disk or the ellipse.
 
     Concentric rings of nodes (6j nodes on ring j) scaled by the semi-axes,
     triangulated by Delaunay; boundary nodes are placed exactly on the curved
     boundary.  Guarantees h_max <= 1.5 h_target and minimum angle >= 20 degrees.
+    Refuses, before meshing, a mesh of more than ``_NODE_BUDGET`` nodes.
     """
     if domain.dim != 2:
         raise BadResolution("meshing is 2-d only (disk/ellipse)")
@@ -359,8 +357,8 @@ def build_mesh(domain: Domain, h_target: float, node_budget: int = 200_000) -> M
 
     n_r = max(2, math.ceil(1.0 / h_unit))
     est = 3 * n_r * (n_r + 1) + 1
-    if est > node_budget:
-        raise BadResolution(f"mesh would need ~{est} nodes (budget {node_budget})")
+    if est > _NODE_BUDGET:
+        raise BadResolution(f"mesh would need ~{est} nodes (budget {_NODE_BUDGET})")
 
     pts = [np.zeros((1, 2))]
     for j in range(1, n_r + 1):
@@ -443,6 +441,7 @@ def h1_error(fn: FemFunction, reference) -> float:
 
 
 _DAMPING = 0.5  # relaxation of the inner fixed point
+_INNER_BUDGET = 200  # loads the inner fixed point may take before InnerDivergence
 _ANDERSON_DEPTH = 5  # differences kept by the Anderson acceleration of that fixed point
 
 
@@ -524,7 +523,7 @@ class WeakForm:
         return self.load_residual(values, g_load)[1]
 
     def solve(
-        self, g_load, inner_tol: float = 1e-10, u0=None, budget: int = 200, start=None
+        self, g_load, inner_tol: float = 1e-10, u0=None, start=None
     ) -> FemFunction:
         """Solve with the divergence load ``g_load`` frozen.
 
@@ -535,7 +534,7 @@ class WeakForm:
         u_{k+1} = G(u_k) - dG gamma, gamma the least-squares fit of dF gamma to
         f_k.  Raises :class:`InnerDivergence` when the residual (dual norm of
         H^1), checked before each step, fails to reach ``inner_tol`` within
-        ``budget`` loads.  ``start``, when given, is ``load_residual(u0, g_load)``,
+        ``_INNER_BUDGET`` loads.  ``start``, when given, is ``load_residual(u0, g_load)``,
         which the caller has already computed; the first step reuses it.
         """
         n = self.mesh.n_nodes
@@ -543,7 +542,7 @@ class WeakForm:
         d_f = np.empty((n, _ANDERSON_DEPTH), order="F")  # ring buffers of the differences
         d_g = np.empty((n, _ANDERSON_DEPTH), order="F")
         resid = float("inf")
-        for k in range(budget):
+        for k in range(_INNER_BUDGET):
             rhs, resid = self.load_residual(u, g_load) if k or start is None else start
             if not np.isfinite(resid):
                 raise InnerDivergence("inner iteration diverged (non-finite residual)", resid)
@@ -561,7 +560,7 @@ class WeakForm:
                 u = g_u - d_g[:, :used] @ gamma
             f_prev, g_prev = f_u, g_u
         raise InnerDivergence(
-            f"inner iteration did not reach tol={inner_tol:g} in {budget} steps", resid
+            f"inner iteration did not reach tol={inner_tol:g} in {_INNER_BUDGET} steps", resid
         )
 
 

@@ -14,11 +14,11 @@ value is 1/2: the estimator
     w_t = exp(int_0^t q(X_s) ds),
 
 solves (1/2) lap u + q u + F = 0 with the inward-flux condition
-<grad u, n> + 2 c_bd H = 0.  Every estimator defaults to that value,
-``DEFAULT_C_BD``.  ``calibrate_boundary_constant`` fits c_bd against the
-finite-element solve of the fixed calibration problem (q = -1, F = 0, H = 1
-on the disk); the fit absorbs the O(sqrt(h_t)) local-time discretization bias
-as well, but no estimator reads it unless a caller passes it as ``c_bd``.
+<grad u, n> + 2 c_bd H = 0.  Every estimator uses that value, ``DEFAULT_C_BD``;
+only ``fk_linear_frozen`` takes another.  ``calibrate_boundary_constant`` fits
+c_bd against the finite-element solve of the fixed calibration problem
+(q = -1, F = 0, H = 1 on the disk); the fit absorbs the O(sqrt(h_t))
+local-time bias as well, but only a caller that passes it on uses it.
 """
 
 from __future__ import annotations
@@ -420,31 +420,19 @@ def _run_fk(domain: Domain, x0, obs: WeightedObserver, params: McParams, context
     return est
 
 
-def fk_pure_boundary(
-    domain: Domain, x0, q, phi, params: McParams, c_bd: float = DEFAULT_C_BD
-) -> Estimate:
-    """Estimate u(x0) = E^{x0}[int_0^T w_t phi(X_t) c_bd dL_t], w = e^{int q}.
-
-    The estimated value solves (1/2) lap u + q u = 0 with boundary data
-    <grad u, n> + 2 c_bd phi = 0 (outward flux = 2 c_bd phi).  Raises
-    :class:`AdmissibilityError`, after the run, when the decay fit of the
-    run's own weight fails; fills ``params.truncation_tail_bound`` from that fit.
-    """
-    obs = BoundaryIntegralObserver(q, H=phi, c=c_bd, fit_steps=_fit_steps(params))
-    return _run_fk(domain, x0, obs, params, "fk_pure_boundary")
-
-
 def fk_linear_frozen(
     domain: Domain, x0, q, f_frozen, h_frozen, params: McParams, c_bd: float = DEFAULT_C_BD
 ) -> Estimate:
     """Estimate E^{x0}[int w F dt + c_bd int w H dL] for frozen data F, H.
 
     Agrees with the finite-element solution of
-    (1/2) lap v + q v + F = 0, <grad v, n> + 2 c_bd H = 0 at x0.  Raises
+    (1/2) lap v + q v + F = 0, <grad v, n> + 2 c_bd H = 0 at x0.  F = None
+    leaves out the time integral: the pure boundary functional.  Raises
     :class:`AdmissibilityError`, after the run, when the decay fit of the
     run's own weight fails; fills ``params.truncation_tail_bound`` from that fit.
     """
-    obs = TimeIntegralObserver(q, F=f_frozen, H=h_frozen, c=c_bd, fit_steps=_fit_steps(params))
+    kind = BoundaryIntegralObserver if f_frozen is None else TimeIntegralObserver
+    obs = kind(q, F=f_frozen, H=h_frozen, c=c_bd, fit_steps=_fit_steps(params))
     return _run_fk(domain, x0, obs, params, "fk_linear_frozen")
 
 
@@ -495,8 +483,8 @@ def calibrate_boundary_constant(
     v = solve_semilinear_g_frozen(build_mesh(domain, mesh_h), calibration, inner_tol=1e-11)
     fem_vals = v.value_at(probes)
     ests = [
-        fk_pure_boundary(
-            domain, p, q, one, _shifted(params, SEED_CALIBRATION_PROBES + i), c_bd=1.0
+        fk_linear_frozen(
+            domain, p, q, None, one, _shifted(params, SEED_CALIBRATION_PROBES + i), c_bd=1.0
         )
         for i, p in enumerate(probes)
     ]
@@ -528,16 +516,16 @@ class ConditionsCReport:
     q_square_sup: ConditionEstimate           # grid sup of E^x[int e^{2 int q} |q|^2 dt]
 
     @property
+    def conditions(self) -> tuple:
+        return self.boundary_weight, self.boundary_weight_sq, self.q_square_sup
+
+    @property
     def all_clear(self) -> bool:
-        return not (
-            self.boundary_weight.divergent
-            or self.boundary_weight_sq.divergent
-            or self.q_square_sup.divergent
-        )
+        return not any(c.divergent for c in self.conditions)
 
     def __str__(self) -> str:
         rows = []
-        for c in (self.boundary_weight, self.boundary_weight_sq, self.q_square_sup):
+        for c in self.conditions:
             flag = "DIVERGENT" if c.divergent else "ok"
             rows.append(
                 f"{c.name:22s} {c.estimate.mean:12.5f} +/- {c.estimate.standard_error:.5f}"
@@ -552,37 +540,33 @@ def _fit_detail(fit: DecayFit) -> str:
 
 
 def check_conditions_C(
-    domain: Domain,
-    q,
-    params: McParams,
-    x0=None,
-    grid_n: int = 16,
-    c_bd: float = DEFAULT_C_BD,
+    domain: Domain, coeffs: CoefficientSet, params: McParams, grid_n: int = 16
 ) -> ConditionsCReport:
-    """Monte-Carlo probes of the three integrability conditions on q.
+    """Monte-Carlo probes of the three integrability conditions on ``coeffs.q``.
 
-    Estimates E^{x0}[int e^{int q} c_bd dL], E^{x0}[int e^{2 int q} c_bd dL],
-    and the grid maximum over ``grid_n`` interior starts of
-    E^x[int e^{2 int q} |q|^2 dt].  The boundary integrals carry the same
-    constant ``c_bd`` as the Feynman-Kac estimators and run through the same
-    runner, so the first probe coincides with ``fk_pure_boundary`` at
-    constant data.  A condition is flagged divergent when the decay fit of
-    its weight does not decay (``DecayFit.decays``, the rule that makes the
-    estimators raise): condition 1 by the power-1 fit, conditions 2 and 3 by
-    the power-2 fit, since the decay rate of E^x[e^{p int q}] is the same
-    from every start; condition 3 is not flagged when q vanishes on the
-    grid.  Divergence is report content, not an exception.
+    Estimates E^0[int e^{int q} c dL] and E^0[int e^{2 int q} c dL] from the
+    origin, with c = ``DEFAULT_C_BD`` (the first is ``fk_linear_frozen`` with
+    F = None and H = 1), and the maximum over ``grid_n`` starts (the origin
+    and ``interior_grid``) of E^x[int e^{2 int q} |q|^2 dt].  A condition is
+    flagged divergent when the decay fit of its weight does not decay
+    (``DecayFit.decays``, the rule that makes the estimators raise):
+    condition 1 by the power-1 fit, conditions 2 and 3 by the power-2 fit,
+    since the decay rate of E^x[e^{p int q}] is the same from every start.
+    Condition 3 is neither flagged nor given a tail when q is zero by its form
+    (``Expr.is_zero``, conservative: ``x1 - x1`` is not known to be zero).
+    Divergence is report content, not an exception.
     """
-    x0 = np.zeros(domain.dim) if x0 is None else np.asarray(x0, dtype=float)
+    q = coeffs.q_at
+    x0 = np.zeros(domain.dim)
     one = lambda x: np.ones(len(x))  # noqa: E731
     rate = domain.boundary_measure / domain.volume
 
     def _condition(name, power, seed_shift):
         """A boundary probe, flagged by the decay fit of its own weight."""
-        obs = BoundaryIntegralObserver(q, H=one, power=power, c=c_bd,
+        obs = BoundaryIntegralObserver(q, H=one, power=power, c=DEFAULT_C_BD,
                                        fit_steps=_fit_steps(params))
         est, fit = _run_and_fit(domain, x0, obs, _shifted(params, seed_shift))
-        tail = abs(c_bd) * rate * fit.tail_integral(params.horizon)  # sup|H| = 1
+        tail = DEFAULT_C_BD * rate * fit.tail_integral(params.horizon)  # sup|H| = 1
         return ConditionEstimate(name, est, tail, not fit.decays, _fit_detail(fit)), fit
 
     c1, _ = _condition("E[int w dL]", 1, 0)
@@ -594,7 +578,6 @@ def check_conditions_C(
 
     grid = np.vstack([x0[None, :], interior_grid(domain, max(1, grid_n - 1))])
     worst = None
-    qmax2 = float(np.max(q_sq(interior_grid(domain, 64))))
     for i, g0 in enumerate(grid):
         obs = TimeIntegralObserver(q, F=q_sq, power=2)
         run_paths(
@@ -605,11 +588,12 @@ def check_conditions_C(
         if worst is None or est.mean > worst[1].mean:
             worst = (g0, est)
     at = f" at ({worst[0][0]:+.2f},{worst[0][1]:+.2f})" if domain.dim == 2 else ""
-    q_zero = qmax2 == 0.0  # the integrand vanishes, whatever the weight does
+    q_zero = coeffs.q.is_zero()  # the integrand vanishes, whatever the weight does
+    tail = 0.0 if q_zero else fit2.tail_integral(params.horizon)  # inf without decay
+    if fit2.decays and not q_zero:  # the grid max of q^2 stands in for its sup
+        tail *= float(np.max(q_sq(interior_grid(domain, 64))))
     c3 = ConditionEstimate(
-        "sup_x E[int w^2 q^2 dt]", worst[1],
-        0.0 if q_zero else qmax2 * fit2.tail_integral(params.horizon),
-        not (q_zero or fit2.decays),
+        "sup_x E[int w^2 q^2 dt]", worst[1], tail, not (q_zero or fit2.decays),
         f"grid max over {len(grid)} starts{at}; " + ("q = 0" if q_zero else _fit_detail(fit2)),
     )
     return ConditionsCReport(boundary_weight=c1, boundary_weight_sq=c2, q_square_sup=c3)
@@ -767,7 +751,6 @@ def compare_frozen_at_probes(
     coeffs,
     params: McParams,
     probes=None,
-    c_bd: float = DEFAULT_C_BD,
     allowance: float = 0.02,
 ) -> ProbeComparison:
     """FK-evaluate the problem frozen at the candidate field and compare.
@@ -806,7 +789,7 @@ def compare_frozen_at_probes(
     for i, p in enumerate(probes):
         p_params = _shifted(params, SEED_PROBE_STRIDE * i)
         obs = TimeIntegralObserver(
-            q, F=f_tilde, H=H, c=c_bd, fit_steps=_fit_steps(p_params), mesh=u.mesh
+            q, F=f_tilde, H=H, c=DEFAULT_C_BD, fit_steps=_fit_steps(p_params), mesh=u.mesh
         )
         est = _run_fk(domain, p, obs, p_params, "fk_linear_frozen")
         means.append(est.mean + 2.0 * float(G.value_at(p[None, :])[0]))

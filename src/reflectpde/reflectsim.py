@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, eval_psi, outside, project_points
+from .geometry import Domain, outside, project_points
 
 LOCAL_TIME_FACTOR = 2.0  # reported dL per unit of projection overshoot
 
@@ -56,13 +56,12 @@ class StepTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class Estimate:
-    """Monte-Carlo estimate as mergeable sufficient statistics.
+    """Monte-Carlo estimate of one sample set, as sufficient statistics.
 
-    Stores (n, mean, m2), m2 the sum of squared deviations from the mean; the
-    variance, the standard error and the sum of squares ``total_sq`` are
-    derived.  Merging is the pairwise update of Chan, Golub & LeVeque, so it
-    preserves the pooled mean and variance, also when the mean is large
-    against the spread.
+    Stores (n, mean, m2), m2 the sum of squared deviations from the mean,
+    taken in two passes over the samples so that the variance stays accurate
+    also when the mean is large against the spread; the variance and the
+    standard error are derived.
     """
 
     n_samples: int
@@ -77,10 +76,6 @@ class Estimate:
         return cls(n_samples=v.size, mean=mean, m2=float((dev * dev).sum()))
 
     @property
-    def total_sq(self) -> float:
-        return self.m2 + self.n_samples * self.mean * self.mean
-
-    @property
     def variance(self) -> float:
         if self.n_samples < 2:
             return 0.0
@@ -91,17 +86,6 @@ class Estimate:
         if self.n_samples < 2:
             return 0.0
         return math.sqrt(self.variance / self.n_samples)
-
-    def merge(self, other: "Estimate") -> "Estimate":
-        n = self.n_samples + other.n_samples
-        delta = other.mean - self.mean
-        return Estimate(
-            n,
-            self.mean + delta * (other.n_samples / n),
-            self.m2 + other.m2 + delta * delta * (self.n_samples * other.n_samples / n),
-        )
-
-    __add__ = merge
 
     def scaled(self, c: float) -> "Estimate":
         return Estimate(self.n_samples, c * self.mean, c * c * self.m2)
@@ -163,8 +147,7 @@ def _draw_start(domain: Domain, gen: np.random.Generator) -> np.ndarray:
     half = np.array(domain.semi_axes)
     while True:
         cand = gen.uniform(-1.0, 1.0, size=(16, domain.dim)) * half
-        val, _ = eval_psi(domain, cand)
-        inside = np.nonzero(val > 0)[0]
+        inside = np.flatnonzero(~outside(domain, cand))
         if inside.size:
             return cand[inside[0]]
 
@@ -182,17 +165,15 @@ def check_step(domain: Domain, T: float, h_t: float) -> int:
     return int(round(T / h_t)) if T > 0 else 0
 
 
-def _reflect(domain: Domain, proposals: np.ndarray, out=None):
+def _reflect(domain: Domain, proposals: np.ndarray, out):
     """Project proposals back into the closed domain.
 
     Returns (x_new, push, hit, normal); push is the raw overshoot distance,
     normal the inward unit normal at the foot (zero rows off the boundary).
-    ``out = (x_new, push, normal)`` are arrays to write the results into: x_new
-    holding the proposals (it may be ``proposals`` itself), push and normal
-    zero.
+    ``out = (x_new, push, normal)`` are the arrays to write the results into:
+    x_new holding the proposals (it may be ``proposals`` itself), push and
+    normal zero.
     """
-    if out is None:
-        out = (proposals.copy(), np.zeros(len(proposals)), np.zeros_like(proposals))
     x_new, push, normal = out
     hit = outside(domain, proposals)
     at = np.flatnonzero(hit)  # few hits: indices index faster than the mask

@@ -67,6 +67,11 @@ class Unrolled(PathObserver):
         self.obs.end_chunk(x_final)
 
 
+def q_only(q: str, dim: int = 2) -> CoefficientSet:
+    """A coefficient set whose q is ``q``; check_conditions_C reads nothing else."""
+    return CoefficientSet.from_strings(dim, f="0", g=["0"] * dim, h="0", q=q)
+
+
 def exact_solution(points):
     """u*(x) = |x|^2 with its gradient, vectorized."""
     pts = np.atleast_2d(points)

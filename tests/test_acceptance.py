@@ -28,7 +28,7 @@ from reflectpde.probeval import (
     McParams,
     calibrate_boundary_constant,
     check_conditions_C,
-    fk_pure_boundary,
+    fk_linear_frozen,
     martingale_residual_test,
 )
 from reflectpde.reflectsim import (
@@ -38,7 +38,7 @@ from reflectpde.reflectsim import (
     simulate_paths,
     star_integral,
 )
-from .conftest import exact_solution
+from .conftest import exact_solution, q_only
 
 REPORT = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 _LINES: list = []
@@ -152,7 +152,7 @@ def test_criterion_4_fk_pure_boundary(disk):
 
     oracle = 1.0 / (math.sqrt(2.0) * _bessel_i(1, math.sqrt(2.0)))
     p = McParams(n_paths=10_000, horizon=14.0, step=1e-3, seed=405)
-    est = fk_pure_boundary(disk, np.zeros(2), Q_MINUS_ONE, ONE, p, c_bd=cal.c_bd)
+    est = fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, None, ONE, p, c_bd=cal.c_bd)
     tol0 = 3 * est.standard_error + 0.02
     ok_center = abs(est.mean - oracle) <= tol0
 
@@ -261,13 +261,13 @@ def test_criterion_7_martingale_residual(disk, corpus_a, corpus_b, consts_k01, m
 def test_criterion_8_conditions(disk):
     t0 = time.time()
     p = McParams(n_paths=400, horizon=9.0, step=2e-3, seed=808)
-    rep = check_conditions_C(disk, Q_MINUS_ONE, p, grid_n=16)
+    rep = check_conditions_C(disk, q_only("-1"), p, grid_n=16)
     c3 = rep.q_square_sup
     tol = 3 * c3.estimate.standard_error + c3.tail_bound + 1e-12
     ok = abs(c3.estimate.mean - 0.5) <= tol and rep.all_clear
 
     p0 = McParams(n_paths=300, horizon=4.0, step=2e-3, seed=809)
-    rep0 = check_conditions_C(disk, lambda x: np.zeros(len(x)), p0, grid_n=2)
+    rep0 = check_conditions_C(disk, q_only("0"), p0, grid_n=2)
     ok &= rep0.boundary_weight.divergent
     _criterion(
         8, ok,
@@ -304,7 +304,7 @@ def test_criterion_9_determinism(tmp_path, disk):
         obs = LocalTimeObserver()
         run_paths(disk, 600, 1.0, 1e-3, seed=99, observers=[obs], chunk_size=chunk)
         est.append(obs.estimate())
-    same_batch = est[0].mean == est[1].mean and est[0].total_sq == est[1].total_sq
+    same_batch = est[0].mean == est[1].mean and est[0].m2 == est[1].m2
     _criterion(
         9, same and same_paths and same_batch,
         f"byte-identical outputs {same}; path reproducibility {same_paths}; "

@@ -318,6 +318,31 @@ def test_path_run_flags_out_of_range_rejected(tmp_path, capsys, command, flag, v
     assert not (tmp_path / "paths").exists()
 
 
+@pytest.mark.parametrize("command", ["check-conditions", "simulate"])
+@pytest.mark.parametrize("seed", ["-3", str(2**63), str(2**64 - 1)])
+def test_seed_key_outside_the_stream_key_range_is_a_config_error(tmp_path, capsys, command,
+                                                                 seed):
+    # the path streams key Philox with the seed as a uint64: a negative seed once
+    # crashed in SeedSequence, and 2^64 - 1 overflowed once an offset was added
+    out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    text = BASE_A.replace("seed = 7", f"seed = {seed}")
+    assert main([command, "--config", write(tmp_path, text), *out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: [solver] seed = {seed} must lie in [0, 2^63)"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["check-conditions", "simulate"])
+@pytest.mark.parametrize("seed", ["-1", str(2**63), "18446744073709551615"])
+def test_seed_flag_outside_the_stream_key_range_is_a_config_error(tmp_path, capsys, command,
+                                                                  seed):
+    out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, "--config", write(tmp_path, BASE_A), *out, "--seed", seed]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: --seed {seed} must lie in [0, 2^63)"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, backend, flags",
     [

@@ -9,25 +9,10 @@ from reflectpde.geometry import (
     BadOrder,
     Domain,
     boundary_quadrature,
-    eval_psi,
     interior_grid,
+    outside,
     project_points,
 )
-
-
-def test_psi_disk_boundary_point():
-    val, grad = eval_psi(Domain.disk(), (0.6, 0.8))
-    assert val == pytest.approx(0.0, abs=1e-15)
-    assert grad == pytest.approx([-0.6, -0.8])
-
-
-def test_psi_disk_center_and_exterior():
-    d = Domain.disk()
-    val, grad = eval_psi(d, (0.0, 0.0))
-    assert val == 0.5 and np.all(grad == 0.0)
-    val, grad = eval_psi(d, (2.0, 0.0))
-    assert val == pytest.approx(-1.5)
-    assert grad == pytest.approx([-2.0, 0.0])
 
 
 def test_builtin_measures_analytic():
@@ -35,16 +20,6 @@ def test_builtin_measures_analytic():
     assert Domain.disk().boundary_measure == pytest.approx(2 * np.pi, rel=1e-12)
     assert Domain.disk(radius=2.0).volume == pytest.approx(4 * np.pi, rel=1e-12)
     assert Domain.ball(3).volume == pytest.approx(4 * np.pi / 3, rel=1e-12)
-
-
-def test_psi_sign_classifies_disk_points():
-    # psi > 0 inside and < 0 outside; on the boundary, and within 1e-13 of it,
-    # |psi| stays in a band of 1e-12 times the diameter
-    d = Domain.disk()
-    band = 1e-12 * d.diameter
-    val, _ = eval_psi(d, np.array([[0.0, 0.0], [1.0, 0.0], [1.0 + 1e-13, 0.0], [1.1, 0.0]]))
-    assert val[0] > band and val[3] < -band
-    assert np.all(np.abs(val[1:3]) <= band)
 
 
 def test_projection_examples():
@@ -101,8 +76,9 @@ def test_unit_inward_normal():
     d = Domain.disk()
     rng = np.random.default_rng(9)
     bpts = _unit(rng, 10_000)
-    _, grad = eval_psi(d, bpts)
-    assert np.allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-10)
+    _, normal, _ = project_points(d, bpts)
+    assert np.allclose(np.linalg.norm(normal, axis=1), 1.0, atol=1e-10)
+    assert np.allclose(normal, -bpts, atol=1e-12)
 
 
 def test_ellipse_measures_and_normals():
@@ -112,9 +88,12 @@ def test_ellipse_measures_and_normals():
     assert sum(w for _, w in rule) == pytest.approx(e.boundary_measure, rel=1e-14)
     theta = np.linspace(0, 2 * np.pi, 101)
     bpts = np.stack([2 * np.cos(theta), np.sin(theta)], axis=1)
-    val, grad = eval_psi(e, bpts)
-    assert np.allclose(val, 0.0, atol=1e-12)
-    assert np.allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-10)
+    foot, normal, dist = project_points(e, bpts)
+    assert np.allclose(foot, bpts, atol=1e-12) and np.all(dist <= 1e-12)
+    assert np.allclose(np.linalg.norm(normal, axis=1), 1.0, atol=1e-10)
+    # the inward normal is -(x/a^2, y/b^2) normalized
+    grad = -bpts / np.array([4.0, 1.0])
+    assert np.allclose(normal, grad / np.linalg.norm(grad, axis=1)[:, None], atol=1e-12)
 
 
 def test_ellipse_projection_against_brute_force():
@@ -341,7 +320,7 @@ def test_ellipse_x1_semi_axis_is_the_longer():
     with pytest.raises(ValueError, match="a >= b"):
         Domain.ellipse(1.0, 1.5)
     e = Domain.ellipse(1.5, 1.0)
-    assert e.semi_axes == (1.5, 1.0) and eval_psi(e, (1.4, 0.0))[0] > 0
+    assert e.semi_axes == (1.5, 1.0) and not outside(e, np.array([[1.4, 0.0]]))[0]
     assert Domain.ellipse(1.0, 1.0).semi_axes == (1.0, 1.0)
 
 
@@ -360,5 +339,4 @@ def test_sampling_and_grid_deterministic():
     a = interior_grid(d, 16)
     b = interior_grid(d, 16)
     assert np.array_equal(a, b)
-    val, _ = eval_psi(d, a)
-    assert np.all(val > 0)
+    assert np.all(np.linalg.norm(a, axis=1) < 1.0)

@@ -22,11 +22,10 @@ from reflectpde.probeval import (
     compare_frozen_at_probes,
     estimate_decay,
     fk_linear_frozen,
-    fk_pure_boundary,
     martingale_residual_test,
 )
 from reflectpde.reflectsim import Estimate, PathObserver, run_paths
-from .conftest import F_A, H_A, Unrolled, count_locations
+from .conftest import F_A, H_A, Unrolled, count_locations, q_only
 
 Q_MINUS_ONE = lambda x: -np.ones(len(x))  # noqa: E731
 ONE = lambda x: np.ones(len(x))  # noqa: E731
@@ -59,7 +58,7 @@ def test_decay_fit_read_off_the_run(monkeypatch, disk):
     # q = -1: the weight is e^{-power t} on every path, so the fit is exact
     _, fits = _spy(monkeypatch, "estimate_decay")
     fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, ONE, ZERO, params(n=50))
-    check_conditions_C(disk, Q_MINUS_ONE, params(n=50, seed=1), grid_n=1)
+    check_conditions_C(disk, q_only("-1"), params(n=50, seed=1), grid_n=1)
     assert [fit.power for fit in fits] == [1, 1, 2]
     for fit in fits:
         assert np.array_equal(fit.times, np.arange(1.0, 9.0))  # eighths of T = 8
@@ -74,14 +73,14 @@ def test_decay_fit_needs_two_distinct_times(disk):
     assert fit.theta == 0.0 and fit.tail_integral(1.0) == float("inf")
     with pytest.raises(AdmissibilityError):
         fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, ONE, ZERO, params(n=20, T=1e-3))
-    report = check_conditions_C(disk, Q_MINUS_ONE, params(n=20, T=1e-3), grid_n=1)
+    report = check_conditions_C(disk, q_only("-1"), params(n=20, T=1e-3), grid_n=1)
     assert report.boundary_weight.tail_bound == float("inf")
     assert report.q_square_sup.tail_bound == float("inf")
 
 
 def test_admissibility_error_for_flat_weight(disk):
     with pytest.raises(AdmissibilityError):
-        fk_pure_boundary(disk, np.zeros(2), ZERO, ONE, params(n=50, T=2.0))
+        fk_linear_frozen(disk, np.zeros(2), ZERO, None, ONE, params(n=50, T=2.0))
 
 
 def test_admissibility_error_after_the_run(monkeypatch, disk):
@@ -99,7 +98,7 @@ def test_fk_estimators_run_once(monkeypatch, disk, meshes):
     x0 = np.array([0.2, 0.1])
     fk_linear_frozen(disk, x0, Q_MINUS_ONE, ONE, ONE, params(n=20, T=0.5))
     assert len(runs) == 1
-    fk_pure_boundary(disk, x0, Q_MINUS_ONE, ONE, params(n=20, T=0.5))
+    fk_linear_frozen(disk, x0, Q_MINUS_ONE, None, ONE, params(n=20, T=0.5))
     assert len(runs) == 2
 
 
@@ -112,7 +111,7 @@ def test_probe_estimators_run_once_per_probe(monkeypatch, disk, meshes, corpus_b
     compare_frozen_at_probes(disk, u, corpus_b, params(n=20, T=0.5), probes=probes)
     assert len(runs) == 2 * len(probes)
     runs.clear()
-    check_conditions_C(disk, Q_MINUS_ONE, params(n=20, T=0.5), grid_n=3)
+    check_conditions_C(disk, q_only("-1"), params(n=20, T=0.5), grid_n=3)
     assert len(runs) == 2 + 3  # two boundary probes, one run per grid start
 
 
@@ -440,7 +439,7 @@ def test_block_observers_match_step_references(monkeypatch, kind):
 
 def test_fk_zero_data_is_zero(disk):
     p = params(n=50, T=3.0)
-    est = fk_pure_boundary(disk, np.zeros(2), Q_MINUS_ONE, ZERO, p)
+    est = fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, None, ZERO, p)
     assert est.mean == 0.0 and est.standard_error == 0.0
     est = fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, ZERO, ZERO, p)
     assert est.mean == 0.0 and est.standard_error == 0.0
@@ -478,7 +477,7 @@ def test_fk_without_a_boundary_rule_fails_before_any_run(monkeypatch):
     runs, _ = _spy(monkeypatch, "run_paths")
     p = params(n=50, T=0.5, h=1e-2)
     with pytest.raises(NotImplementedError):
-        fk_pure_boundary(ball, np.zeros(4), Q_MINUS_ONE, ONE, p)
+        fk_linear_frozen(ball, np.zeros(4), Q_MINUS_ONE, None, ONE, p)
     with pytest.raises(NotImplementedError):
         fk_linear_frozen(ball, np.zeros(4), Q_MINUS_ONE, ONE, ONE, p)
     assert runs == []
@@ -497,15 +496,16 @@ def test_fk_pure_boundary_medium_scale(disk):
     from scipy.special import iv
 
     p = params(n=1500, T=12.0, h=1e-3, seed=4)
-    est = fk_pure_boundary(disk, np.zeros(2), Q_MINUS_ONE, ONE, p)
+    est = fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, None, ONE, p)
     oracle = 1.0 / (np.sqrt(2.0) * iv(1, np.sqrt(2.0)))
     assert est.mean == pytest.approx(oracle, abs=3 * est.standard_error + 0.05)
 
 
 def test_fk_boundary_reduces_to_linear_frozen(disk):
+    # F = None, the pure boundary functional, is F = 0 without the time integral
     p1 = params(n=300, T=10.0, seed=6)
     p2 = params(n=300, T=10.0, seed=6)
-    a = fk_pure_boundary(disk, np.zeros(2), Q_MINUS_ONE, ONE, p1)
+    a = fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, None, ONE, p1)
     b = fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, ZERO, ONE, p2)
     assert a.mean == pytest.approx(b.mean, abs=1e-12)
 
@@ -577,7 +577,7 @@ def test_calibration_constant_near_half(disk):
 
 def test_conditions_q_minus_one(disk):
     p = params(n=300, T=9.0, h=2e-3, seed=5)
-    rep = check_conditions_C(disk, Q_MINUS_ONE, p, grid_n=4)
+    rep = check_conditions_C(disk, q_only("-1"), p, grid_n=4)
     assert rep.all_clear
     # deterministic exponent: the q^2 time integral is exactly 1/2 - tail
     c3 = rep.q_square_sup
@@ -603,7 +603,7 @@ def test_conditions_monotone_in_horizon(disk):
 
 def test_conditions_q_zero_divergent(disk):
     p = params(n=200, T=4.0, h=2e-3, seed=5)
-    rep = check_conditions_C(disk, ZERO, p, grid_n=2)
+    rep = check_conditions_C(disk, q_only("0"), p, grid_n=2)
     assert rep.boundary_weight.divergent
     assert not rep.all_clear
 
@@ -611,7 +611,7 @@ def test_conditions_q_zero_divergent(disk):
 def test_conditions_flagged_by_the_decay_fit(disk):
     # q = -1 fits theta = 1 exactly; a 10 % window test once flagged E[int w dL]
     # at this horizon although the fit bounds its tail at 0.05
-    rep = check_conditions_C(disk, Q_MINUS_ONE, params(n=200, T=3.0, seed=7), grid_n=1)
+    rep = check_conditions_C(disk, q_only("-1"), params(n=200, T=3.0, seed=7), grid_n=1)
     assert rep.all_clear
     assert rep.boundary_weight.tail_bound < 0.05
     assert "theta=1 " in rep.boundary_weight.detail
@@ -621,7 +621,7 @@ def test_conditions_exploding_weight_divergent(disk):
     # q = +100: the weights overflow, the fits read theta = nan, which does not decay
     with np.errstate(over="ignore", invalid="ignore"):
         rep = check_conditions_C(
-            disk, lambda x: np.full(len(x), 100.0), params(n=20, T=8.0, h=1e-2), grid_n=1
+            disk, q_only("100"), params(n=20, T=8.0, h=1e-2), grid_n=1
         )
     conds = (rep.boundary_weight, rep.boundary_weight_sq, rep.q_square_sup)
     assert all(c.divergent and c.tail_bound == float("inf") for c in conds)
@@ -629,15 +629,37 @@ def test_conditions_exploding_weight_divergent(disk):
 
 def test_conditions_q_zero_third_tail_is_zero(disk):
     # with q = 0 the q^2 integrand vanishes: its tail is 0, not 0 * inf = nan
-    rep = check_conditions_C(disk, ZERO, params(n=20, T=0.1), grid_n=1)
+    rep = check_conditions_C(disk, q_only("0"), params(n=20, T=0.1), grid_n=1)
     assert rep.boundary_weight.divergent and rep.boundary_weight_sq.divergent
     assert rep.q_square_sup.tail_bound == 0.0
     assert not rep.q_square_sup.divergent
 
 
+# a bump of radius 0.02 at (0.3, 0.2), between the 64 points of the grid sup of q^2
+BUMP = "10*max(0, 1 - 2500*((x1 - 0.3)^2 + (x2 - 0.2)^2))"
+NEGATIVE_BUMP = "10*min(0, 2500*((x1 - 0.3)^2 + (x2 - 0.2)^2) - 1)"
+
+
+def test_conditions_bump_q_is_not_taken_for_zero(disk):
+    # the weight grows, so condition 3 diverges too: q vanishing on the grid
+    # once passed it with tail 0 and the note "q = 0"
+    rep = check_conditions_C(disk, q_only(BUMP), params(n=200, T=2.0, h=2e-3, seed=3),
+                             grid_n=2)
+    assert rep.boundary_weight.divergent and rep.boundary_weight_sq.divergent
+    c3 = rep.q_square_sup
+    assert c3.divergent and c3.tail_bound == float("inf")
+    assert "q = 0" not in c3.detail and "q = 0" not in str(rep)
+
+
+def test_conditions_negative_bump_is_not_taken_for_zero(disk):
+    rep = check_conditions_C(disk, q_only(NEGATIVE_BUMP),
+                             params(n=200, T=2.0, h=2e-3, seed=3), grid_n=2)
+    assert "q = 0" not in rep.q_square_sup.detail
+
+
 def test_conditions_on_a_ball_without_a_boundary_rule():
     # the 4-ball has no boundary quadrature; the probes' tail needs none (sup|H| = 1)
-    rep = check_conditions_C(Domain.ball(4), Q_MINUS_ONE, params(n=20, T=1.0), grid_n=1)
+    rep = check_conditions_C(Domain.ball(4), q_only("-1", 4), params(n=20, T=1.0), grid_n=1)
     assert np.isfinite(rep.boundary_weight.estimate.mean)
     assert rep.boundary_weight.tail_bound >= 0.0
 
@@ -645,9 +667,9 @@ def test_conditions_on_a_ball_without_a_boundary_rule():
 def test_conditions_c1_equals_fk_quantity(disk):
     # same quantity by definition (both carry c_bd = DEFAULT_C_BD and run alike)
     p1 = params(n=250, T=8.0, seed=7)
-    rep = check_conditions_C(disk, Q_MINUS_ONE, p1, grid_n=2)
+    rep = check_conditions_C(disk, q_only("-1"), p1, grid_n=2)
     p2 = params(n=250, T=8.0, seed=7)
-    est = fk_pure_boundary(disk, np.zeros(2), Q_MINUS_ONE, ONE, p2)
+    est = fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, None, ONE, p2)
     assert rep.boundary_weight.estimate.mean == pytest.approx(est.mean, abs=1e-12)
 
 
