@@ -76,7 +76,7 @@ class MeshMismatch(ValueError):
 
 
 class PointLocationError(ValueError):
-    """A point lies farther than h_max outside the mesh."""
+    """A point is not finite, or lies farther than h_max outside the mesh."""
 
 
 class Mesh:
@@ -213,8 +213,14 @@ class Mesh:
         return nb.reshape(-1, 3)
 
     @cached_property
-    def _centroids(self):
-        return cKDTree(self.nodes[self.triangles].mean(axis=1))
+    def _cells(self):
+        """Walk starts (box corner, cell side, table): per square cell of side h_max / 4 over
+        the nodes' bounding box, the triangle whose centroid is nearest the cell's centre."""
+        cell, lo = self.h_max / 4.0, self.nodes.min(axis=0)
+        shape = ((self.nodes.max(axis=0) - lo) // cell).astype(np.int64) + 1
+        centres = lo + cell * (np.indices(shape).reshape(2, -1).T + 0.5)
+        start = cKDTree(self.nodes[self.triangles].mean(axis=1)).query(centres)[1]
+        return lo, cell, start.reshape(shape)
 
     @cached_property
     def _frames(self):
@@ -223,7 +229,7 @@ class Mesh:
 
     def _barycentric(self, x, y, t):
         """Barycentric coordinates (l0, l1, l2) of the points (x, y) in triangles ``t``."""
-        x0, y0, a1, b1, a2, b2 = self._frames[:, t]
+        x0, y0, a1, b1, a2, b2 = self._frames.take(t, axis=1)
         dx, dy = x - x0, y - y0
         l1 = a1 * dx + b1 * dy
         l2 = a2 * dx + b2 * dy
@@ -238,37 +244,42 @@ class Mesh:
         near = np.column_stack([t, self.neighbors[t]])
         return normal, offset, np.where(near < 0, t[:, None], near)
 
-    def find_triangles(self, points, hint=None) -> np.ndarray:
-        """Index of the triangle containing each point, found by a walk.
+    def find_triangles(self, points):
+        """Location ``(tri, (l0, l1, l2))``: each point's triangle and barycentrics there.
 
-        Each walk starts from ``hint`` (say, a path's triangle at its last step) or from
-        the nearest centroid, and crosses the edge of the most negative barycentric until
-        the point is contained (to 1e-13) or that edge is on the boundary, assumed convex.
-        A point outside the mesh gets, of the triangle of the boundary edge it lies
-        farthest beyond and that triangle's neighbours, the one whose smallest
-        barycentric is largest; beyond ``h_max`` it raises PointLocationError.  So the
-        answer depends on the point alone, save on shared edges.  A walk that cycles
-        (on a non-Delaunay mesh) ends in the triangle of the best such score overall.
+        Each walk starts from the triangle of the point's cell and crosses the edge of the
+        most negative barycentric until the point is contained (to 1e-13) or that edge is on
+        the boundary, assumed convex.  A point outside the mesh gets, of the triangle of the
+        boundary edge it lies farthest beyond and that triangle's neighbours, the one whose
+        smallest barycentric is largest; one beyond ``h_max``, or not finite, raises
+        PointLocationError.  So the answer depends on the point alone.  A walk that cycles
+        (on a non-Delaunay mesh) ends in the triangle of the best such score overall.  The
+        barycentrics are the first pass's, recomputed for the points that moved.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if not np.isfinite(pts).all():
+            raise PointLocationError("a point is not finite")
         x, y = pts[:, 0], pts[:, 1]
-        t = self._centroids.query(pts)[1] if hint is None else np.array(hint, dtype=np.int64)
-        out, idx, xs, ys, ts = np.zeros(len(pts), dtype=bool), np.arange(len(pts)), x, y, t
+        lo, cell, start = self._cells
+        i, j = (np.clip((c - c0) / cell, 0, n - 1).astype(int)
+                for c, c0, n in zip((x, y), lo, start.shape))
+        t0 = start[i, j]
+        t, out, idx = t0.copy(), np.zeros(len(pts), dtype=bool), np.arange(len(pts))
+        lam = l0, l1, l2 = self._barycentric(x, y, t0)
         for _ in range(4 * math.isqrt(len(self.triangles)) + 16):
-            l0, l1, l2 = self._barycentric(xs, ys, ts)
             l01 = np.minimum(l0, l1)
             walking = np.minimum(l01, l2) < -1e-13  # slack for rounding on shared edges
             side = np.where(l2 < l01, 2, l1 < l0)
             idx = idx[walking]
             if not idx.size:
                 break
-            nxt = self.neighbors.ravel()[3 * ts[walking] + side[walking]]
+            nxt = self.neighbors.ravel()[3 * t[idx] + side[walking]]
             inside = nxt >= 0
             if not inside.all():
                 out[idx[~inside]] = True
                 idx, nxt = idx[inside], nxt[inside]
-            t[idx] = ts = nxt
-            xs, ys = x[idx], y[idx]
+            t[idx] = nxt
+            l0, l1, l2 = self._barycentric(x[idx], y[idx], nxt)
         else:  # the walk cycled
             m = len(self.triangles)
             t[idx] = self._best_score(x[idx], y[idx], np.broadcast_to(np.arange(m), (len(idx), m)))
@@ -280,7 +291,10 @@ class Mesh:
             if gap.max() > self.h_max:
                 raise PointLocationError(f"a point lies {gap.max():.3g} > h_max outside the mesh")
             t[part] = self._best_score(x[part], y[part], near[gap.argmax(axis=1)])
-        return t
+        moved = np.flatnonzero(t != t0)
+        for l, new in zip(lam, self._barycentric(x[moved], y[moved], t[moved])):
+            l[moved] = new
+        return t, lam
 
     def _best_score(self, x, y, cand):
         """For each point, the candidate triangle (a row of ``cand``) where its smallest
@@ -302,12 +316,13 @@ class Mesh:
 
 
 class FemFunction:
-    """Piecewise-linear nodal field on a mesh."""
+    """Piecewise-linear nodal field on a mesh; its values are a private, read-only copy."""
 
     def __init__(self, mesh: Mesh, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.shape != (mesh.n_nodes,):
             raise MeshMismatch("nodal value count does not match the mesh")
+        values.flags.writeable = False
         self.mesh = mesh
         self.values = values
 
@@ -316,24 +331,27 @@ class FemFunction:
             raise MeshMismatch("fields live on different meshes")
         return FemFunction(self.mesh, self.values - other.values)
 
-    def value_grad_at(self, points, tri=None):
+    @cached_property
+    def _tables(self):
+        """Per triangle: the nodal values (m, 3) and the gradient (m, 2)."""
+        return self.values[self.mesh.triangles], self.mesh.tri_gradients(self.values)
+
+    def value_grad_at(self, points, at=None):
         """Field value and (piecewise-constant) gradient at arbitrary points.
 
-        ``tri`` gives the points' triangles when the caller knows them; else
-        :meth:`Mesh.find_triangles` locates the points.  On an edge shared by
-        two triangles the gradient may come from either.  Points slightly
-        outside the mesh polygon (e.g. on the curved boundary) are evaluated
-        by linear extension of their boundary triangle.
+        ``at`` is the points' location ``(tri, (l0, l1, l2))`` from
+        :meth:`Mesh.find_triangles` when the caller has it; else the points are
+        located.  On an edge shared by two triangles the gradient may come from
+        either.  Points slightly outside the mesh polygon (e.g. on the curved
+        boundary) are evaluated by linear extension of their boundary triangle.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        t = self.mesh.find_triangles(pts) if tri is None else tri
-        l0, l1, l2 = self.mesh._barycentric(pts[:, 0], pts[:, 1], t)
-        v = self.values[self.mesh.triangles[t]]
-        val = l0 * v[:, 0] + l1 * v[:, 1] + l2 * v[:, 2]
-        return val, np.einsum("ni,nid->nd", v, self.mesh.grads[t])
+        t, (l0, l1, l2) = self.mesh.find_triangles(points) if at is None else at
+        values, grads = self._tables
+        v = values.take(t, axis=0)
+        return l0 * v[:, 0] + l1 * v[:, 1] + l2 * v[:, 2], grads.take(t, axis=0)
 
-    def value_at(self, points, tri=None):
-        return self.value_grad_at(points, tri)[0]
+    def value_at(self, points, at=None):
+        return self.value_grad_at(points, at)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -659,4 +677,4 @@ def import_field(path, mesh: Mesh) -> FemFunction:
     far = ~np.isclose(mesh.nodes, table[:, 1:3], atol=1e-9).all(axis=1)
     if far.any():
         raise FieldLoadError(f"{path}: node {int(np.argmax(far))} position mismatch")
-    return FemFunction(mesh, table[:, 3].copy())
+    return FemFunction(mesh, table[:, 3])

@@ -144,7 +144,14 @@ class _StepMemo:
 
 def _rows(first, rest, m: int):
     """Values at a block's step starts: ``first``, then ``rest`` less its last m rows."""
+    if isinstance(rest, tuple):
+        return tuple(_rows(a, b, m) for a, b in zip(first, rest))
     return np.concatenate([first, rest[:-m]])
+
+
+def _take(v, rows):
+    """The rows ``rows`` of an array; of each array of a tuple, such as a location."""
+    return tuple(_take(a, rows) for a in v) if isinstance(v, tuple) else v[rows]
 
 
 class WeightedObserver(PathObserver):
@@ -159,13 +166,12 @@ class WeightedObserver(PathObserver):
     when a value is recorded.  ``estimate(step)`` reads a marked step and
     ``estimate()`` the horizon.  At ``fit_steps`` the weight e^{E} itself is
     recorded, and ``decay_fit`` fits its decay from the run's own paths.
-    With a ``mesh``, for data on it, each path keeps its triangle: the start
-    points are located once, and each block's new points are walked from
-    their paths' triangles at the block's start.  F and H are then called as
-    F(x, tri) and H(x, tri) with the triangles of their points; Phi is always
-    Phi(x).  q, F and H are evaluated once per block on all its points; the
-    sums run step by step, in the order of a one-step-at-a-time loop, so the
-    samples do not depend on the block length.
+    With a ``mesh``, for data on it, each block's new points are located once,
+    and F and H are called as F(x, at) and H(x, at) with the location
+    ``(tri, (l0, l1, l2))`` of their points that :meth:`Mesh.find_triangles`
+    returns; Phi is always Phi(x).  q, F and H are evaluated once per block on
+    all its points; the sums run step by step, in the order of a
+    one-step-at-a-time loop, so the samples do not depend on the block length.
     """
 
     def __init__(self, q, F=None, H=None, Phi=None, c=1.0, lam=0.0, mu=0.0, power=1,
@@ -180,17 +186,17 @@ class WeightedObserver(PathObserver):
         self._expo = np.zeros(n)
         self._time = None if self.F is None else np.zeros(n)
         self._bnd = None if self.H is None else np.zeros(n)
-        self._tri = None if self.mesh is None else self.mesh.find_triangles(x0)
+        self._at = None if self.mesh is None else self.mesh.find_triangles(x0)
 
     def step(self, blk):
         k, m = blk.dl.shape
         q = np.asarray(self.q(blk.x_prev), dtype=float).reshape(k, m)
         a = (self.lam + self.power * q) * blk.h
         at_prev, at_new = (blk.x_prev,), (blk.x_new,)
-        if self._tri is not None:
-            tri = self.mesh.find_triangles(blk.x_new, np.tile(self._tri, k))
-            at_prev, at_new = (blk.x_prev, _rows(self._tri, tri, m)), (blk.x_new, tri)
-            self._tri = tri[-m:]
+        if self._at is not None:
+            at = self.mesh.find_triangles(blk.x_new)
+            at_prev, at_new = (blk.x_prev, _rows(self._at, at, m)), (blk.x_new, at)
+            self._at = _take(at, slice(-m, None))
         # expo[s]: the exponent before step j + s, advanced as expo += a + mu dl
         expo = np.empty((k + 1, m))
         expo[0] = self._expo
@@ -204,7 +210,7 @@ class WeightedObserver(PathObserver):
             bnd = np.zeros(0)
             if rows.size:
                 flat = rows * m + cols
-                hv = np.asarray(self.H(*(v[flat] for v in at_new)), dtype=float)
+                hv = np.asarray(self.H(*_take(at_new, flat)), dtype=float)
                 bnd = np.exp(expo[rows, cols]) * hv * self.c * blk.dl[rows, cols]
         # the sums up to each step whose value or weight is read, then to the block's end
         stops = [s for s in range(1, k) if blk.j + s in self._values or blk.j + s in self._weights]
@@ -273,10 +279,9 @@ class ResidualObserver(PathObserver):
     scheme bias is the field-independent O(sqrt(h_t)) overshoot effect.  The
     observer also accumulates the quadratic-variation predictor
     int |grad u|^2 dr and the explicit martingale sum for diagnostics.
-    Each path keeps its triangle from block to block as the hint of the next
-    point location.  ``q_at`` is evaluated once per block, on all of a block
-    that ``n_end`` cuts short too; an observer of the same run that takes it
-    as its q shares that evaluation.
+    Each block's new points are located once.  ``q_at`` is evaluated once per
+    block, on all of a block that ``n_end`` cuts short too; an observer of the
+    same run that takes it as its q shares that evaluation.
     """
 
     def __init__(self, u: FemFunction, coeffs, n_end: int):
@@ -290,8 +295,7 @@ class ResidualObserver(PathObserver):
         self._g_zero = all(e.is_zero() for e in coeffs.g)
 
     def start_chunk(self, indices, x0):
-        self._tri = self.u.mesh.find_triangles(x0)
-        val, grad = self.u.value_grad_at(x0, self._tri)
+        val, grad = self.u.value_grad_at(x0)
         self._u0 = val.copy()
         self._uprev = val
         self._gprev = grad
@@ -312,9 +316,7 @@ class ResidualObserver(PathObserver):
         n = k * m
         x_prev, x_new = blk.x_prev[:n], blk.x_new[:n]
         dB = blk.dB[:k].reshape(n, -1)
-        tri = self.u.mesh.find_triangles(x_new, np.tile(self._tri, k))
-        self._tri = tri[-m:]
-        val, grad = self.u.value_grad_at(x_new, tri)
+        val, grad = self.u.value_grad_at(x_new)
         u_prev, g_prev = _rows(self._uprev, val, m), _rows(self._gprev, grad, m)
         q_prev = self.q_at(blk.x_prev)[:n]
         f_prev = np.asarray(self.coeffs.f_at(x_prev, u_prev, g_prev), dtype=float)
@@ -761,9 +763,9 @@ def compare_frozen_at_probes(
     the Riesz lift G of g (solve_g_lifting): the shifted unknown v = u - 2G
     solves the g-free problem with data F + 2 q G + G and the same H, so
     u(x0) = fk(F + 2qG + G, H) + 2 G(x0), fk as in :func:`fk_linear_frozen`.
-    The observer carries its paths' triangles on the mesh of u, so u, grad u
-    and G share one location per path-step, and a boundary hit reuses its
-    path's.  Probe i runs on the seed shifted by ``SEED_PROBE_STRIDE * i``.
+    The observer locates each path-step point once on the mesh of u, so u,
+    grad u and G are read from one set of barycentrics, and a boundary hit
+    reuses its step's location.  Probe i runs on the seed shifted by ``SEED_PROBE_STRIDE * i``.
     """
     if probes is None:
         probes = interior_grid(domain, 5)
@@ -772,17 +774,17 @@ def compare_frozen_at_probes(
     G = solve_g_lifting(u.mesh, WeakForm(u.mesh, coeffs).divergence(u.values))
     q = _StepMemo(coeffs.q_at)  # the observer's q evaluation serves f_tilde too
 
-    def f_tilde(x, tri=None):
-        """F + 2 q G + G, with u and G from one location; the tail bound passes no tri."""
-        tri = u.mesh.find_triangles(x) if tri is None else tri
-        val, grad = u.value_grad_at(x, tri)
+    def f_tilde(x, at=None):
+        """F + 2 q G + G, with u and G from one location; the tail bound passes none."""
+        at = u.mesh.find_triangles(x) if at is None else at
+        val, grad = u.value_grad_at(x, at)
         f = coeffs.f_at(np.atleast_2d(x), val, grad)
-        gv = G.value_at(x, tri)
+        gv = G.value_at(x, at)
         return np.asarray(f, dtype=float) + (2.0 * np.asarray(q(x)) + 1.0) * gv
 
-    def H(x, tri=None):
-        """h at u; the observer passes the hits' triangles, the tail bound none."""
-        return coeffs.h_at(np.atleast_2d(x), u.value_at(x, tri))
+    def H(x, at=None):
+        """h at u; the observer passes the hits' location, the tail bound none."""
+        return coeffs.h_at(np.atleast_2d(x), u.value_at(x, at))
 
     fem_vals = u.value_at(probes)
     means, ses = [], []

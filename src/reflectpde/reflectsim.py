@@ -317,12 +317,12 @@ def run_paths(
     uses its own (seed, index)-keyed stream, so results do not depend on
     ``chunk_size`` or ``block``.  The normals of ``block`` steps are drawn at
     a time into one buffer, which bounds the engine's noise memory to
-    min(n_paths, chunk_size) * block * d doubles.  Each path steps one step
-    at a time; the steps are written into buffers of the chunk that every
-    block reuses, and handed to the observers as one :class:`StepBlock` of
+    min(n_paths, chunk_size) * block * d doubles.  Each :class:`StepBlock` of
     k = min(block, BLOCK_PATH_STEPS // m) steps (at least one) for a chunk of
-    m paths, the last of a noise block shorter; its arrays are valid only
-    during the call.  ``x0`` is a fixed start point or None for uniform starts.
+    m paths, the last of a noise block shorter, has its increments scaled
+    from the noise by one multiply; each path then steps one step at a time,
+    into buffers of the chunk that every block reuses, and the block goes to
+    the observers, its arrays valid only during the call.  ``x0`` is a fixed start point or None for uniform starts.
     Raises ValueError when ``n_paths``, ``chunk_size`` or ``block`` is below 1.
     """
     for name, value in (("n_paths", n_paths), ("chunk_size", chunk_size), ("block", block)):
@@ -361,8 +361,8 @@ def run_paths(
                 kb = min(k, nb - s0)
                 pushes[:kb] = 0.0
                 normals[:kb] = 0.0
+                np.multiply(noise[:, s0:s0 + kb].swapaxes(0, 1), sqh, out=dBs[:kb])
                 for s in range(kb):
-                    np.multiply(noise[:, s0 + s, :], sqh, out=dBs[s])
                     np.add(xs[s], dBs[s], out=xs[s + 1])
                     hits[s] = _reflect(domain, xs[s + 1], out=(xs[s + 1], pushes[s], normals[s]))[2]
                 np.multiply(LOCAL_TIME_FACTOR, pushes[:kb], out=dls[:kb])

@@ -30,13 +30,13 @@ G_B = ["0.1*tanh(y)", "0"]
 
 
 def count_locations(monkeypatch):
-    """Record (number of points, hint given) for every Mesh.find_triangles call."""
+    """Record the number of points of every Mesh.find_triangles call."""
     calls = []
     find_triangles = Mesh.find_triangles
 
-    def counting(self, points, *hint):
-        calls.append((len(points), bool(hint) and hint[0] is not None))
-        return find_triangles(self, points, *hint)
+    def counting(self, points):
+        calls.append(len(points))
+        return find_triangles(self, points)
 
     monkeypatch.setattr(Mesh, "find_triangles", counting)
     return calls

@@ -544,9 +544,34 @@ def test_point_far_outside_raises(meshes):
         with pytest.raises(PointLocationError):
             fn.value_grad_at(points)
         with pytest.raises(PointLocationError):
-            mesh.find_triangles(points, np.zeros(len(points), dtype=np.int64))
+            mesh.find_triangles(points)
     assert issubclass(ExportedPointLocationError, ValueError)
     assert ExportedPointLocationError is PointLocationError
+
+
+def test_non_finite_points_raise(meshes):
+    # no cell, no walk and no score is defined for them
+    mesh = meshes[0.05]
+    fn = FemFunction(mesh, mesh.nodes[:, 0])
+    for bad in ([[np.nan, 0.0]], [[0.0, 0.0], [0.1, np.inf]], [[-np.inf, np.nan]]):
+        with pytest.raises(PointLocationError, match="finite"):
+            mesh.find_triangles(np.array(bad))
+        with pytest.raises(PointLocationError, match="finite"):
+            fn.value_grad_at(np.array(bad))
+
+
+def test_fem_function_keeps_a_read_only_copy(meshes):
+    mesh = meshes[0.1]
+    source = mesh.nodes[:, 0] ** 2 + mesh.nodes[:, 1]
+    fn = FemFunction(mesh, source)
+    pts = np.random.default_rng(2).uniform(-0.5, 0.5, (50, 2))
+    val, grad = fn.value_grad_at(pts)
+    source *= -2.0
+    for fresh, kept in zip(fn.value_grad_at(pts), (val, grad)):
+        assert np.array_equal(fresh, kept)
+    assert np.array_equal(FemFunction(mesh, source).value_at(pts), -2.0 * val)
+    with pytest.raises(ValueError):
+        fn.values[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -672,17 +697,30 @@ def location_cases():
     return dict(zip(CASES, zip([disk, disk, ellipse, disk], meshes)))
 
 
-def _check_against_reference(mesh, ref, points, hint=None):
+def _located(mesh, points, t):
+    """The location (t, barycentrics) of the points in the triangles ``t``."""
+    return t, mesh._barycentric(points[:, 0], points[:, 1], t)
+
+
+def _check_against_reference(mesh, ref_t, points):
+    """find_triangles against the reference triangles ``ref_t``; returns its triangles."""
     fn = FemFunction(mesh, np.sin(3 * mesh.nodes[:, 0]) + mesh.nodes[:, 1] ** 2)
-    t_ref = ref.query(points)
-    t = mesh.find_triangles(points, hint)
-    assert np.max(np.abs(_scores(mesh, points, t) - _scores(mesh, points, t_ref))) <= 1e-12
-    assert np.max(np.abs(fn.value_at(points, t) - fn.value_at(points, t_ref))) <= 1e-12
-    assert np.max(np.abs(fn.value_at(points) - fn.value_at(points, t_ref))) <= 1e-12
-    # the hint changes the walk, not the answer
-    far = np.argmax(np.linalg.norm(mesh.nodes[mesh.triangles[:, 0]], axis=1))
-    for other in (None, t_ref, np.full(len(points), far)):
-        assert np.array_equal(mesh.find_triangles(points, other), t)
+    at = mesh.find_triangles(points)
+    t = at[0]
+    assert np.max(np.abs(_scores(mesh, points, t) - _scores(mesh, points, ref_t))) <= 1e-12
+    ref_val = fn.value_at(points, _located(mesh, points, ref_t))
+    assert np.max(np.abs(fn.value_at(points, at) - ref_val)) <= 1e-12
+    assert np.max(np.abs(fn.value_at(points) - ref_val)) <= 1e-12
+    # the barycentrics are those of the points in the triangles found
+    for lam, exact in zip(at[1], _located(mesh, points, t)[1]):
+        assert np.array_equal(lam, exact)
+    # the location depends on the point alone: any permutation or subset of the batch
+    perm = np.random.default_rng(len(points)).permutation(len(points))
+    for rows in (perm, perm[: len(perm) // 3], perm[-1:]):
+        t_rows, lam_rows = mesh.find_triangles(points[rows])
+        assert np.array_equal(t_rows, t[rows])
+        for lam, full in zip(lam_rows, at[1]):
+            assert np.array_equal(lam, full[rows])
     return t
 
 
@@ -700,36 +738,79 @@ def test_walk_matches_bucket_locator(location_cases, case):
     half = np.array(domain.semi_axes)
     box = rng.uniform(-1.0, 1.0, (4000, 2)) * half
     uniform = box[_ellipse_level(domain, box) < 1.0]
-    _check_against_reference(mesh, ref, uniform)
+    _check_against_reference(mesh, ref.query(uniform), uniform)
     # feet on the curved boundary lie just outside the mesh polygon
     theta = rng.uniform(0, 2 * np.pi, 2000)
     raw = 1.2 * half * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     feet = project_points(domain, raw)[0]
     assert np.max(np.abs(_ellipse_level(domain, feet) - 1.0)) < 1e-9
-    _check_against_reference(mesh, ref, feet)
+    _check_against_reference(mesh, ref.query(feet), feet)
 
 
-class _HintedLocation(PathObserver):
-    """Locates every path position with its previous triangle as the hint."""
+class _PathLocation(PathObserver):
+    """Locates every path position, one step at a time, against the bucket locator."""
 
     def __init__(self, mesh):
         self.mesh, self.ref = mesh, _TriLocator(mesh)
         self.steps = 0
 
     def start_chunk(self, indices, x0):
-        self.tri = _check_against_reference(self.mesh, self.ref, x0)
+        _check_against_reference(self.mesh, self.ref.query(x0), x0)
 
     def step(self, ctx):
-        self.tri = _check_against_reference(self.mesh, self.ref, ctx.x_new, self.tri)
+        _check_against_reference(self.mesh, self.ref.query(ctx.x_new), ctx.x_new)
         self.steps += 1
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_walk_along_reflected_paths(location_cases, case):
     domain, mesh = location_cases[case]
-    obs = _HintedLocation(mesh)
+    obs = _PathLocation(mesh)
     run_paths(domain, 200, 0.06, 2e-3, 17, [Unrolled(obs)])
     assert obs.steps == 30
+
+
+def _brute_force(mesh, points):
+    """Over all triangles, the one where each point's smallest barycentric is largest."""
+    best = []
+    for part in np.array_split(points, -(-len(points) // 100)):
+        d = part[:, None, :] - mesh.nodes[mesh.triangles[:, 0]][None]
+        l1 = np.einsum("nmd,md->nm", d, mesh.grads[:, 1])
+        l2 = np.einsum("nmd,md->nm", d, mesh.grads[:, 2])
+        best.append(np.minimum(np.minimum(1.0 - l1 - l2, l1), l2).argmax(axis=1))
+    return np.concatenate(best)
+
+
+@pytest.mark.parametrize("case", ["disk-0.05", "ellipse-0.05"])
+def test_location_matches_brute_force(location_cases, case):
+    domain, mesh = location_cases[case]
+    rng = np.random.default_rng(23)
+    half = np.array(domain.semi_axes)
+    box = rng.uniform(-1.0, 1.0, (3000, 2)) * half
+    inner = box[_ellipse_level(domain, box) < 1.0]
+    ref_t = _brute_force(mesh, inner)
+    assert np.array_equal(_check_against_reference(mesh, ref_t, inner), ref_t)
+    # within 1e-12 of shared edges and of vertices
+    t, i = rng.integers(len(mesh.triangles), size=600), rng.integers(3, size=600)
+    a, b = mesh.nodes[mesh.triangles[t, i]], mesh.nodes[mesh.triangles[t, (i + 1) % 3]]
+    edges = a + rng.uniform(0.0, 1.0, (600, 1)) * (b - a)
+    vertices = mesh.nodes[rng.integers(mesh.n_nodes, size=300)]
+    near = np.vstack([edges, vertices]) + rng.uniform(-1e-12, 1e-12, (900, 2))
+    _check_against_reference(mesh, _brute_force(mesh, near), near)
+    # the strip between the boundary polygon and the curved boundary
+    e = mesh.boundary_edges[rng.integers(len(mesh.boundary_edges), size=600)]
+    chord = mesh.nodes[e[:, 0]] + rng.uniform(0.0, 1.0, (600, 1)) * (
+        mesh.nodes[e[:, 1]] - mesh.nodes[e[:, 0]])
+    curve = chord / np.sqrt(_ellipse_level(domain, chord))[:, None]
+    strip = chord + rng.uniform(0.0, 1.0, (600, 1)) * (curve - chord)
+    _check_against_reference(mesh, _brute_force(mesh, strip), strip)
+    # beyond h_max, alone or in a batch
+    beyond = curve[:20] * (1.0 + 2.0 * mesh.h_max)
+    for row in beyond:
+        with pytest.raises(PointLocationError):
+            mesh.find_triangles(row[None])
+    with pytest.raises(PointLocationError):
+        mesh.find_triangles(np.vstack([inner[:50], beyond[:1]]))
 
 
 def test_neighbor_table(meshes):
@@ -759,6 +840,9 @@ def test_walk_cap_finishes_by_best_score(monkeypatch, meshes):
     # agree with the walk inside the mesh
     mesh = meshes[0.05]
     pts = np.random.default_rng(8).uniform(-0.65, 0.65, (300, 2))
-    walked = mesh.find_triangles(pts)
+    walked, lam = mesh.find_triangles(pts)
     monkeypatch.setattr(mesh_fem.math, "isqrt", lambda n: -4)
-    assert np.array_equal(mesh.find_triangles(pts, np.zeros(len(pts), dtype=np.int64)), walked)
+    finished, lam_finished = mesh.find_triangles(pts)
+    assert np.array_equal(finished, walked)
+    for a, b in zip(lam_finished, lam):
+        assert np.array_equal(a, b)

@@ -166,8 +166,8 @@ def test_weighted_norm_matches_monte_carlo(disk, corpus_b, consts_k01, meshes):
     fem = weighted_increment_norms(trace, corpus_b, consts_k01)[0]
     delta = trace.iterates[1] - trace.iterates[0]
 
-    def weight_field(x, tri):
-        val, grad = delta.value_grad_at(x, tri)
+    def weight_field(x, at):
+        val, grad = delta.value_grad_at(x, at)
         return val * val + np.einsum("pd,pd->p", grad, grad)
 
     obs = TimeIntegralObserver(

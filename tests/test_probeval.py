@@ -303,8 +303,7 @@ class RefResidualObserver(PathObserver):
         self._g_zero = all(e.is_zero() for e in coeffs.g)
 
     def start_chunk(self, indices, x0):
-        self._tri = self.u.mesh.find_triangles(x0)
-        val, grad = self.u.value_grad_at(x0, self._tri)
+        val, grad = self.u.value_grad_at(x0)
         self._u0 = val.copy()
         self._uprev = val
         self._gprev = grad
@@ -320,8 +319,7 @@ class RefResidualObserver(PathObserver):
     def step(self, ctx):
         if ctx.j >= self.n_end:
             return
-        self._tri = self.u.mesh.find_triangles(ctx.x_new, self._tri)
-        val, grad = self.u.value_grad_at(ctx.x_new, self._tri)
+        val, grad = self.u.value_grad_at(ctx.x_new)
         q_prev = self.q_at(ctx.x_prev)
         f_prev = np.asarray(
             self.coeffs.f_at(ctx.x_prev, self._uprev, self._gprev), dtype=float
@@ -374,12 +372,12 @@ def test_block_observers_match_step_references(monkeypatch, kind):
         mesh = build_mesh(domain, 0.15)
         u = FemFunction(mesh, mesh.nodes[:, 0] ** 2 - 0.3 * mesh.nodes[:, 1])
 
-        def F_mesh(x, tri=None):  # the gradient tells the triangles apart
-            val, grad = u.value_grad_at(x, tri)
+        def F_mesh(x, at=None):  # the gradient tells the triangles apart
+            val, grad = u.value_grad_at(x, at)
             return val + grad[:, 0] * grad[:, 1]
 
-        def H_mesh(x, tri=None):
-            return u.value_at(x, tri) + 0.5
+        def H_mesh(x, at=None):
+            return u.value_at(x, at) + 0.5
 
         coeffs = {"g0": CoefficientSet.from_strings(2, f=F_A, g=["0", "0"], h=H_A, q="-1"),
                   "g": CoefficientSet.from_strings(2, f=F_A, g=["0.1*tanh(y)", "x1"], h=H_A,
@@ -752,19 +750,16 @@ def test_residual_evaluates_q_once_per_step(monkeypatch, disk, meshes, corpus_a,
     assert sum(calls) == 20 * 20
 
 
-def test_residual_locates_once_per_step_from_the_last_triangle(
-    monkeypatch, disk, meshes, corpus_b, consts_k01
-):
+def test_residual_locates_once_per_step(monkeypatch, disk, meshes, corpus_b, consts_k01):
     u = FemFunction(meshes[0.1], meshes[0.1].nodes[:, 0] ** 2)
     calls = count_locations(monkeypatch)
     martingale_residual_test(disk, u, corpus_b, consts_k01, params(n=20, T=0.02, h=1e-3),
                              t_res=0.01)
-    # x0, then hinted calls that locate each path-step point up to t_res once,
+    # x0, then each path-step point up to t_res located once, a block at a time,
     # then the terminal value at t_res and at 2 t_res
     start, *steps, t1, t2 = calls
-    assert start == t1 == t2 == (20, False)
-    assert all(hinted for _, hinted in steps)
-    assert sum(size for size, _ in steps) == 20 * 10
+    assert start == t1 == t2 == 20
+    assert sum(steps) == 20 * 10
 
 
 def test_probe_comparison_locates_once_per_step(monkeypatch, disk, meshes, corpus_b):
@@ -781,33 +776,36 @@ def test_probe_comparison_locates_once_per_step(monkeypatch, disk, meshes, corpu
     probes = np.array([[0.0, 0.1], [0.8, -0.3]])
     compare_frozen_at_probes(disk, u, corpus_b, params(n=40, T=0.05, h=1e-3), probes=probes)
     n_steps = 50
-    # per probe chunk: the start points without a hint, then each path-step's new
-    # point walked once from its path's triangle; u, grad u, G and h all read these
-    starts = [i for i, call in enumerate(calls) if call == (40, False)]
+    # the probes; then per probe: the tail-bound grid and the boundary nodes, the 40
+    # start points, each path-step's new point located once, a block at a time, which
+    # u, grad u, G and h all read, and the shift 2 G(x0)
+    assert calls[0] == len(probes)
+    starts = [i for i, size in enumerate(calls) if size == 40]
     assert len(starts) == len(probes)
-    for i0, i1 in zip(starts, starts[1:] + [len(calls)]):
-        assert sum(size for size, hinted in calls[i0:i1] if hinted) == 40 * n_steps
-    # the boundary term reads the hits' triangles from the block's walk: no call on
-    # the hits alone; the rest are the probes and, per probe, the tail-bound grid,
-    # the boundary nodes and the shift 2 G(x0), each located once without a hint
+    for i0, i1 in zip(starts, starts[1:] + [len(calls) + 2]):
+        *blocks, shift = calls[i0 + 1:i1 - 2]
+        assert sum(blocks) == 40 * n_steps
+        assert shift == 1
+    assert len(calls) == 1 + len(probes) * (2 + 1 + len(blocks) + 1)
+    # the boundary term reads the hits' location from the block's: no call on the hits
     assert len(h_calls) > len(probes)  # blocks with hits, besides one tail bound per probe
-    unhinted = [size for size, hinted in calls if not hinted]
-    assert len(unhinted) == len(probes) + 1 + 3 * len(probes)
 
 
-def test_probe_comparison_hints_the_boundary_hits(monkeypatch, disk, meshes, corpus_b):
+def test_probe_comparison_evaluates_from_the_points_own_location(
+    monkeypatch, disk, meshes, corpus_b
+):
     u = FemFunction(meshes[0.1], meshes[0.1].nodes[:, 0] ** 2 + meshes[0.1].nodes[:, 1] ** 2)
     probes = np.array([[0.0, 0.1], [0.8, -0.3]])
     p = params(n=60, T=0.2, seed=4)
-    hinted = compare_frozen_at_probes(disk, u, corpus_b, p, probes=probes)
-    # a hint changes where a walk starts, never where it ends
-    find_triangles = Mesh.find_triangles
+    handed = compare_frozen_at_probes(disk, u, corpus_b, p, probes=probes)
+    # the location the observer hands F and H is the one their points get afresh
+    value_grad_at = FemFunction.value_grad_at
     monkeypatch.setattr(
-        Mesh, "find_triangles", lambda self, points, hint=None: find_triangles(self, points)
+        FemFunction, "value_grad_at", lambda self, points, at=None: value_grad_at(self, points)
     )
-    cold = compare_frozen_at_probes(disk, u, corpus_b, p, probes=probes)
-    assert np.array_equal(hinted.mc_means, cold.mc_means)
-    assert np.array_equal(hinted.mc_ses, cold.mc_ses)
+    fresh = compare_frozen_at_probes(disk, u, corpus_b, p, probes=probes)
+    assert np.array_equal(handed.mc_means, fresh.mc_means)
+    assert np.array_equal(handed.mc_ses, fresh.mc_ses)
 
 
 def test_probe_comparison_smoke(monkeypatch, disk, meshes, corpus_a):

@@ -11,9 +11,12 @@ working tree's files (tracked and untracked, not ignored) copied.  Pair i runs
 both sides on seed ``--seed + i``; the side that runs first switches with each
 pair.  The record goes to ``BENCH_<workload>.json`` (``--out``): each side's
 median and quartiles of every end-to-end metric, how many pairs each side won,
-the ratio of the medians, and every run made.  ``--other`` runs the same
-design on more workloads, stored under ``other_workloads``; ``--traced`` adds
-one traced round of the main workload per side (seed 1, one second).
+the ratio of the medians, whether that ratio is within 1 + the metric's bound
+in ``BENCHMARK.json`` (``within_bound``), and every run made.  ``--other``
+runs the same design on more workloads, stored under ``other_workloads``;
+``--traced`` adds one traced round of the main workload per side (seed 1, one
+second).  The exit code is 1 when any run was not correct or had failed
+operations.
 """
 
 from __future__ import annotations
@@ -80,7 +83,13 @@ def _quartiles(values) -> dict:
             "q3": round(float(q3), 4), "iqr": round(float(q3 - q1), 4)}
 
 
-def _summary(pairs: list) -> dict:
+def _bounds() -> dict:
+    """Each end-to-end metric's bound on how much worse the change may read, from BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def _summary(pairs: list, bounds: dict) -> dict:
     out = {}
     for m in METRICS:
         parent = [p["parent"][m] for p in pairs]
@@ -91,8 +100,14 @@ def _summary(pairs: list) -> dict:
             "change_wins": sum(c < p for p, c in zip(parent, change)),
             "parent_wins": sum(p < c for p, c in zip(parent, change)),
             "ratio_of_medians": round(sc["median"] / sp["median"], 4),
+            "within_bound": sc["median"] <= (1.0 + bounds[m]) * sp["median"],
         }
     return out
+
+
+def _runs_ok(rows) -> bool:
+    """Every run correct, with no failed operation."""
+    return all(row["correct"] and not row["failed"] for row in rows)
 
 
 def _pairs(sides: dict, workload: str, n_pairs: int, seed: int, seconds: float) -> tuple:
@@ -106,7 +121,9 @@ def _pairs(sides: dict, workload: str, n_pairs: int, seed: int, seconds: float) 
         pairs.append(pair)
         wall = {name: round(pair[name]["wall_s"], 3) for name in order}
         print(f"{workload} pair {i + 1}/{n_pairs} seed {seed + i}: wall_s {wall}", flush=True)
-    return {"n_pairs": n_pairs, "summary": _summary(pairs), "pairs": pairs}, env
+    return {"n_pairs": n_pairs, "summary": _summary(pairs, _bounds()),
+            "runs_ok": _runs_ok(p[side] for p in pairs for side in ("parent", "change")),
+            "pairs": pairs}, env
 
 
 def _machine(env: dict) -> dict:
@@ -149,6 +166,7 @@ def main(argv=None) -> int:
             "machine": {**_machine(env), "note": args.note},
             **main_run,
         }
+        traced = []
         if args.traced:
             record["traced_round"] = {
                 "command": f"python3 perfbench/run.py --workload {args.workload} --seed 1 "
@@ -156,10 +174,11 @@ def main(argv=None) -> int:
             }
             for name in ("parent", "change"):
                 _, result = _run(sides[name], args.workload, 1, 1.0, 1)
-                record["traced_round"][name] = {
-                    "correct": result["correct"],
+                record["traced_round"][name] = row = {
+                    "correct": result["correct"], "failed": result["failed"],
                     **{k: v["value"] for k, v in result["metrics"].items()},
                 }
+                traced.append(row)
         if args.other:
             record["other_workloads"] = {
                 "note": "the no-regression check: same command and design with each "
@@ -171,7 +190,8 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
-    return 0
+    runs = [main_run, *(record["other_workloads"][w] for w in args.other)]
+    return 0 if all(run["runs_ok"] for run in runs) and _runs_ok(traced) else 1
 
 
 if __name__ == "__main__":
