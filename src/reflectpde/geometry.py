@@ -5,16 +5,17 @@ points that left the closed domain, and ``project_points``, their nearest
 boundary points with the inward unit normal there and the distance to them.
 Built-in shapes are the N-ball (the disk is the 2-ball) and the axis-aligned
 ellipse.  Only this module branches on the shape; other modules read
-``semi_axes`` or call ``outside`` and ``project_points``.
+``semi_axes`` or call ``outside`` and ``project_points``.  It imports numpy
+alone: the measures' Gamma and E(m) port scipy.special's Cephes code bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipe, gamma as _gamma
 
 _TINY = np.finfo(float).tiny
 # |G| at which a foot has converged: three ulps of 1, which every point of the
@@ -22,6 +23,44 @@ _TINY = np.finfo(float).tiny
 # 1.5 x 1 ellipse up to 1.5e-15 off it
 _G_TOL = 3.0 * np.finfo(float).eps
 _GRID_SEED = 20_250_101  # the rejection sample of interior_grid
+# Cephes (S. L. Moshier, Methods and Programs for Mathematical Functions, 1989)
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+_ELLPE_P = (1.53552577301013293365e-4, 2.50888492163602060990e-3, 8.68786816565889628429e-3,
+            1.07350949056076193403e-2, 7.77395492516787092951e-3, 7.58395289413514708519e-3,
+            1.15688436810574127319e-2, 2.18317996015557253103e-2, 5.68051945617860553470e-2,
+            4.43147180560990850618e-1, 1.00000000000000000299e0)
+_ELLPE_Q = (3.27954898576485872656e-5, 1.00962792679356715133e-3, 6.50609489976927491433e-3,
+            1.68862163993311317300e-2, 2.61769742454493659583e-2, 3.34833904888224918614e-2,
+            4.27180926518931511717e-2, 5.85936634471101055642e-2, 9.37499997197644278445e-2,
+            2.49999999999888314361e-1)
+
+
+def _polevl(x: float, coef) -> float:
+    """Cephes' polevl: Horner's rule from the leading coefficient."""
+    return functools.reduce(lambda ans, c: ans * x + c, coef)
+
+
+def _gamma(x: float) -> float:
+    """Cephes' Gamma for 1 <= x <= 33, the branch below Stirling's series."""
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        z /= x
+        x += 1.0
+    return z * _polevl(x - 2.0, _GAMMA_P) / _polevl(x - 2.0, _GAMMA_Q)  # P/Q(0) is 1.0/1.0
+
+
+def _ellipe(m: float) -> float:
+    """Cephes' ellpe: E(m) = int_0^{pi/2} sqrt(1 - m sin^2 t) dt for 0 <= m < 1."""
+    x = 1.0 - m
+    return _polevl(x, _ELLPE_P) - math.log(x) * (x * _polevl(x, _ELLPE_Q))
 
 
 class BadOrder(ValueError):
@@ -32,7 +71,7 @@ class BadOrder(ValueError):
 class Domain:
     """Immutable description of a built-in smooth bounded domain.
 
-    kind: "ball" (N-d, N >= 2) or "ellipse" (2-d).  semi_axes holds one
+    kind: "ball" (N-d, 2 <= N <= 64) or "ellipse" (2-d).  semi_axes holds one
     half-width per axis: the radius on every axis of a ball, and (a, b) with
     a >= b on the ellipse.  The disk is the 2-ball.
     """
@@ -46,8 +85,8 @@ class Domain:
 
     @classmethod
     def ball(cls, dim: int = 3, radius: float = 1.0) -> "Domain":
-        if dim < 2:
-            raise ValueError("ball dimension must be >= 2")
+        if not 2 <= dim <= 64:  # Gamma(dim/2 + 1) <= 33, on the branch _gamma ports
+            raise ValueError(f"ball dimension must be between 2 and 64, got {dim}")
         if not radius > 0:
             raise ValueError("radius must be positive")
         return cls(kind="ball", semi_axes=(float(radius),) * int(dim))
@@ -83,7 +122,7 @@ class Domain:
             return 2.0 * math.pi ** (n / 2) / _gamma(n / 2) * self.radius ** (n - 1)
         a, b = self.semi_axes
         # perimeter of the ellipse, complete elliptic integral of 2nd kind
-        return 4.0 * a * ellipe(1.0 - (b / a) ** 2)
+        return 4.0 * a * _ellipe(1.0 - (b / a) ** 2)
 
     @property
     def diameter(self) -> float:

@@ -14,19 +14,32 @@ by integration by parts against the *inward* normal n:
 Within one outer (Picard) step the divergence field g is frozen; the
 remaining semilinearity in f and h is resolved by an Anderson-accelerated
 damped fixed-point iteration measured in the discrete dual norm of H^1.
+
+scipy loads with the first mesh, assembly or factorization, not on import.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.spatial import Delaunay, cKDTree
 
 from .geometry import Domain
+
+
+class _LazyModule:
+    """Stands in for a module, which is imported on first attribute use."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+sp, spla, spatial = map(_LazyModule, ("scipy.sparse", "scipy.sparse.linalg", "scipy.spatial"))
 
 # Dunavant degree-4 rule on the reference triangle (barycentric coordinates)
 _QW = np.array(
@@ -219,7 +232,7 @@ class Mesh:
         cell, lo = self.h_max / 4.0, self.nodes.min(axis=0)
         shape = ((self.nodes.max(axis=0) - lo) // cell).astype(np.int64) + 1
         centres = lo + cell * (np.indices(shape).reshape(2, -1).T + 0.5)
-        start = cKDTree(self.nodes[self.triangles].mean(axis=1)).query(centres)[1]
+        start = spatial.cKDTree(self.nodes[self.triangles].mean(axis=1)).query(centres)[1]
         return lo, cell, start.reshape(shape)
 
     @cached_property
@@ -386,7 +399,7 @@ def build_mesh(domain: Domain, h_target: float) -> Mesh:
         pts.append(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1))
     nodes = np.vstack(pts) * scale
 
-    tri = Delaunay(nodes)
+    tri = spatial.Delaunay(nodes)
     simplices = tri.simplices
     # drop slivers Delaunay may create between co-circular boundary nodes
     p = nodes[simplices]

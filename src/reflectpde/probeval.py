@@ -119,8 +119,9 @@ def _shifted(params: McParams, seed_shift: int) -> McParams:
 def _phi1(a: np.ndarray) -> np.ndarray:
     """(e^a - 1)/a, stable near zero; exact in-step growth factor."""
     small = np.abs(a) < 1e-8
-    safe = np.where(small, 1.0, a)
-    return np.where(small, 1.0 + 0.5 * a, np.expm1(safe) / safe)
+    out = np.divide(np.expm1(a), a, out=np.empty_like(a), where=~small)
+    out[small] = 1.0 + 0.5 * a[small]
+    return out
 
 
 class _StepMemo:
@@ -201,15 +202,16 @@ class WeightedObserver(PathObserver):
         expo = np.empty((k + 1, m))
         expo[0] = self._expo
         expo[1:] = a + self.mu * blk.dl
-        np.add.accumulate(expo, axis=0, out=expo)
+        for s in range(k):  # row by row: np.add.accumulate over axis 0 is slower
+            expo[s + 1] += expo[s]
         if self._time is not None:
             fv = np.asarray(self.F(*at_prev), dtype=float).reshape(k, m)
             time = fv * np.exp(expo[:-1]) * blk.h * _phi1(a)
         if self._bnd is not None:
-            rows, cols = np.nonzero(blk.hit)  # step-major, as the loop met them
+            flat = np.flatnonzero(blk.hit)  # step-major, as the loop met them
+            rows, cols = flat // m, flat % m
             bnd = np.zeros(0)
-            if rows.size:
-                flat = rows * m + cols
+            if flat.size:
                 hv = np.asarray(self.H(*_take(at_new, flat)), dtype=float)
                 bnd = np.exp(expo[rows, cols]) * hv * self.c * blk.dl[rows, cols]
         # the sums up to each step whose value or weight is read, then to the block's end
@@ -331,9 +333,9 @@ class ResidualObserver(PathObserver):
         for acc, terms in sums:
             for row in terms.reshape(k, m):
                 acc += row
-        rows, cols = np.nonzero(blk.hit[:k])
-        if rows.size:
-            hit = rows * m + cols
+        hit = np.flatnonzero(blk.hit[:k])
+        if hit.size:
+            rows, cols = hit // m, hit % m
             flux = -np.asarray(self.coeffs.h_at(x_new[hit], val[hit]), dtype=float)
             if not self._g_zero:
                 flux = flux + 2.0 * np.einsum(
@@ -528,7 +530,8 @@ class ConditionsCReport:
     def __str__(self) -> str:
         rows = []
         for c in self.conditions:
-            flag = "DIVERGENT" if c.divergent else "ok"
+            flag = ("DIVERGENT" if c.divergent
+                    else "TAIL>EST" if c.tail_bound > c.estimate.mean else "ok")
             rows.append(
                 f"{c.name:22s} {c.estimate.mean:12.5f} +/- {c.estimate.standard_error:.5f}"
                 f"  tail<= {c.tail_bound:.2e}  {flag} {c.detail}"

@@ -340,3 +340,36 @@ def test_sampling_and_grid_deterministic():
     b = interior_grid(d, 16)
     assert np.array_equal(a, b)
     assert np.all(np.linalg.norm(a, axis=1) < 1.0)
+
+
+def test_gamma_is_scipys_bit_for_bit_in_every_ball_dimension():
+    from scipy.special import gamma
+
+    # volume and boundary measure read Gamma(n/2 + 1) and Gamma(n/2)
+    for n in range(2, 65):
+        for x in (n / 2, n / 2 + 1):
+            assert geometry._gamma(x) == gamma(x), x
+        ball = Domain.ball(n, 0.7)
+        assert ball.volume == math.pi ** (n / 2) / gamma(n / 2 + 1) * 0.7**n
+        assert ball.boundary_measure == 2.0 * math.pi ** (n / 2) / gamma(n / 2) * 0.7 ** (n - 1)
+
+
+def test_ball_dimension_past_the_rational_branch_of_gamma_is_refused():
+    # from n = 65 Gamma(n/2 + 1) > 33, where Cephes, and so scipy, takes Stirling's series
+    for n in (1, 65, 100):
+        with pytest.raises(ValueError, match="between 2 and 64"):
+            Domain.ball(n)
+
+
+def test_elliptic_e_is_scipys_bit_for_bit():
+    from scipy.special import ellipe
+
+    # the m = 1 - (b/a)^2 of every ellipse the tests and the benchmark build
+    built = [1.0 - (b / a) ** 2 for a, b in [(1.5, 1.0), (2.0, 1.0), (1.2, 1.0), (1.0, 1.0)]]
+    m = np.concatenate([built, np.random.default_rng(11).random(20_000),
+                        1.0 - np.logspace(-12, 0, 2001)])
+    assert np.all((m >= 0.0) & (m < 1.0))
+    ours = np.array([geometry._ellipe(float(v)) for v in m])
+    assert ours.tobytes() == ellipe(m).tobytes()
+    for a, b in [(1.5, 1.0), (2.0, 1.0), (1.2, 1.0)]:
+        assert Domain.ellipse(a, b).boundary_measure == 4.0 * a * ellipe(1.0 - (b / a) ** 2)

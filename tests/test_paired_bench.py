@@ -1,4 +1,4 @@
-"""tools/paired_bench.py on synthetic runs: the bound verdicts and the exit code."""
+"""tools/paired_bench.py on synthetic runs: the bound verdicts, the set-up split and the exit code."""
 
 import importlib.util
 import json
@@ -14,10 +14,14 @@ def _load():
     return module
 
 
-def _result(wall, correct=True, failed=0):
-    metrics = {"setup_s": 1.0, "wall_s": wall, "cpu_s": wall, "peak_rss_mb": 100.0}
-    return {"correct": correct, "attempted": 2, "failed": failed,
-            "metrics": {k: {"value": v} for k, v in metrics.items()}}
+def _record(wall, correct=True, failed=0, import_s=0.2, repeats=(0.5, 0.1, 0.1)):
+    """A run record as perfbench/run.py writes it, reduced to what the tool reads."""
+    metrics = {"setup_s": import_s + sorted(repeats)[1], "wall_s": wall, "cpu_s": wall,
+               "peak_rss_mb": 100.0}
+    result = {"correct": correct, "attempted": 2, "failed": failed,
+              "metrics": {k: {"value": v} for k, v in metrics.items()}}
+    return {"environment": {"nproc": 2}, "import_s": import_s,
+            "setup_repeats_s": list(repeats), "result": result}
 
 
 def test_within_bound_reads_the_bounds_of_the_benchmark():
@@ -29,8 +33,8 @@ def test_within_bound_reads_the_bounds_of_the_benchmark():
     wall = bounds["wall_s"]
     pairs = []
     for i in range(5):
-        parent = bench._row(_result(2.0 + 0.01 * i))
-        change = bench._row(_result((2.0 + 0.01 * i) * (1.0 + wall) * 1.02))
+        parent = bench._row(_record(2.0 + 0.01 * i))
+        change = bench._row(_record((2.0 + 0.01 * i) * (1.0 + wall) * 1.02))
         pairs.append({"parent": parent, "change": change})
     slower = bench._summary(pairs, bounds)
     assert not slower["wall_s"]["within_bound"] and not slower["cpu_s"]["within_bound"]
@@ -39,6 +43,28 @@ def test_within_bound_reads_the_bounds_of_the_benchmark():
     for p in pairs:
         p["change"]["wall_s"] = p["parent"]["wall_s"] * (1.0 + wall) * 0.98
     assert bench._summary(pairs, bounds)["wall_s"]["within_bound"]
+
+
+def test_setup_split_reads_the_run_record(monkeypatch, tmp_path):
+    bench = _load()
+    runs = tmp_path / "perfbench" / "runs"
+    runs.mkdir(parents=True)
+    record = _record(2.0, import_s=0.3, repeats=(0.6, 0.2, 0.25))
+    (runs / "fk_ellipse-seed7-trace0.json").write_text(json.dumps(record))
+    calls = []
+    monkeypatch.setattr(bench.subprocess, "run", lambda cmd, **kw: calls.append((cmd, kw)))
+    row = bench._row(bench._run(tmp_path, "fk_ellipse", 7, 1.0, 0))
+    assert calls[0][1]["cwd"] == tmp_path and calls[0][0][-7:] == [
+        "fk_ellipse", "--seed", "7", "--seconds", "1.0", "--trace", "0"]
+    assert row["import_s"] == 0.3 and row["setup_repeats_s"] == [0.6, 0.2, 0.25]
+    assert row["setup_s"] == 0.3 + 0.25 and row["wall_s"] == 2.0
+    # the import moves into the first repeat: setup_s falls, the split shows why
+    pairs = [{"parent": bench._row(_record(2.0, import_s=0.5 + 0.01 * i, repeats=(0.3, 0.1, 0.1))),
+              "change": bench._row(_record(2.0, import_s=0.2, repeats=(0.6 + 0.01 * i, 0.1, 0.1)))}
+             for i in range(3)]
+    split = bench._summary(pairs, bench._bounds())["setup_split"]
+    assert split["parent"] == {"import_s": 0.51, "setup_repeats_s": [0.3, 0.1, 0.1]}
+    assert split["change"] == {"import_s": 0.2, "setup_repeats_s": [0.61, 0.1, 0.1]}
 
 
 def test_exit_code_is_one_when_a_run_fails(monkeypatch, tmp_path):
@@ -50,7 +76,7 @@ def test_exit_code_is_one_when_a_run_fails(monkeypatch, tmp_path):
     for where, bad in cases:
         def run(side, workload, seed, seconds, trace, where=where, bad=bad):
             spoilt = side == "c" and where == ("traced" if trace else workload)
-            return {"nproc": 2}, _result(2.0, **(bad if spoilt else {}))
+            return _record(2.0, **(bad if spoilt else {}))
 
         monkeypatch.setattr(bench, "_run", run)
         out = tmp_path / "bench.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,20 @@ def _spy(monkeypatch, name):
 
     monkeypatch.setattr(probeval, name, spy)
     return calls, results
+
+
+def test_phi1_is_the_where_form_bit_for_bit():
+    # zero, tiny (|a| < 1e-8, the series branch), the branch edge, negative and positive
+    a = np.array([[0.0, -0.0, 1e-9, -1e-9, 9.99e-9, -9.99e-9, 1e-8, -1e-8],
+                  [-3.0, 2.5, 1e-3, -1e-3, -700.0, 700.0, -0.5, 40.0]])
+    small = np.abs(a) < 1e-8
+    safe = np.where(small, 1.0, a)
+    ref = np.where(small, 1.0 + 0.5 * a, np.expm1(safe) / safe)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            got = _phi1(a)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_decay_fit_read_off_the_run(monkeypatch, disk):
@@ -653,6 +669,18 @@ def test_conditions_negative_bump_is_not_taken_for_zero(disk):
     rep = check_conditions_C(disk, q_only(NEGATIVE_BUMP),
                              params(n=200, T=2.0, h=2e-3, seed=3), grid_n=2)
     assert "q = 0" not in rep.q_square_sup.detail
+
+
+def test_conditions_flag_a_tail_bound_above_the_estimate(disk):
+    # both boundary fits barely decay (theta ~ 0.002 and 0.004), so their tails are
+    # bounded at 423 and 258 beside estimates of 1.6 and 1.7; both rows once read "ok"
+    rep = check_conditions_C(disk, q_only(NEGATIVE_BUMP),
+                             params(n=200, T=2.0, h=2e-3, seed=3), grid_n=2)
+    rows = str(rep).splitlines()
+    for c, row in zip((rep.boundary_weight, rep.boundary_weight_sq), rows):
+        assert not c.divergent and c.tail_bound > 100.0 * c.estimate.mean
+        assert "  TAIL>EST fit C=" in row and " ok " not in row
+    assert rep.all_clear  # the flag is report text; the verdicts are the fits'
 
 
 def test_conditions_on_a_ball_without_a_boundary_rule():

@@ -12,11 +12,14 @@ both sides on seed ``--seed + i``; the side that runs first switches with each
 pair.  The record goes to ``BENCH_<workload>.json`` (``--out``): each side's
 median and quartiles of every end-to-end metric, how many pairs each side won,
 the ratio of the medians, whether that ratio is within 1 + the metric's bound
-in ``BENCHMARK.json`` (``within_bound``), and every run made.  ``--other``
-runs the same design on more workloads, stored under ``other_workloads``;
-``--traced`` adds one traced round of the main workload per side (seed 1, one
-second).  The exit code is 1 when any run was not correct or had failed
-operations.
+in ``BENCHMARK.json`` (``within_bound``), and every run made.  Each run also
+keeps ``import_s`` and ``setup_repeats_s`` from the record it wrote, and the
+summary holds their medians per side (``setup_split``): ``setup_s`` is the
+import plus the median repeat, so work that moves between the import and the
+first repeat shows there.  ``--other`` runs the same design on more
+workloads, stored under ``other_workloads``; ``--traced`` adds one traced
+round of the main workload per side (seed 1, one second).  The exit code is
+1 when any run was not correct or had failed operations.
 """
 
 from __future__ import annotations
@@ -62,18 +65,20 @@ def _export(parent: str, into: Path) -> dict:
     return sides
 
 
-def _run(side: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
-    """(environment, result) of one perfbench/run.py process; its two JSON lines."""
+def _run(side: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The record that one perfbench/run.py process wrote under ``side``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=side, check=True, capture_output=True, text=True).stdout
-    env, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
-    return env["environment"], result
+    subprocess.run(cmd, cwd=side, check=True, capture_output=True, text=True)
+    path = Path(side) / "perfbench" / "runs" / f"{workload}-seed{seed}-trace{trace}.json"
+    return json.loads(path.read_text())
 
 
-def _row(result: dict) -> dict:
+def _row(record: dict) -> dict:
+    result = record["result"]
     row = {key: result[key] for key in ("correct", "attempted", "failed")}
     row.update({m: result["metrics"][m]["value"] for m in METRICS})
+    row.update({key: record[key] for key in ("import_s", "setup_repeats_s")})
     return row
 
 
@@ -102,6 +107,11 @@ def _summary(pairs: list, bounds: dict) -> dict:
             "ratio_of_medians": round(sc["median"] / sp["median"], 4),
             "within_bound": sc["median"] <= (1.0 + bounds[m]) * sp["median"],
         }
+    out["setup_split"] = {side: {
+        "import_s": round(float(np.median([p[side]["import_s"] for p in pairs])), 4),
+        "setup_repeats_s": [round(float(r), 4) for r in
+                            np.median([p[side]["setup_repeats_s"] for p in pairs], axis=0)],
+    } for side in ("parent", "change")}
     return out
 
 
@@ -116,8 +126,9 @@ def _pairs(sides: dict, workload: str, n_pairs: int, seed: int, seconds: float) 
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed + i, "first": order[0]}
         for name in order:
-            env, result = _run(sides[name], workload, seed + i, seconds, 0)
-            pair[name] = _row(result)
+            record = _run(sides[name], workload, seed + i, seconds, 0)
+            env = record["environment"]
+            pair[name] = _row(record)
         pairs.append(pair)
         wall = {name: round(pair[name]["wall_s"], 3) for name in order}
         print(f"{workload} pair {i + 1}/{n_pairs} seed {seed + i}: wall_s {wall}", flush=True)
@@ -173,7 +184,7 @@ def main(argv=None) -> int:
                            "--seconds 1 --trace 1",
             }
             for name in ("parent", "change"):
-                _, result = _run(sides[name], args.workload, 1, 1.0, 1)
+                result = _run(sides[name], args.workload, 1, 1.0, 1)["result"]
                 record["traced_round"][name] = row = {
                     "correct": result["correct"], "failed": result["failed"],
                     **{k: v["value"] for k, v in result["metrics"].items()},
