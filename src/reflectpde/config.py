@@ -12,7 +12,7 @@ from .geometry import Domain
 # the keys each domain kind takes besides `kind`; the disk is the 2-ball
 _DOMAIN_KEYS = {"disk": ("radius",), "ball": ("dimension", "radius"), "ellipse": ("a", "b")}
 _VARIANTS = {"probabilistic", "analytic"}
-_SEED_LIMIT = 2**63  # a path stream's Philox key is seed + a small offset, as a uint64
+_SEED_LIMIT = 2**63  # Philox keys seed + offset as a uint64; offsets reach 100 + grid_n - 1
 
 
 class ConfigError(ValueError):

@@ -50,7 +50,7 @@ class AdmissibilityError(RuntimeError):
 class McParams:
     """Monte-Carlo run parameters.
 
-    ``truncation_tail_bound`` is filled by the estimators with the empirical
+    ``truncation_tail_bound`` is filled by ``fk_linear_frozen`` with the empirical
     bound on the discarded ``[T, infinity)`` tail, derived from the fitted
     exponential decay of the killing weight.
     """
@@ -87,19 +87,14 @@ class DecayFit:
 # ---------------------------------------------------------------------------
 # seed streams
 #
-# Every Monte-Carlo run draws from its caller's base seed plus an offset, so
-# that the runs of one call use disjoint streams.  The values are part of the
-# reproducibility contract: changing one changes every estimate built on it.
+# Every probe of an estimator draws from its caller's base seed plus an offset,
+# so that the probes of one call use disjoint streams.  The values are part of
+# the reproducibility contract: changing one changes every estimate built on it.
 
 SEED_CALIBRATION_PROBES = 0      # calibrate_boundary_constant: + i for probe i
 SEED_SECOND_BOUNDARY_PROBE = 1   # check_conditions_C: the E[int w^2 dL] probe
 SEED_CONDITIONS_GRID = 100       # check_conditions_C: + i for grid start i
 SEED_PROBE_STRIDE = 7            # compare_frozen_at_probes: + 7 i for probe i
-
-
-def _shifted(params: McParams, seed_shift: int) -> McParams:
-    """The run parameters of one probe, on the seed stream ``seed_shift``."""
-    return McParams(params.n_paths, params.horizon, params.step, params.seed + seed_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +161,7 @@ class WeightedObserver(PathObserver):
     time and boundary terms keep separate accumulators and are summed only
     when a value is recorded.  ``estimate(step)`` reads a marked step and
     ``estimate()`` the horizon.  At ``fit_steps`` the weight e^{E} itself is
-    recorded, and ``decay_fit`` fits its decay from the run's own paths.
+    recorded, from which the estimators fit its decay on the run's own paths.
     With a ``mesh``, for data on it, each block's new points are located once,
     and F and H are called as F(x, at) and H(x, at) with the location
     ``(tri, (l0, l1, l2))`` of their points that :meth:`Mesh.find_triangles`
@@ -242,12 +237,6 @@ class WeightedObserver(PathObserver):
 
     def estimate(self, step=None) -> Estimate:
         return Estimate.from_samples(np.concatenate(self._values[step]))
-
-    def decay_fit(self, h: float) -> DecayFit:
-        """``estimate_decay`` of the mean weight at the fit steps, h the step length."""
-        steps = sorted(self._weights)
-        means = [np.concatenate(self._weights[s]).mean() for s in steps]
-        return estimate_decay(np.array(steps) * h, np.array(means), self.power)
 
 
 # perfbench's tracer times observers by class name, one span per class; these
@@ -385,43 +374,33 @@ def _fit_steps(params: McParams) -> list:
 # Feynman-Kac estimators
 
 
-def _boundary_max(domain: Domain, data) -> float:
-    """max |data| over the boundary quadrature nodes, for the tail bounds."""
-    nodes = np.stack([node for node, _ in boundary_quadrature(domain, 32)])
-    return float(np.max(np.abs(np.asarray(data(nodes)))))
+def _run_probes(domain: Domain, x0, seed, obs: WeightedObserver, params: McParams,
+                must_decay: bool = False) -> tuple:
+    """Run ``obs`` once over probes: their estimates, and the decay fits of their weights.
 
-
-def _run_and_fit(domain: Domain, x0, obs: WeightedObserver, params: McParams) -> tuple:
-    """Run a Feynman-Kac observer from x0: (estimate, decay fit of its weight)."""
-    run_paths(domain, params.n_paths, params.horizon, params.step, params.seed, [obs], x0=x0)
-    return obs.estimate(), obs.decay_fit(params.step)
-
-
-def _run_fk(domain: Domain, x0, obs: WeightedObserver, params: McParams, context) -> Estimate:
-    """:func:`_run_and_fit` for an estimator whose killing weight must decay.
-
-    Raises :class:`AdmissibilityError`, after the run, when the fit shows no
-    exponential decay; otherwise fills ``params.truncation_tail_bound`` with
-    (sup|F| + |c| sup|H| rate) times the fit's tail integral past the horizon.
-    Both sups are taken before the run, so a domain with no boundary rule
-    fails before any path is drawn.
+    ``seed`` and ``x0`` give the probes as :func:`run_paths` takes them, each
+    with ``params.n_paths`` paths; a probe's samples and fit weights are its
+    contiguous block of the run's.  An observer without fit steps gives no
+    fits.  With ``must_decay``, raises :class:`AdmissibilityError` after the
+    run for the first probe whose fit shows no exponential decay.
     """
-    fmax = 0.0 if obs.F is None else float(
-        np.max(np.abs(np.asarray(obs.F(interior_grid(domain, 32)))))
-    )
-    hmax = _boundary_max(domain, obs.H)
-    est, fit = _run_and_fit(domain, x0, obs, params)
-    if not fit.decays:
-        raise AdmissibilityError(
-            f"{context}: killing weight shows no exponential decay "
-            f"(fitted theta={fit.theta:g}); the infinite-horizon integral "
-            "cannot be truncated"
-        )
-    rate = domain.boundary_measure / domain.volume
-    params.truncation_tail_bound = float(
-        (fmax + abs(obs.c) * hmax * rate) * fit.tail_integral(params.horizon)
-    )
-    return est
+    n_probes = len(seed) if isinstance(seed, list) else 1
+    run_paths(domain, n_probes * params.n_paths, params.horizon, params.step, seed, [obs],
+              x0=x0)
+    steps = sorted(obs._weights)
+    weights = [np.split(np.concatenate(obs._weights[s]), n_probes) for s in steps]
+    times = np.array(steps) * params.step
+    fits = [estimate_decay(times, np.array([w[g].mean() for w in weights]), obs.power)
+            for g in range(n_probes)] if steps else []
+    for fit in fits:
+        if must_decay and not fit.decays:
+            raise AdmissibilityError(
+                "fk_linear_frozen: killing weight shows no exponential decay "
+                f"(fitted theta={fit.theta:g}); the infinite-horizon integral "
+                "cannot be truncated"
+            )
+    samples = np.split(np.concatenate(obs._values[None]), n_probes)
+    return [Estimate.from_samples(v) for v in samples], fits
 
 
 def fk_linear_frozen(
@@ -433,11 +412,24 @@ def fk_linear_frozen(
     (1/2) lap v + q v + F = 0, <grad v, n> + 2 c_bd H = 0 at x0.  F = None
     leaves out the time integral: the pure boundary functional.  Raises
     :class:`AdmissibilityError`, after the run, when the decay fit of the
-    run's own weight fails; fills ``params.truncation_tail_bound`` from that fit.
+    run's own weight fails; otherwise fills ``params.truncation_tail_bound``
+    with (sup|F| + |c_bd| sup|H| rate) times the fit's tail integral past the
+    horizon.
     """
     kind = BoundaryIntegralObserver if f_frozen is None else TimeIntegralObserver
     obs = kind(q, F=f_frozen, H=h_frozen, c=c_bd, fit_steps=_fit_steps(params))
-    return _run_fk(domain, x0, obs, params, "fk_linear_frozen")
+    # both sups before the run: a domain with no boundary rule fails before any path
+    fmax = 0.0 if f_frozen is None else float(
+        np.max(np.abs(np.asarray(f_frozen(interior_grid(domain, 32)))))
+    )
+    nodes = np.stack([node for node, _ in boundary_quadrature(domain, 32)])
+    hmax = float(np.max(np.abs(np.asarray(h_frozen(nodes)))))
+    [est], [fit] = _run_probes(domain, x0, params.seed, obs, params, must_decay=True)
+    rate = domain.boundary_measure / domain.volume
+    params.truncation_tail_bound = float(
+        (fmax + abs(c_bd) * hmax * rate) * fit.tail_integral(params.horizon)
+    )
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +478,9 @@ def calibrate_boundary_constant(
     calibration = CoefficientSet.from_strings(2, f="0", g=["0", "0"], h="1", q="-1")
     v = solve_semilinear_g_frozen(build_mesh(domain, mesh_h), calibration, inner_tol=1e-11)
     fem_vals = v.value_at(probes)
-    ests = [
-        fk_linear_frozen(
-            domain, p, q, None, one, _shifted(params, SEED_CALIBRATION_PROBES + i), c_bd=1.0
-        )
-        for i, p in enumerate(probes)
-    ]
+    obs = BoundaryIntegralObserver(q, H=one, c=1.0, fit_steps=_fit_steps(params))
+    seeds = [params.seed + SEED_CALIBRATION_PROBES + i for i in range(len(probes))]
+    ests, _ = _run_probes(domain, probes, seeds, obs, params, must_decay=True)
     means = np.array([est.mean for est in ests])
     ses = np.array([est.standard_error for est in ests])
     c = float(np.dot(fem_vals, means) / np.dot(means, means))
@@ -559,8 +548,11 @@ def check_conditions_C(
     since the decay rate of E^x[e^{p int q}] is the same from every start.
     Condition 3 is neither flagged nor given a tail when q is zero by its form
     (``Expr.is_zero``, conservative: ``x1 - x1`` is not known to be zero).
-    Divergence is report content, not an exception.
+    Divergence is report content, not an exception.  Raises ValueError when
+    ``grid_n`` is below 1.
     """
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     q = coeffs.q_at
     x0 = np.zeros(domain.dim)
     one = lambda x: np.ones(len(x))  # noqa: E731
@@ -570,7 +562,7 @@ def check_conditions_C(
         """A boundary probe, flagged by the decay fit of its own weight."""
         obs = BoundaryIntegralObserver(q, H=one, power=power, c=DEFAULT_C_BD,
                                        fit_steps=_fit_steps(params))
-        est, fit = _run_and_fit(domain, x0, obs, _shifted(params, seed_shift))
+        [est], [fit] = _run_probes(domain, x0, params.seed + seed_shift, obs, params)
         tail = DEFAULT_C_BD * rate * fit.tail_integral(params.horizon)  # sup|H| = 1
         return ConditionEstimate(name, est, tail, not fit.decays, _fit_detail(fit)), fit
 
@@ -581,24 +573,18 @@ def check_conditions_C(
         v = np.asarray(q(x), dtype=float)
         return v * v
 
-    grid = np.vstack([x0[None, :], interior_grid(domain, max(1, grid_n - 1))])
-    worst = None
-    for i, g0 in enumerate(grid):
-        obs = TimeIntegralObserver(q, F=q_sq, power=2)
-        run_paths(
-            domain, params.n_paths, params.horizon, params.step,
-            params.seed + SEED_CONDITIONS_GRID + i, [obs], x0=g0,
-        )
-        est = obs.estimate()
-        if worst is None or est.mean > worst[1].mean:
-            worst = (g0, est)
-    at = f" at ({worst[0][0]:+.2f},{worst[0][1]:+.2f})" if domain.dim == 2 else ""
+    grid = np.vstack([x0[None, :], interior_grid(domain, grid_n - 1)])
+    seeds = [params.seed + SEED_CONDITIONS_GRID + i for i in range(grid_n)]
+    obs = TimeIntegralObserver(q, F=q_sq, power=2)
+    ests, _ = _run_probes(domain, grid, seeds, obs, params)
+    worst = max(range(grid_n), key=lambda i: ests[i].mean)  # the first of equal maxima
+    at = f" at ({grid[worst][0]:+.2f},{grid[worst][1]:+.2f})" if domain.dim == 2 else ""
     q_zero = coeffs.q.is_zero()  # the integrand vanishes, whatever the weight does
     tail = 0.0 if q_zero else fit2.tail_integral(params.horizon)  # inf without decay
     if fit2.decays and not q_zero:  # the grid max of q^2 stands in for its sup
         tail *= float(np.max(q_sq(interior_grid(domain, 64))))
     c3 = ConditionEstimate(
-        "sup_x E[int w^2 q^2 dt]", worst[1], tail, not (q_zero or fit2.decays),
+        "sup_x E[int w^2 q^2 dt]", ests[worst], tail, not (q_zero or fit2.decays),
         f"grid max over {len(grid)} starts{at}; " + ("q = 0" if q_zero else _fit_detail(fit2)),
     )
     return ConditionsCReport(boundary_weight=c1, boundary_weight_sq=c2, q_square_sup=c3)
@@ -768,7 +754,8 @@ def compare_frozen_at_probes(
     u(x0) = fk(F + 2qG + G, H) + 2 G(x0), fk as in :func:`fk_linear_frozen`.
     The observer locates each path-step point once on the mesh of u, so u,
     grad u and G are read from one set of barycentrics, and a boundary hit
-    reuses its step's location.  Probe i runs on the seed shifted by ``SEED_PROBE_STRIDE * i``.
+    reuses its step's location.  All probes share one run, probe i on the
+    seed shifted by ``SEED_PROBE_STRIDE * i``.
     """
     if probes is None:
         probes = interior_grid(domain, 5)
@@ -777,32 +764,25 @@ def compare_frozen_at_probes(
     G = solve_g_lifting(u.mesh, WeakForm(u.mesh, coeffs).divergence(u.values))
     q = _StepMemo(coeffs.q_at)  # the observer's q evaluation serves f_tilde too
 
-    def f_tilde(x, at=None):
-        """F + 2 q G + G, with u and G from one location; the tail bound passes none."""
-        at = u.mesh.find_triangles(x) if at is None else at
+    def f_tilde(x, at):
+        """F + 2 q G + G, with u and G from the one location ``at`` of x."""
         val, grad = u.value_grad_at(x, at)
-        f = coeffs.f_at(np.atleast_2d(x), val, grad)
-        gv = G.value_at(x, at)
-        return np.asarray(f, dtype=float) + (2.0 * np.asarray(q(x)) + 1.0) * gv
+        f = coeffs.f_at(x, val, grad)
+        return np.asarray(f, dtype=float) + (2.0 * np.asarray(q(x)) + 1.0) * G.value_at(x, at)
 
-    def H(x, at=None):
-        """h at u; the observer passes the hits' location, the tail bound none."""
-        return coeffs.h_at(np.atleast_2d(x), u.value_at(x, at))
+    def H(x, at):
+        """h at u, with u from the hits' location ``at``."""
+        return coeffs.h_at(x, u.value_at(x, at))
 
-    fem_vals = u.value_at(probes)
-    means, ses = [], []
-    for i, p in enumerate(probes):
-        p_params = _shifted(params, SEED_PROBE_STRIDE * i)
-        obs = TimeIntegralObserver(
-            q, F=f_tilde, H=H, c=DEFAULT_C_BD, fit_steps=_fit_steps(p_params), mesh=u.mesh
-        )
-        est = _run_fk(domain, p, obs, p_params, "fk_linear_frozen")
-        means.append(est.mean + 2.0 * float(G.value_at(p[None, :])[0]))
-        ses.append(est.standard_error)
+    obs = TimeIntegralObserver(
+        q, F=f_tilde, H=H, c=DEFAULT_C_BD, fit_steps=_fit_steps(params), mesh=u.mesh
+    )
+    seeds = [params.seed + SEED_PROBE_STRIDE * i for i in range(len(probes))]
+    ests, _ = _run_probes(domain, probes, seeds, obs, params, must_decay=True)
     return ProbeComparison(
         probes=probes,
-        fem_values=np.asarray(fem_vals),
-        mc_means=np.array(means),
-        mc_ses=np.array(ses),
+        fem_values=np.asarray(u.value_at(probes)),
+        mc_means=np.array([est.mean for est in ests]) + 2.0 * G.value_at(probes),
+        mc_ses=np.array([est.standard_error for est in ests]),
         allowance=allowance,
     )

@@ -19,9 +19,10 @@ start E[L_T] / T -> sigma(dD) / |D| (rate 2 on the unit disk, 3 on the unit
 path functionals that need it (e.g. the martingale-residual check) use the
 ``push`` increments directly.
 
-Reproducibility.  Path i of a run draws all of its randomness from a
-counter-based Philox stream keyed by (seed, i): the same (seed, i) gives the
-same path bit for bit, independently of batch size or chunking.
+Reproducibility.  Path i of a probe draws all of its randomness from a
+counter-based Philox stream keyed by (seed, i), seed the probe's: the same
+(seed, i) gives the same path bit for bit, independently of batch size,
+chunking and the other probes of the run.
 
 The batch engine.  :func:`run_paths` steps a chunk of paths one step at a
 time and hands observers a :class:`StepBlock` of k consecutive steps at a
@@ -313,17 +314,21 @@ def run_paths(
 ) -> int:
     """Drive observers over ``n_paths`` reflecting paths; returns the step count.
 
-    Paths are simulated in chunks, vectorized across the chunk; every path
-    uses its own (seed, index)-keyed stream, so results do not depend on
-    ``chunk_size`` or ``block``.  The normals of ``block`` steps are drawn at
-    a time into one buffer, which bounds the engine's noise memory to
-    min(n_paths, chunk_size) * block * d doubles.  Each :class:`StepBlock` of
-    k = min(block, BLOCK_PATH_STEPS // m) steps (at least one) for a chunk of
-    m paths, the last of a noise block shorter, has its increments scaled
+    ``seed`` (an int, or one per probe) and ``x0`` (None, one point, or one
+    per probe) give the probes, which take equal contiguous blocks of the
+    paths: path j of probe g draws from the stream keyed (seed_g, j) and
+    starts at x0_g, or at its own uniform draw when ``x0`` is None.  Paths
+    are simulated in chunks, vectorized across the chunk; results do not
+    depend on ``chunk_size`` or ``block``.  The normals of ``block`` steps are
+    drawn at a time into one buffer, which bounds the engine's noise memory
+    to min(n_paths, chunk_size) * block * d doubles.  Each :class:`StepBlock`
+    of k = min(block, BLOCK_PATH_STEPS // m) steps (at least one) for a chunk
+    of m paths, the last of a noise block shorter, has its increments scaled
     from the noise by one multiply; each path then steps one step at a time,
     into buffers of the chunk that every block reuses, and the block goes to
-    the observers, its arrays valid only during the call.  ``x0`` is a fixed start point or None for uniform starts.
-    Raises ValueError when ``n_paths``, ``chunk_size`` or ``block`` is below 1.
+    the observers, its arrays valid only during the call.  Raises ValueError
+    when ``n_paths``, ``chunk_size`` or ``block`` is below 1, or when the
+    probes disagree in number or do not divide ``n_paths``.
     """
     for name, value in (("n_paths", n_paths), ("chunk_size", chunk_size), ("block", block)):
         if value < 1:
@@ -331,7 +336,14 @@ def run_paths(
     n_steps = check_step(domain, T, h_t)
     d = domain.dim
     sqh = math.sqrt(h_t)
-    fixed = None if x0 is None else np.asarray(x0, dtype=float)
+    # Python ints, exact where a seed near 2^63 plus an offset passes int64 and float
+    seeds = [seed] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
+    starts = None if x0 is None else np.atleast_2d(np.asarray(x0, dtype=float))
+    counts = {len(seeds), 1 if starts is None else len(starts)}
+    n_probes = max(counts)
+    if min(counts) < 1 or counts - {1, n_probes} or n_paths % n_probes:
+        raise ValueError(f"seed and x0 must give one probe count that divides n_paths = "
+                         f"{n_paths}; got {sorted(counts)}")
     m_max = min(chunk_size, n_paths)
     nb_max = min(block, n_steps)
     k = max(1, min(nb_max, BLOCK_PATH_STEPS // m_max))
@@ -341,16 +353,17 @@ def run_paths(
     for c0 in range(0, n_paths, chunk_size):
         idx = np.arange(c0, min(c0 + chunk_size, n_paths))
         m = len(idx)
-        gens = [_path_generator(seed, int(i)) for i in idx]
-        if fixed is None:
-            starts = np.stack([_draw_start(domain, g) for g in gens])
+        probe, index = np.divmod(idx, n_paths // n_probes)  # a lone seed or start serves all
+        gens = [_path_generator(seeds[p % len(seeds)], int(i)) for p, i in zip(probe, index)]
+        if starts is None:
+            x_start = np.stack([_draw_start(domain, g) for g in gens])
         else:
-            starts = np.broadcast_to(fixed, (m, d)).copy()
+            x_start = starts[probe % len(starts)]
         xs, dBs, normals = np.empty((k + 1, m, d)), np.empty((k, m, d)), np.empty((k, m, d))
         pushes, dls, hits = np.empty((k, m)), np.empty((k, m)), np.empty((k, m), dtype=bool)
         for obs in observers:
-            obs.start_chunk(idx, starts)
-        xs[0] = starts
+            obs.start_chunk(idx, x_start)
+        xs[0] = x_start
         j = 0
         while j < n_steps:
             nb = min(block, n_steps - j)

@@ -118,17 +118,52 @@ def test_fk_estimators_run_once(monkeypatch, disk, meshes):
     assert len(runs) == 2
 
 
-def test_probe_estimators_run_once_per_probe(monkeypatch, disk, meshes, corpus_b):
+def test_probe_estimators_run_once_per_path_functional(monkeypatch, disk, meshes, corpus_b):
     runs, _ = _spy(monkeypatch, "run_paths")
     probes = np.array([[0.0, 0.1], [0.5, -0.2], [-0.3, 0.3]])
     calibrate_boundary_constant(disk, params(n=20, T=0.5), mesh_h=0.1, probes=probes)
-    assert len(runs) == len(probes)
+    assert len(runs) == 1
     u = FemFunction(meshes[0.1], meshes[0.1].nodes[:, 0] ** 2)
     compare_frozen_at_probes(disk, u, corpus_b, params(n=20, T=0.5), probes=probes)
-    assert len(runs) == 2 * len(probes)
-    runs.clear()
+    assert len(runs) == 2
     check_conditions_C(disk, q_only("-1"), params(n=20, T=0.5), grid_n=3)
-    assert len(runs) == 2 + 3  # two boundary probes, one run per grid start
+    assert len(runs) == 2 + 3  # two boundary probes on two observers, then the grid
+    # each run carries every probe of its functional, 20 paths each
+    assert [args[1] for args, _ in runs] == [60, 60, 20, 20, 60]
+
+
+@pytest.mark.parametrize("x0, base, chunk", [
+    (np.array([[0.0, 0.0], [0.9, 0.0], [-0.3, 0.6]]), 11, 4),  # a chunk splits each probe
+    (None, 11, 2048),                                          # uniform starts
+    (np.array([[0.0, 0.0], [0.9, 0.0], [-0.3, 0.6]]), 2**63 - 1, 2048),
+], ids=["chunk-4", "uniform-starts", "seed-2^63-1"])
+def test_grouped_run_is_the_per_probe_loop_bit_for_bit(monkeypatch, disk, x0, base, chunk):
+    # one run of three probes of 7 paths against one run per probe, as the estimators
+    # ran them: samples, estimates and decay-fit means, bit for bit; seed + offset above
+    # 2^63 must stay an exact key (through float, or wrapped as an int64, it would not)
+    seeds = [base + off for off in (0, 7, 100)]
+    q = lambda x: -1.0 - x[:, 0] ** 2  # noqa: E731
+
+    def observer():
+        return TimeIntegralObserver(q, F=lambda x: 1.0 + x[:, 1], H=lambda x: 2.0 - x[:, 0],
+                                    c=0.5, fit_steps=[5, 10, 20])
+
+    monkeypatch.setattr(probeval, "run_paths", lambda *a, **k: run_paths(*a, **k,
+                                                                          chunk_size=chunk))
+    grouped = observer()
+    p = params(n=7, T=0.2, h=1e-2)
+    ests, fits = probeval._run_probes(disk, x0, seeds, grouped, p)
+    samples = np.split(np.concatenate(grouped._values[None]), 3)
+    for g, (seed, est, fit) in enumerate(zip(seeds, ests, fits)):
+        alone = observer()
+        run_paths(disk, 7, 0.2, 1e-2, seed, [alone], x0=None if x0 is None else x0[g],
+                  chunk_size=chunk)
+        want = np.concatenate(alone._values[None])
+        assert samples[g].tobytes() == want.tobytes()
+        assert est == alone.estimate() == Estimate.from_samples(want)
+        means = [np.concatenate(alone._weights[s]).mean() for s in (5, 10, 20)]
+        assert fit.values.tobytes() == np.array(means).tobytes()
+    assert len({s.tobytes() for s in samples}) == 3  # three streams, not one
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +603,8 @@ def test_fk_with_divergence_evaluates_q_once_per_step(disk, meshes):
     u = FemFunction(meshes[0.1], np.zeros(meshes[0.1].n_nodes))
     # 20 engine steps in one chunk of 30 paths; the decay fit reads the same run
     compare_frozen_at_probes(disk, u, coeffs, params(n=30, T=0.2, h=1e-2), probes=[[0.0, 0.0]])
-    grid, *blocks = coeffs.calls
-    assert grid == len(interior_grid(disk, 32))  # the tail bound's, before the run
     # each path-step point once: the observer's evaluation, shared with f_tilde
-    assert sum(blocks) == 20 * 30
+    assert sum(coeffs.calls) == 20 * 30
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +714,24 @@ def test_conditions_flag_a_tail_bound_above_the_estimate(disk):
         assert not c.divergent and c.tail_bound > 100.0 * c.estimate.mean
         assert "  TAIL>EST fit C=" in row and " ok " not in row
     assert rep.all_clear  # the flag is report text; the verdicts are the fits'
+
+
+def test_conditions_run_exactly_grid_n_starts(monkeypatch, disk):
+    runs, _ = _spy(monkeypatch, "run_paths")
+    p = params(n=10, T=0.1, h=1e-2)
+    for grid_n in (1, 2, 5):
+        runs.clear()
+        rep = check_conditions_C(disk, q_only("-1"), p, grid_n=grid_n)
+        args, kwargs = runs[-1]  # the grid's run: the origin, then interior_grid
+        want = np.vstack([np.zeros((1, 2)), interior_grid(disk, grid_n - 1)])
+        assert np.array_equal(kwargs["x0"], want)
+        assert args[1] == 10 * grid_n and len(args[4]) == grid_n
+        assert f"grid max over {grid_n} starts" in rep.q_square_sup.detail
+    runs.clear()
+    for grid_n in (0, -2):
+        with pytest.raises(ValueError, match="grid_n"):
+            check_conditions_C(disk, q_only("-1"), p, grid_n=grid_n)
+    assert runs == []
 
 
 def test_conditions_on_a_ball_without_a_boundary_rule():
@@ -804,19 +855,15 @@ def test_probe_comparison_locates_once_per_step(monkeypatch, disk, meshes, corpu
     probes = np.array([[0.0, 0.1], [0.8, -0.3]])
     compare_frozen_at_probes(disk, u, corpus_b, params(n=40, T=0.05, h=1e-3), probes=probes)
     n_steps = 50
-    # the probes; then per probe: the tail-bound grid and the boundary nodes, the 40
-    # start points, each path-step's new point located once, a block at a time, which
-    # u, grad u, G and h all read, and the shift 2 G(x0)
-    assert calls[0] == len(probes)
-    starts = [i for i, size in enumerate(calls) if size == 40]
-    assert len(starts) == len(probes)
-    for i0, i1 in zip(starts, starts[1:] + [len(calls) + 2]):
-        *blocks, shift = calls[i0 + 1:i1 - 2]
-        assert sum(blocks) == 40 * n_steps
-        assert shift == 1
-    assert len(calls) == 1 + len(probes) * (2 + 1 + len(blocks) + 1)
+    # one run of both probes: the 80 start points, each path-step's new point located
+    # once, a block at a time, which u, grad u, G and h all read; then the FEM values
+    # and the shifts 2 G at the probes
+    starts, *blocks, fem, shift = calls
+    assert starts == len(probes) * 40
+    assert sum(blocks) == len(probes) * 40 * n_steps
+    assert fem == shift == len(probes)
     # the boundary term reads the hits' location from the block's: no call on the hits
-    assert len(h_calls) > len(probes)  # blocks with hits, besides one tail bound per probe
+    assert h_calls
 
 
 def test_probe_comparison_evaluates_from_the_points_own_location(

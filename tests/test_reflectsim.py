@@ -231,16 +231,37 @@ def test_engine_step_matches_the_reference(kind):
     assert hits > 50  # the paths do reach the boundary
 
 
+class NoPaths(PathObserver):
+    def start_chunk(self, idx, x0):
+        raise AssertionError("a path was drawn")
+
+
 @pytest.mark.parametrize("arg", ["n_paths", "chunk_size", "block"])
 def test_run_paths_rejects_bad_sizes(disk, arg):
-    class NoPaths(PathObserver):
-        def start_chunk(self, idx, x0):
-            raise AssertionError("a path was drawn")
-
     for bad in (0, -1):
         sizes = {"n_paths": 4, "chunk_size": 2, "block": 3, arg: bad}
         with pytest.raises(ValueError, match=arg):
             run_paths(disk, T=0.01, h_t=1e-3, seed=1, observers=[NoPaths()], **sizes)
+
+
+def test_run_paths_rejects_probes_that_disagree(disk):
+    starts = np.zeros((3, 2))
+    for seed, x0, n_paths in (([1, 2], starts, 6), ([1, 2, 3], starts[:2], 6), ([], None, 4),
+                              ([1, 2, 3], None, 4), (1, starts, 4)):
+        with pytest.raises(ValueError, match="probe"):
+            run_paths(disk, n_paths, 0.01, 1e-3, seed, [NoPaths()], x0=x0)
+
+
+def test_run_paths_probes_of_one_seed_share_its_streams(disk):
+    # probe g's path j starts at x0_g and draws from the stream keyed (seed, j)
+    starts = np.array([[0.0, 0.0], [0.5, 0.5], [-0.9, 0.1]])
+    rec = Recorder()
+    run_paths(disk, 6, 0.05, 1e-3, 3, [Unrolled(rec)], x0=starts, chunk_size=4)
+    for i in range(6):
+        xs, *_, dB = rec.all[i]
+        assert np.array_equal(xs[0], starts[i // 2])
+        normals = _path_generator(3, i % 2).standard_normal((50, 2))
+        assert np.array_equal(dB, normals * math.sqrt(1e-3))
 
 
 def test_noise_memory_is_bounded_by_the_block(disk):
