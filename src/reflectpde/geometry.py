@@ -129,6 +129,14 @@ class Domain:
         return 2.0 * self.semi_axes[0]
 
 
+def _norm(pts: np.ndarray) -> np.ndarray:
+    """Row norms of (m, d) points; in 2-d sqrt(x*x + y*y), rounded as einsum rounds it."""
+    if pts.shape[1] != 2:  # d >= 3 keeps einsum's rounding, not that of a sequential sum
+        return np.sqrt(np.einsum("ij,ij->i", pts, pts))
+    sq = pts * pts  # both columns in one contiguous product
+    return np.sqrt(sq[:, 0] + sq[:, 1])
+
+
 def outside(domain: Domain, pts: np.ndarray) -> np.ndarray:
     """Mask of the points (m, d) outside the closed domain.
 
@@ -137,7 +145,7 @@ def outside(domain: Domain, pts: np.ndarray) -> np.ndarray:
     implicit quadratic 1 - (x/a)^2 - (y/b)^2.
     """
     if domain.kind == "ball":
-        return np.sqrt(np.einsum("ij,ij->i", pts, pts)) > domain.radius
+        return _norm(pts) > domain.radius
     a, b = domain.semi_axes
     return 1.0 - (pts[:, 0] / a) ** 2 - (pts[:, 1] / b) ** 2 < 0
 
@@ -230,15 +238,15 @@ def project_points(domain: Domain, x) -> tuple:
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if domain.kind == "ball":
         r0 = domain.radius
-        r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        r = _norm(pts)
         foot = pts * (r0 / np.where(r > 0, r, np.inf))[:, None]
-        foot[r == 0, 0] = r0  # tie-break at the exact center
+        foot[:, 0][r == 0] = r0  # tie-break at the exact center; faster than [r == 0, 0]
         return foot, -foot / r0, np.abs(r - r0)
     foot = _project_ellipse(domain, pts)
     a, b = domain.semi_axes
     normal = foot / np.array([-a * a, -b * b])  # -(x/a^2, y/b^2): inward at the foot
-    normal /= np.sqrt(np.einsum("ij,ij->i", normal, normal))[:, None]
-    dist = np.sqrt(np.einsum("ij,ij->i", pts - foot, pts - foot))
+    normal /= _norm(normal)[:, None]
+    dist = _norm(pts - foot)
     return foot, normal, dist
 
 

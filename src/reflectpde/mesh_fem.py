@@ -242,11 +242,11 @@ class Mesh:
 
     def _barycentric(self, x, y, t):
         """Barycentric coordinates (l0, l1, l2) of the points (x, y) in triangles ``t``."""
-        x0, y0, a1, b1, a2, b2 = self._frames.take(t, axis=1)
-        dx, dy = x - x0, y - y0
-        l1 = a1 * dx + b1 * dy
-        l2 = a2 * dx + b2 * dy
-        return 1.0 - l1 - l2, l1, l2
+        x0, y0, l1, b1, l2, b2 = self._frames.take(t, axis=1)  # fresh rows, computed in place
+        dx, dy = np.subtract(x, x0, out=x0), np.subtract(y, y0, out=y0)
+        np.add(np.multiply(l1, dx, out=l1), np.multiply(b1, dy, out=b1), out=l1)  # a1 dx + b1 dy
+        np.add(np.multiply(l2, dx, out=l2), np.multiply(b2, dy, out=b2), out=l2)
+        return np.subtract(np.subtract(1.0, l1, out=dx), l2, out=dx), l1, l2
 
     @cached_property
     def _boundary(self):
@@ -266,8 +266,9 @@ class Mesh:
         boundary edge it lies farthest beyond and that triangle's neighbours, the one whose
         smallest barycentric is largest; one beyond ``h_max``, or not finite, raises
         PointLocationError.  So the answer depends on the point alone.  A walk that cycles
-        (on a non-Delaunay mesh) ends in the triangle of the best such score overall.  The
-        barycentrics are the first pass's, recomputed for the points that moved.
+        (on a non-Delaunay mesh) ends in the triangle of the best such score overall.  Each
+        pass runs on the points still walking.  The barycentrics are those of a point's last
+        pass, or of the triangle it is given after it: off the mesh, or at a cycle's end.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if not np.isfinite(pts).all():
@@ -276,23 +277,24 @@ class Mesh:
         lo, cell, start = self._cells
         i, j = (np.clip((c - c0) / cell, 0, n - 1).astype(int)
                 for c, c0, n in zip((x, y), lo, start.shape))
-        t0 = start[i, j]
-        t, out, idx = t0.copy(), np.zeros(len(pts), dtype=bool), np.arange(len(pts))
-        lam = l0, l1, l2 = self._barycentric(x, y, t0)
+        t, out = start.ravel()[i * start.shape[1] + j], np.zeros(len(pts), dtype=bool)
+        lam = l0, l1, l2 = self._barycentric(x, y, t)
+        idx = np.arange(len(pts))
         for _ in range(4 * math.isqrt(len(self.triangles)) + 16):
-            l01 = np.minimum(l0, l1)
-            walking = np.minimum(l01, l2) < -1e-13  # slack for rounding on shared edges
-            side = np.where(l2 < l01, 2, l1 < l0)
+            walking = np.flatnonzero(np.minimum(np.minimum(l0, l1), l2) < -1e-13)  # edge slack
             idx = idx[walking]
             if not idx.size:
                 break
-            nxt = self.neighbors.ravel()[3 * t[idx] + side[walking]]
+            l0, l1, l2 = l0[walking], l1[walking], l2[walking]
+            nxt = self.neighbors.ravel()[3 * t[idx] + np.where(l2 < np.minimum(l0, l1), 2, l1 < l0)]
             inside = nxt >= 0
             if not inside.all():
                 out[idx[~inside]] = True
                 idx, nxt = idx[inside], nxt[inside]
             t[idx] = nxt
             l0, l1, l2 = self._barycentric(x[idx], y[idx], nxt)
+            for l, new in zip(lam, (l0, l1, l2)):
+                l[idx] = new
         else:  # the walk cycled
             m = len(self.triangles)
             t[idx] = self._best_score(x[idx], y[idx], np.broadcast_to(np.arange(m), (len(idx), m)))
@@ -304,7 +306,7 @@ class Mesh:
             if gap.max() > self.h_max:
                 raise PointLocationError(f"a point lies {gap.max():.3g} > h_max outside the mesh")
             t[part] = self._best_score(x[part], y[part], near[gap.argmax(axis=1)])
-        moved = np.flatnonzero(t != t0)
+        moved = np.concatenate([rows, idx])  # given a triangle after their last pass
         for l, new in zip(lam, self._barycentric(x[moved], y[moved], t[moved])):
             l[moved] = new
         return t, lam

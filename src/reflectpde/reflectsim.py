@@ -31,8 +31,8 @@ and normals of those steps, as views into buffers that the engine reuses,
 valid only during the observer's call.  An observer evaluates its data once
 per block, on all k m points of a chunk of m paths, and keeps its sums in
 step order, so nothing it returns depends on k.  The engine's memory is the
-noise of ``block`` steps (min(n_paths, chunk_size) * block * d doubles) plus
-the buffers of one observer block, about ``BLOCK_PATH_STEPS`` path-steps.
+increments of ``block`` steps (min(n_paths, chunk_size) * block * d doubles),
+drawn through a tile of 64 paths, plus the buffers of one observer block.
 """
 
 from __future__ import annotations
@@ -212,6 +212,7 @@ def star_integral(path: PathGrid, field) -> float:
 
 
 BLOCK_PATH_STEPS = 16384  # path-steps per observer call: k = this // paths per chunk
+_TILE_PATHS = 64  # paths drawn per noise tile: 64 paths of 256 2-d steps are 256 KB, in L2
 
 
 class StepBlock:
@@ -320,15 +321,16 @@ def run_paths(
     starts at x0_g, or at its own uniform draw when ``x0`` is None.  Paths
     are simulated in chunks, vectorized across the chunk; results do not
     depend on ``chunk_size`` or ``block``.  The normals of ``block`` steps are
-    drawn at a time into one buffer, which bounds the engine's noise memory
-    to min(n_paths, chunk_size) * block * d doubles.  Each :class:`StepBlock`
-    of k = min(block, BLOCK_PATH_STEPS // m) steps (at least one) for a chunk
-    of m paths, the last of a noise block shorter, has its increments scaled
-    from the noise by one multiply; each path then steps one step at a time,
-    into buffers of the chunk that every block reuses, and the block goes to
-    the observers, its arrays valid only during the call.  Raises ValueError
-    when ``n_paths``, ``chunk_size`` or ``block`` is below 1, or when the
-    probes disagree in number or do not divide ``n_paths``.
+    drawn at a time through a tile of 64 paths, scaled there and copied into a
+    step-major (block, m, d) buffer, which bounds the engine's noise memory to
+    min(n_paths, chunk_size) * block * d doubles.  Each :class:`StepBlock` of
+    k = min(block, BLOCK_PATH_STEPS // m) steps (at least one) for a chunk of
+    m paths, the last of a noise block shorter, views its increments there;
+    each path then steps one step at a time, into buffers of the chunk that
+    every block reuses, and the block goes to the observers, its arrays valid
+    only during the call.  Raises ValueError when ``n_paths``, ``chunk_size``
+    or ``block`` is below 1, when the probes disagree in number or do not
+    divide ``n_paths``, or when a start is not a point of the closed domain.
     """
     for name, value in (("n_paths", n_paths), ("chunk_size", chunk_size), ("block", block)):
         if value < 1:
@@ -344,10 +346,18 @@ def run_paths(
     if min(counts) < 1 or counts - {1, n_probes} or n_paths % n_probes:
         raise ValueError(f"seed and x0 must give one probe count that divides n_paths = "
                          f"{n_paths}; got {sorted(counts)}")
+    if starts is not None:
+        bad = np.flatnonzero(~np.isfinite(starts).all(axis=1) | outside(domain, starts)
+                             if starts.shape[1] == d else np.ones(len(starts)))
+        if len(bad):
+            raise ValueError(f"probe {bad[0]} starts at {starts[bad[0]]}, not a point of the "
+                             f"closed {d}-d domain")
     m_max = min(chunk_size, n_paths)
     nb_max = min(block, n_steps)
     k = max(1, min(nb_max, BLOCK_PATH_STEPS // m_max))
-    noise_buffer = np.empty((m_max, nb_max, d))
+    # step-major increments, drawn path-major through a tile; one path-step is one item
+    increments, tile = np.empty(m_max * nb_max * d), np.empty(min(_TILE_PATHS, m_max) * nb_max * d)
+    step_item = np.dtype((np.void, 8 * d))
     blk = StepBlock()
     blk.h = h_t
     for c0 in range(0, n_paths, chunk_size):
@@ -359,7 +369,8 @@ def run_paths(
             x_start = np.stack([_draw_start(domain, g) for g in gens])
         else:
             x_start = starts[probe % len(starts)]
-        xs, dBs, normals = np.empty((k + 1, m, d)), np.empty((k, m, d)), np.empty((k, m, d))
+        xs, normals = np.empty((k + 1, m, d)), np.empty((k, m, d))
+        dB = increments[: nb_max * m * d].reshape(nb_max, m, d)
         pushes, dls, hits = np.empty((k, m)), np.empty((k, m)), np.empty((k, m), dtype=bool)
         for obs in observers:
             obs.start_chunk(idx, x_start)
@@ -367,14 +378,18 @@ def run_paths(
         j = 0
         while j < n_steps:
             nb = min(block, n_steps - j)
-            noise = noise_buffer[:m, :nb]
-            for g, row in zip(gens, noise):
-                g.standard_normal(out=row)
+            for p0 in range(0, m, _TILE_PATHS):
+                noise = tile[: min(_TILE_PATHS, m - p0) * nb * d].reshape(-1, nb, d)
+                for g, row in zip(gens[p0:], noise):
+                    g.standard_normal(out=row)
+                noise *= sqh
+                dB[:nb, p0 : p0 + len(noise)].view(step_item)[..., 0] = (
+                    noise.view(step_item)[..., 0].T)
             for s0 in range(0, nb, k):
                 kb = min(k, nb - s0)
+                dBs = dB[s0 : s0 + kb]
                 pushes[:kb] = 0.0
                 normals[:kb] = 0.0
-                np.multiply(noise[:, s0:s0 + kb].swapaxes(0, 1), sqh, out=dBs[:kb])
                 for s in range(kb):
                     np.add(xs[s], dBs[s], out=xs[s + 1])
                     hits[s] = _reflect(domain, xs[s + 1], out=(xs[s + 1], pushes[s], normals[s]))[2]
@@ -383,7 +398,7 @@ def run_paths(
                 blk.x = xs[: kb + 1]
                 blk.x_prev = xs[:kb].reshape(kb * m, d)
                 blk.x_new = xs[1 : kb + 1].reshape(kb * m, d)
-                blk.dB, blk.push, blk.dl = dBs[:kb], pushes[:kb], dls[:kb]
+                blk.dB, blk.push, blk.dl = dBs, pushes[:kb], dls[:kb]
                 blk.hit, blk.normal = hits[:kb], normals[:kb]
                 for obs in observers:
                     obs.step(blk)

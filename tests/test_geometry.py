@@ -373,3 +373,31 @@ def test_elliptic_e_is_scipys_bit_for_bit():
     assert ours.tobytes() == ellipe(m).tobytes()
     for a, b in [(1.5, 1.0), (2.0, 1.0), (1.2, 1.0)]:
         assert Domain.ellipse(a, b).boundary_measure == 4.0 * a * ellipe(1.0 - (b / a) ** 2)
+
+
+def test_two_column_norm_is_einsums_bit_for_bit():
+    # the ball's 2-d norm sqrt(x*x + y*y) rounds as the einsum it replaced
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 7, 8, 15, 16, 17, 100, 1000, 4097, 65_537, 100_000):
+        for scale in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3):
+            wide = rng.standard_normal((n, 3)) * scale
+            for pts in (np.ascontiguousarray(wide[:, :2]), wide[:, 1:]):
+                want = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+                assert np.array_equal(geometry._norm(pts), want)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.7, 1.5, 1e-3, 1e3])
+def test_outside_and_projection_round_the_circle_alike(r):
+    # points at |x| = r (1 - 1 ulp), r and r (1 + 1 ulp): their computed norms land on
+    # both sides of r and on it, and both functions read the same norm
+    theta = np.linspace(0.0, 2.0 * math.pi, 20_001)
+    unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    pts = np.concatenate([unit * rr for rr in (np.nextafter(r, 0), r, np.nextafter(r, 2 * r))])
+    norm = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+    assert (norm < r).any() and (norm == r).any() and (norm > r).any()
+    disk = Domain.disk(r)
+    hit = outside(disk, pts)
+    assert np.array_equal(hit, norm > r)
+    _, _, dist = project_points(disk, pts)
+    assert np.array_equal(dist, np.abs(norm - r))
+    assert np.all(dist[hit] > 0) and not hit[dist == 0].any()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import iv
@@ -811,6 +813,112 @@ def test_location_matches_brute_force(location_cases, case):
             mesh.find_triangles(row[None])
     with pytest.raises(PointLocationError):
         mesh.find_triangles(np.vstack([inner[:50], beyond[:1]]))
+
+
+# ---------------------------------------------------------------------------
+# point location: the walk against its earlier loop
+#
+# _ref_find_triangles is Mesh.find_triangles as it was when every pass computed
+# the crossing side of all points and the barycentrics of the points that moved
+# were computed once more at the end, with the barycentric formula of that time.
+
+
+def _ref_barycentric(mesh, x, y, t):
+    x0, y0, a1, b1, a2, b2 = mesh._frames.take(t, axis=1)
+    dx, dy = x - x0, y - y0
+    l1 = a1 * dx + b1 * dy
+    l2 = a2 * dx + b2 * dy
+    return 1.0 - l1 - l2, l1, l2
+
+
+def _ref_best_score(mesh, x, y, cand):
+    l0, l1, l2 = _ref_barycentric(mesh, x[:, None], y[:, None], cand)
+    return cand[np.arange(len(cand)), np.minimum(np.minimum(l0, l1), l2).argmax(axis=1)]
+
+
+def _ref_find_triangles(mesh, points):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y = pts[:, 0], pts[:, 1]
+    lo, cell, start = mesh._cells
+    i, j = (np.clip((c - c0) / cell, 0, n - 1).astype(int)
+            for c, c0, n in zip((x, y), lo, start.shape))
+    t0 = start[i, j]
+    t, out, idx = t0.copy(), np.zeros(len(pts), dtype=bool), np.arange(len(pts))
+    lam = l0, l1, l2 = _ref_barycentric(mesh, x, y, t0)
+    for _ in range(4 * math.isqrt(len(mesh.triangles)) + 16):
+        l01 = np.minimum(l0, l1)
+        walking = np.minimum(l01, l2) < -1e-13
+        side = np.where(l2 < l01, 2, l1 < l0)
+        idx = idx[walking]
+        if not idx.size:
+            break
+        nxt = mesh.neighbors.ravel()[3 * t[idx] + side[walking]]
+        inside = nxt >= 0
+        if not inside.all():
+            out[idx[~inside]] = True
+            idx, nxt = idx[inside], nxt[inside]
+        t[idx] = nxt
+        l0, l1, l2 = _ref_barycentric(mesh, x[idx], y[idx], nxt)
+    else:
+        m = len(mesh.triangles)
+        t[idx] = _ref_best_score(mesh, x[idx], y[idx],
+                                 np.broadcast_to(np.arange(m), (len(idx), m)))
+    normal, offset, near = mesh._boundary
+    rows = np.flatnonzero(out)
+    for s in range(0, len(rows), 1024):
+        part = rows[s:s + 1024]
+        gap = pts[part] @ normal.T - offset
+        assert gap.max() <= mesh.h_max
+        t[part] = _ref_best_score(mesh, x[part], y[part], near[gap.argmax(axis=1)])
+    moved = np.flatnonzero(t != t0)
+    for l, new in zip(lam, _ref_barycentric(mesh, x[moved], y[moved], t[moved])):
+        l[moved] = new
+    return t, lam
+
+
+class _Blocks(PathObserver):
+    """Keeps a copy of every block's positions after the step."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def step(self, blk):
+        self.blocks.append(blk.x_new.copy())
+
+
+def _assert_same_location(mesh, points):
+    (t, lam), (ref_t, ref_lam) = mesh.find_triangles(points), _ref_find_triangles(mesh, points)
+    assert np.array_equal(t, ref_t)
+    for got, want in zip(lam, ref_lam):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_location_is_the_earlier_loops_bit_for_bit(monkeypatch, location_cases, case):
+    domain, mesh = location_cases[case]
+    rng = np.random.default_rng(31)
+    half = np.array(domain.semi_axes)
+    # blocks of reflected paths: 500 paths, k = 32 steps a block
+    obs = _Blocks()
+    run_paths(domain, 500, 0.02, 1e-4, 9, [obs])
+    assert len(obs.blocks) == 7 and sum(map(len, obs.blocks)) == 500 * 200
+    box = rng.uniform(-1.0, 1.0, (20_000, 2)) * half
+    inner = box[_ellipse_level(domain, box) < 1.0]
+    # up to 0.9 h_max beyond the curved boundary, along its outward normal
+    theta = rng.uniform(0, 2 * np.pi, 4000)
+    rim, inward, _ = project_points(domain, half * np.stack([np.cos(theta), np.sin(theta)], 1))
+    ring = rim - rng.uniform(0.0, 0.9 * mesh.h_max, (4000, 1)) * inward
+    for points in obs.blocks + [inner, ring]:
+        _assert_same_location(mesh, points)
+    # long walks, all from the centre's triangle; then cut off after 16 passes, which
+    # some finish, and at once
+    far = Mesh(mesh.nodes, mesh.triangles, mesh.boundary_edges)
+    far._cells = (mesh.nodes.min(axis=0), 1e3, mesh.find_triangles(np.zeros((1, 2)))[0][None])
+    mixed = np.vstack([obs.blocks[-1][:200], inner[:200], ring[:200]])
+    _assert_same_location(far, mixed)
+    for isqrt in (lambda n: 0, lambda n: -4):
+        monkeypatch.setattr(mesh_fem.math, "isqrt", isqrt)
+        _assert_same_location(far, mixed)
 
 
 def test_neighbor_table(meshes):

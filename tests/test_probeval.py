@@ -109,6 +109,14 @@ def test_admissibility_error_after_the_run(monkeypatch, disk):
     assert p.truncation_tail_bound == 0.0
 
 
+def test_fk_refuses_a_start_off_the_closed_domain(disk):
+    # these returned 999.8 and nan: a path from (1e6, 0) is projected onto the disk
+    x1 = lambda x: x[:, 0]  # noqa: E731
+    for x0 in ((1e6, 0.0), (np.nan, 0.0)):
+        with pytest.raises(ValueError, match="probe 0 starts at"):
+            fk_linear_frozen(disk, np.array(x0), Q_MINUS_ONE, x1, ZERO, params(n=200, T=2.0))
+
+
 def test_fk_estimators_run_once(monkeypatch, disk, meshes):
     runs, _ = _spy(monkeypatch, "run_paths")
     x0 = np.array([0.2, 0.1])

@@ -214,21 +214,37 @@ def _ref_run(domain, n_paths, T, h_t, seed, chunk_size=2048, block=2048):
     return out
 
 
+class ContiguousIncrements(PathObserver):
+    """Checks that every block's increments are one C-contiguous (k, m, d) view."""
+
+    def step(self, blk):
+        assert blk.dB.flags.c_contiguous and blk.dB.shape == blk.normal.shape
+
+
+# (n_paths, chunk_size, block) over 600 steps.  70 paths in chunks of 67 give a
+# 64-path noise tile, a 3-path tile and a 3-path last chunk; 600 is a multiple of
+# neither block; k = min(block, 16384 // 67) = 244 splits a block of 256 unevenly,
+# and a block of 7 is below it.
+CUTS = [(7, 4, 256), (70, 67, 256), (70, 67, 7), (70, 2048, 13)]
+
+
 @pytest.mark.parametrize("kind", list(DOMAINS))
 def test_engine_step_matches_the_reference(kind):
     domain = DOMAINS[kind]
-    ref = _ref_run(domain, 7, 0.6, 1e-3, seed=21, chunk_size=4)
-    rec = Recorder()
-    run_paths(domain, 7, 0.6, 1e-3, seed=21, observers=[Unrolled(rec)], chunk_size=4)
-    hits = 0
-    for i in range(7):
-        xs, dl, push, hit, normal, dB = rec.all[i]
-        rxs, rdl, rpush, rhit, rnormal, rdB = ref[i]
-        for got, want in ((xs, rxs), (dl, rdl), (push, rpush), (hit, rhit), (dB, rdB)):
-            assert np.array_equal(got, want)
-        assert np.max(np.abs(normal - rnormal)) <= 1e-15
-        hits += int(hit.sum())
-    assert hits > 50  # the paths do reach the boundary
+    ref = _ref_run(domain, 70, 0.6, 1e-3, seed=21)
+    for n_paths, chunk_size, block in CUTS:
+        rec = Recorder()
+        run_paths(domain, n_paths, 0.6, 1e-3, seed=21, chunk_size=chunk_size, block=block,
+                  observers=[Unrolled(rec), ContiguousIncrements()])
+        hits = 0
+        for i in range(n_paths):
+            xs, dl, push, hit, normal, dB = rec.all[i]
+            rxs, rdl, rpush, rhit, rnormal, rdB = ref[i]
+            for got, want in ((xs, rxs), (dl, rdl), (push, rpush), (hit, rhit), (dB, rdB)):
+                assert np.array_equal(got, want)
+            assert np.max(np.abs(normal - rnormal)) <= 1e-15
+            hits += int(hit.sum())
+        assert hits > 50  # the paths do reach the boundary
 
 
 class NoPaths(PathObserver):
@@ -250,6 +266,25 @@ def test_run_paths_rejects_probes_that_disagree(disk):
                               ([1, 2, 3], None, 4), (1, starts, 4)):
         with pytest.raises(ValueError, match="probe"):
             run_paths(disk, n_paths, 0.01, 1e-3, seed, [NoPaths()], x0=x0)
+
+
+@pytest.mark.parametrize("kind", list(DOMAINS))
+def test_run_paths_rejects_starts_off_the_closed_domain(kind):
+    domain = DOMAINS[kind]
+    d = domain.dim
+    for bad in (1e6, np.nan, np.inf, -np.inf, 1.0 + 1e-9):
+        starts = np.zeros((2, d))
+        starts[1, -1] = bad * domain.semi_axes[-1]
+        with pytest.raises(ValueError, match="probe 1 starts at"):
+            run_paths(domain, 4, 0.01, 1e-3, 1, [NoPaths()], x0=starts)
+    with pytest.raises(ValueError, match="probe 0 starts at"):
+        run_paths(domain, 2, 0.01, 1e-3, 1, [NoPaths()], x0=np.zeros(d + 1))
+    # points of the boundary are starts of the closed domain
+    starts = np.diag(domain.semi_axes)
+    starts = np.concatenate([starts, -starts, [np.zeros(d)]])
+    rec = Recorder()
+    run_paths(domain, len(starts), 0.01, 1e-3, 1, [Unrolled(rec)], x0=starts)
+    assert all(np.array_equal(rec.all[i][0][0], x) for i, x in enumerate(starts))
 
 
 def test_run_paths_probes_of_one_seed_share_its_streams(disk):
