@@ -32,7 +32,7 @@ from .coeffexpr import (
     validate_structure,
 )
 from .config import ConfigError, RunConfig, load_config
-from .geometry import BadOrder, Domain, boundary_quadrature
+from .geometry import Domain, boundary_points
 from .mesh_fem import (
     BadResolution,
     FemFunction,

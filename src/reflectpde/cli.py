@@ -22,6 +22,7 @@ import numpy as np
 from . import picard, probeval
 from .coeffexpr import DomainError, InadmissibleConstants, choose_constants, validate_structure
 from .config import ConfigError, RunConfig, check_seed, load_config
+from .geometry import project_points
 from .mesh_fem import (
     build_mesh,
     export_field,
@@ -190,6 +191,9 @@ def cmd_verify(args) -> int:
     try:
         mesh = import_mesh(mesh_path)
         u = import_field(field_path, mesh)
+        off = project_points(cfg.domain, mesh.nodes[mesh.boundary_edges.ravel()])[2].max(initial=0)
+        if off > 1e-9 * cfg.domain.diameter:  # the mesh is not of the configured domain
+            raise ValueError(f"{mesh_path}: boundary nodes lie {off:.3g} off the domain's boundary")
     except (OSError, ValueError) as err:
         print(f"cannot load field: {err}", file=sys.stderr)
         return EXIT_CONFIG

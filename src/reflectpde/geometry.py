@@ -1,4 +1,4 @@
-"""Bounded smooth domains: hit test, projection, measures, quadrature.
+"""Bounded smooth domains: hit test, projection, measures, points on and in them.
 
 A domain is what the path engine asks of it: ``outside``, the mask of the
 points that left the closed domain, and ``project_points``, their nearest
@@ -61,10 +61,6 @@ def _ellipe(m: float) -> float:
     """Cephes' ellpe: E(m) = int_0^{pi/2} sqrt(1 - m sin^2 t) dt for 0 <= m < 1."""
     x = 1.0 - m
     return _polevl(x, _ELLPE_P) - math.log(x) * (x * _polevl(x, _ELLPE_Q))
-
-
-class BadOrder(ValueError):
-    """Boundary quadrature order below the minimum of 3."""
 
 
 @dataclass(frozen=True)
@@ -250,42 +246,18 @@ def project_points(domain: Domain, x) -> tuple:
     return foot, normal, dist
 
 
-def boundary_quadrature(domain: Domain, m: int) -> list:
-    """Quadrature rule for the boundary measure: list of (node, weight).
-
-    Weights are positive and sum to the analytic boundary measure.  On the
-    disk the rule is the uniform trapezoid rule (exact for trigonometric
-    polynomials of degree < m); on the ellipse the arclength-weighted
-    trapezoid rule rescaled to the exact perimeter; on the sphere of the
-    3-ball a Fibonacci lattice with equal weights (constants exact).
-    """
-    if m < 3:
-        raise BadOrder(f"boundary quadrature needs m >= 3, got {m}")
-    sigma = domain.boundary_measure
-    if domain.kind == "ball" and domain.dim == 2:
-        theta = 2.0 * math.pi * np.arange(m) / m
-        r0 = domain.radius
-        nodes = np.stack([r0 * np.cos(theta), r0 * np.sin(theta)], axis=1)
-        w = np.full(m, sigma / m)
-    elif domain.kind == "ellipse":
-        a, b = domain.semi_axes
-        theta = 2.0 * math.pi * np.arange(m) / m
-        nodes = np.stack([a * np.cos(theta), b * np.sin(theta)], axis=1)
-        speed = np.hypot(a * np.sin(theta), b * np.cos(theta))
-        w = speed * (2.0 * math.pi / m)
-        w *= sigma / w.sum()
-    elif domain.kind == "ball" and domain.dim == 3:
+def boundary_points(domain: Domain, m: int) -> np.ndarray:
+    """(m, d) boundary points: m equal angles times the semi-axes, or a Fibonacci sphere."""
+    if domain.kind == "ball" and domain.dim == 3:
         i = np.arange(m)
         z = 1.0 - 2.0 * (i + 0.5) / m
         phi = i * math.pi * (3.0 - math.sqrt(5.0))
         rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        nodes = domain.radius * np.stack(
-            [rho * np.cos(phi), rho * np.sin(phi), z], axis=1
-        )
-        w = np.full(m, sigma / m)
-    else:
-        raise NotImplementedError(f"no boundary rule for kind={domain.kind} dim={domain.dim}")
-    return [(nodes[j], float(w[j])) for j in range(m)]
+        return domain.radius * np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    if domain.dim != 2:
+        raise NotImplementedError(f"no boundary points for kind={domain.kind} dim={domain.dim}")
+    theta = 2.0 * math.pi * np.arange(m) / m
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1) * domain.semi_axes
 
 
 def sample_uniform(domain: Domain, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffexpr import CoefficientSet
-from .geometry import Domain, boundary_quadrature, interior_grid
+from .geometry import Domain, boundary_points, interior_grid
 from .mesh_fem import (
     FemFunction, WeakForm, build_mesh, solve_g_lifting, solve_semilinear_g_frozen,
 )
@@ -108,7 +108,7 @@ SEED_PROBE_STRIDE = 7            # compare_frozen_at_probes: + 7 i for probe i
 # with each of the three terms switched on by passing its function.  The
 # exponent is advanced once per step whatever terms are on; the time and
 # boundary terms accumulate every step and the terminal term is evaluated
-# only where it is read: at marked steps and at the horizon.
+# only where it is read: at the stops and at the horizon.
 
 
 def _phi1(a: np.ndarray) -> np.ndarray:
@@ -151,7 +151,7 @@ def _take(v, rows):
 
 
 class WeightedObserver(PathObserver):
-    """Samples of the weighted path functional at marked steps and at the horizon.
+    """Samples of the weighted path functional and its weight, at stops and the horizon.
 
     The time term uses the exponential in-step rule: per step the weight
     factor int_{t_j}^{t_{j+1}} e^{E(s)} ds is taken as
@@ -159,9 +159,8 @@ class WeightedObserver(PathObserver):
     constant-q integrands reproduce their closed forms to rounding error.  The
     boundary term takes left-node weights and H at the projection foot.  The
     time and boundary terms keep separate accumulators and are summed only
-    when a value is recorded.  ``estimate(step)`` reads a marked step and
-    ``estimate()`` the horizon.  At ``fit_steps`` the weight e^{E} itself is
-    recorded, from which the estimators fit its decay on the run's own paths.
+    when a value is recorded: with the weight e^{E}, at each of ``stops`` and
+    at the horizon (step None), for ``samples(step)`` and ``estimate(step)``.
     With a ``mesh``, for data on it, each block's new points are located once,
     and F and H are called as F(x, at) and H(x, at) with the location
     ``(tri, (l0, l1, l2))`` of their points that :meth:`Mesh.find_triangles`
@@ -171,11 +170,11 @@ class WeightedObserver(PathObserver):
     """
 
     def __init__(self, q, F=None, H=None, Phi=None, c=1.0, lam=0.0, mu=0.0, power=1,
-                 marks=(), fit_steps=(), mesh=None):
+                 stops=(), mesh=None):
         self.q, self.F, self.H, self.Phi, self.c = q, F, H, Phi, c
         self.lam, self.mu, self.power, self.mesh = lam, mu, power, mesh
-        self._values: dict = {step: [] for step in (*marks, None)}
-        self._weights: dict = {step: [] for step in fit_steps}
+        self.stops = sorted(set(stops))
+        self._records: dict = {step: [] for step in (*self.stops, None)}  # (values, weights)
 
     def start_chunk(self, indices, x0):
         n = len(indices)
@@ -209,8 +208,8 @@ class WeightedObserver(PathObserver):
             if flat.size:
                 hv = np.asarray(self.H(*_take(at_new, flat)), dtype=float)
                 bnd = np.exp(expo[rows, cols]) * hv * self.c * blk.dl[rows, cols]
-        # the sums up to each step whose value or weight is read, then to the block's end
-        stops = [s for s in range(1, k) if blk.j + s in self._values or blk.j + s in self._weights]
+        # the sums up to each stop, then to the block's end
+        stops = [s for s in range(1, k) if blk.j + s in self._records]
         lo = 0
         for s0, s1 in zip([0] + stops, stops + [k]):
             if self._time is not None:
@@ -221,22 +220,25 @@ class WeightedObserver(PathObserver):
                 np.add.at(self._bnd, cols[lo:hi], bnd[lo:hi])
                 lo = hi
             self._expo = expo[s1]
-            if blk.j + s1 in self._values:
-                self._values[blk.j + s1].append(self._value(blk.x[s1]))
-            if blk.j + s1 in self._weights:
-                self._weights[blk.j + s1].append(np.exp(self._expo))
+            if blk.j + s1 in self._records:
+                self._record(blk.j + s1, blk.x[s1])
 
     def end_chunk(self, x_final):
-        self._values[None].append(self._value(x_final))
+        self._record(None, x_final)
 
-    def _value(self, x) -> np.ndarray:
+    def _record(self, step, x):
+        weight = np.exp(self._expo)
         parts = [acc for acc in (self._time, self._bnd) if acc is not None]
         if self.Phi is not None:
-            parts.append(np.exp(self._expo) * np.asarray(self.Phi(x), dtype=float))
-        return sum(parts[1:], parts[0].copy())
+            parts.append(weight * np.asarray(self.Phi(x), dtype=float))
+        self._records[step].append((sum(parts[1:], parts[0].copy()), weight))
+
+    def samples(self, step=None) -> tuple:
+        """(values, weights) of the paths at ``step``, in path order."""
+        return tuple(np.concatenate(a) for a in zip(*self._records[step]))
 
     def estimate(self, step=None) -> Estimate:
-        return Estimate.from_samples(np.concatenate(self._values[step]))
+        return Estimate.from_samples(self.samples(step)[0])
 
 
 # perfbench's tracer times observers by class name, one span per class; these
@@ -330,7 +332,7 @@ class ResidualObserver(PathObserver):
                 flux = flux + 2.0 * np.einsum(
                     "pd,pd->p", g_cur[hit], blk.normal[rows, cols]
                 )
-            np.add.at(self._lt, cols, flux * blk.push[rows, cols])
+            np.add.at(self._lt, cols, flux * (0.5 * blk.dl[rows, cols]))
         self._uprev = val[-m:]
         self._gprev = grad[-m:]
         if blk.j + k == self.n_end:
@@ -379,19 +381,21 @@ def _run_probes(domain: Domain, x0, seed, obs: WeightedObserver, params: McParam
     """Run ``obs`` once over probes: their estimates, and the decay fits of their weights.
 
     ``seed`` and ``x0`` give the probes as :func:`run_paths` takes them, each
-    with ``params.n_paths`` paths; a probe's samples and fit weights are its
-    contiguous block of the run's.  An observer without fit steps gives no
-    fits.  With ``must_decay``, raises :class:`AdmissibilityError` after the
-    run for the first probe whose fit shows no exponential decay.
+    with ``params.n_paths`` paths; a probe's samples and weights are its
+    contiguous block of the run's.  An observer without stops gives no fits;
+    a fit reads the stops the run reached, and below two (a horizon of one
+    step or none) it shows no decay.  With
+    ``must_decay``, raises :class:`AdmissibilityError` after the run for the
+    first probe whose fit shows no exponential decay.
     """
     n_probes = len(seed) if isinstance(seed, list) else 1
-    run_paths(domain, n_probes * params.n_paths, params.horizon, params.step, seed, [obs],
-              x0=x0)
-    steps = sorted(obs._weights)
-    weights = [np.split(np.concatenate(obs._weights[s]), n_probes) for s in steps]
+    n_steps = run_paths(domain, n_probes * params.n_paths, params.horizon, params.step, seed,
+                        [obs], x0=x0)
+    steps = [s for s in obs.stops if s <= n_steps]
+    weights = [np.split(obs.samples(s)[1], n_probes) for s in steps]
     times = np.array(steps) * params.step
     fits = [estimate_decay(times, np.array([w[g].mean() for w in weights]), obs.power)
-            for g in range(n_probes)] if steps else []
+            for g in range(n_probes)] if obs.stops else []
     for fit in fits:
         if must_decay and not fit.decays:
             raise AdmissibilityError(
@@ -399,7 +403,7 @@ def _run_probes(domain: Domain, x0, seed, obs: WeightedObserver, params: McParam
                 f"(fitted theta={fit.theta:g}); the infinite-horizon integral "
                 "cannot be truncated"
             )
-    samples = np.split(np.concatenate(obs._values[None]), n_probes)
+    samples = np.split(obs.samples()[0], n_probes)
     return [Estimate.from_samples(v) for v in samples], fits
 
 
@@ -417,13 +421,12 @@ def fk_linear_frozen(
     horizon.
     """
     kind = BoundaryIntegralObserver if f_frozen is None else TimeIntegralObserver
-    obs = kind(q, F=f_frozen, H=h_frozen, c=c_bd, fit_steps=_fit_steps(params))
-    # both sups before the run: a domain with no boundary rule fails before any path
+    obs = kind(q, F=f_frozen, H=h_frozen, c=c_bd, stops=_fit_steps(params))
+    # both sups before the run: a domain with no boundary points fails before any path
     fmax = 0.0 if f_frozen is None else float(
         np.max(np.abs(np.asarray(f_frozen(interior_grid(domain, 32)))))
     )
-    nodes = np.stack([node for node, _ in boundary_quadrature(domain, 32)])
-    hmax = float(np.max(np.abs(np.asarray(h_frozen(nodes)))))
+    hmax = float(np.max(np.abs(np.asarray(h_frozen(boundary_points(domain, 32))))))
     [est], [fit] = _run_probes(domain, x0, params.seed, obs, params, must_decay=True)
     rate = domain.boundary_measure / domain.volume
     params.truncation_tail_bound = float(
@@ -478,7 +481,7 @@ def calibrate_boundary_constant(
     calibration = CoefficientSet.from_strings(2, f="0", g=["0", "0"], h="1", q="-1")
     v = solve_semilinear_g_frozen(build_mesh(domain, mesh_h), calibration, inner_tol=1e-11)
     fem_vals = v.value_at(probes)
-    obs = BoundaryIntegralObserver(q, H=one, c=1.0, fit_steps=_fit_steps(params))
+    obs = BoundaryIntegralObserver(q, H=one, c=1.0, stops=_fit_steps(params))
     seeds = [params.seed + SEED_CALIBRATION_PROBES + i for i in range(len(probes))]
     ests, _ = _run_probes(domain, probes, seeds, obs, params, must_decay=True)
     means = np.array([est.mean for est in ests])
@@ -561,7 +564,7 @@ def check_conditions_C(
     def _condition(name, power, seed_shift):
         """A boundary probe, flagged by the decay fit of its own weight."""
         obs = BoundaryIntegralObserver(q, H=one, power=power, c=DEFAULT_C_BD,
-                                       fit_steps=_fit_steps(params))
+                                       stops=_fit_steps(params))
         [est], [fit] = _run_probes(domain, x0, params.seed + seed_shift, obs, params)
         tail = DEFAULT_C_BD * rate * fit.tail_integral(params.horizon)  # sup|H| = 1
         return ConditionEstimate(name, est, tail, not fit.decays, _fit_detail(fit)), fit
@@ -657,7 +660,7 @@ def martingale_residual_test(
     res_obs = ResidualObserver(u, coeffs, n_res)
     u_sq = lambda x: u.value_at(x) ** 2  # noqa: E731
     term_obs = TerminalObserver(  # shares res_obs's q evaluation on [0, t_res]
-        res_obs.q_at, Phi=u_sq, lam=consts.lam, mu=consts.mu, power=2, marks=[n_res]
+        res_obs.q_at, Phi=u_sq, lam=consts.lam, mu=consts.mu, power=2, stops=[n_res]
     )
     run_paths(
         domain,
@@ -775,7 +778,7 @@ def compare_frozen_at_probes(
         return coeffs.h_at(x, u.value_at(x, at))
 
     obs = TimeIntegralObserver(
-        q, F=f_tilde, H=H, c=DEFAULT_C_BD, fit_steps=_fit_steps(params), mesh=u.mesh
+        q, F=f_tilde, H=H, c=DEFAULT_C_BD, stops=_fit_steps(params), mesh=u.mesh
     )
     seeds = [params.seed + SEED_PROBE_STRIDE * i for i in range(len(probes))]
     ests, _ = _run_probes(domain, probes, seeds, obs, params, must_decay=True)

@@ -2,22 +2,19 @@
 
 Paths follow the driftless reflecting dynamics
 
-    X_{j+1} = X_j + dB_j + push_j * n(foot_j),
+    X_{j+1} = X_j + dB_j + (dL_j / 2) * n(foot_j),
 
 where the Euler proposal is projected back to the nearest boundary point
-whenever it leaves the domain, and ``push_j`` is the projection distance
-(the Skorokhod pushing magnitude).
+whenever it leaves the domain, and the projection distance, the overshoot,
+is the Skorokhod pushing magnitude.  The one boundary increment recorded is
 
-Local-time normalization.  The *reported* local-time increments are
-
-    dL_j = 2 * push_j,
+    dL_j = 2 * overshoot_j  (LOCAL_TIME_FACTOR),
 
 so that L carries the surface measure as its occupation (Revuz) measure:
 E^x[int f(X) dL] = int int p_t(x, y) f(y) sigma(dy) dt, and under a uniform
 start E[L_T] / T -> sigma(dD) / |D| (rate 2 on the unit disk, 3 on the unit
-3-ball).  The pushing process that actually appears in the dynamics is dL/2;
-path functionals that need it (e.g. the martingale-residual check) use the
-``push`` increments directly.
+3-ball).  The pushing process that actually appears in the dynamics is dL/2,
+and path functionals that need it (e.g. the martingale-residual check) read it so.
 
 Reproducibility.  Path i of a probe draws all of its randomness from a
 counter-based Philox stream keyed by (seed, i), seed the probe's: the same
@@ -26,8 +23,8 @@ chunking and the other probes of the run.
 
 The batch engine.  :func:`run_paths` steps a chunk of paths one step at a
 time and hands observers a :class:`StepBlock` of k consecutive steps at a
-time: the positions, increments, pushes, local-time increments, hit masks
-and normals of those steps, as views into buffers that the engine reuses,
+time: the positions, increments, local-time increments, hit masks and
+normals of those steps, as views into buffers that the engine reuses,
 valid only during the observer's call.  An observer evaluates its data once
 per block, on all k m points of a chunk of m paths, and keeps its sums in
 step order, so nothing it returns depends on k.  The engine's memory is the
@@ -102,8 +99,8 @@ class PathGrid:
 
     times: (n+1,), states: (n+1, d) in the closed domain,
     brownian_increments: (n, d), local_time_increments: (n,) reported dL
-    (sigma-normalized, = 2 * push), reflection_normals: (n, d) inward unit
-    normal at the projection foot on push steps and zero elsewhere.
+    (sigma-normalized, = 2 * overshoot), reflection_normals: (n, d) inward unit
+    normal at the projection foot on boundary steps and zero elsewhere.
     """
 
     domain: Domain
@@ -169,18 +166,18 @@ def check_step(domain: Domain, T: float, h_t: float) -> int:
 def _reflect(domain: Domain, proposals: np.ndarray, out):
     """Project proposals back into the closed domain.
 
-    Returns (x_new, push, hit, normal); push is the raw overshoot distance,
-    normal the inward unit normal at the foot (zero rows off the boundary).
-    ``out = (x_new, push, normal)`` are the arrays to write the results into:
-    x_new holding the proposals (it may be ``proposals`` itself), push and
-    normal zero.
+    Returns (x_new, dl, hit, normal): dl is the local-time increment, LOCAL_TIME_FACTOR
+    times the overshoot, normal the inward unit normal at the foot (both zero off
+    the boundary).  ``out = (x_new, dl, normal)`` are the arrays to write the results
+    into: x_new holding the proposals (it may be ``proposals`` itself), dl and normal zero.
     """
-    x_new, push, normal = out
+    x_new, dl, normal = out
     hit = outside(domain, proposals)
     at = np.flatnonzero(hit)  # few hits: indices index faster than the mask
     if at.size:
-        x_new[at], normal[at], push[at] = project_points(domain, proposals[at])
-    return x_new, push, hit, normal
+        foot, inward, overshoot = project_points(domain, proposals[at])
+        x_new[at], normal[at], dl[at] = foot, inward, LOCAL_TIME_FACTOR * overshoot
+    return x_new, dl, hit, normal
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +218,13 @@ class StepBlock:
     Attributes: j (index of the block's first step), h, x ((k+1, m, d): the
     positions before steps j, ..., j+k-1 and after the last; step j+s moves
     x[s] to x[s+1]), x_prev and x_new (x[:-1] and x[1:] as (k m, d) rows,
-    step-major), dB (k, m, d), push (k, m) raw overshoot, dl (k, m) reported
-    local-time increment, hit (k, m) mask, normal (k, m, d) inward unit normal
-    at the foot, zero rows off the boundary.  Every array is a view into
-    buffers that the engine reuses: valid only during the observer call.
+    step-major), dB (k, m, d), dl (k, m) local-time increment (the pushing one
+    is dl / 2), hit (k, m) mask, normal (k, m, d) inward unit normal at the
+    foot, zero rows off the boundary.  Every array is a view into buffers that
+    the engine reuses: valid only during the observer call.
     """
 
-    __slots__ = ("j", "h", "x", "x_prev", "x_new", "dB", "push", "dl", "hit", "normal")
+    __slots__ = ("j", "h", "x", "x_prev", "x_new", "dB", "dl", "hit", "normal")
 
 
 class PathObserver:
@@ -327,8 +324,9 @@ def run_paths(
     k = min(block, BLOCK_PATH_STEPS // m) steps (at least one) for a chunk of
     m paths, the last of a noise block shorter, views its increments there;
     each path then steps one step at a time, into buffers of the chunk that
-    every block reuses, and the block goes to the observers, its arrays valid
-    only during the call.  Raises ValueError when ``n_paths``, ``chunk_size``
+    every block reuses (its position, and its dL and normal from :func:`_reflect`),
+    and the block goes to the observers, its arrays valid only during the
+    call.  Raises ValueError when ``n_paths``, ``chunk_size``
     or ``block`` is below 1, when the probes disagree in number or do not
     divide ``n_paths``, or when a start is not a point of the closed domain.
     """
@@ -371,7 +369,7 @@ def run_paths(
             x_start = starts[probe % len(starts)]
         xs, normals = np.empty((k + 1, m, d)), np.empty((k, m, d))
         dB = increments[: nb_max * m * d].reshape(nb_max, m, d)
-        pushes, dls, hits = np.empty((k, m)), np.empty((k, m)), np.empty((k, m), dtype=bool)
+        dls, hits = np.empty((k, m)), np.empty((k, m), dtype=bool)
         for obs in observers:
             obs.start_chunk(idx, x_start)
         xs[0] = x_start
@@ -388,18 +386,16 @@ def run_paths(
             for s0 in range(0, nb, k):
                 kb = min(k, nb - s0)
                 dBs = dB[s0 : s0 + kb]
-                pushes[:kb] = 0.0
+                dls[:kb] = 0.0
                 normals[:kb] = 0.0
                 for s in range(kb):
                     np.add(xs[s], dBs[s], out=xs[s + 1])
-                    hits[s] = _reflect(domain, xs[s + 1], out=(xs[s + 1], pushes[s], normals[s]))[2]
-                np.multiply(LOCAL_TIME_FACTOR, pushes[:kb], out=dls[:kb])
+                    hits[s] = _reflect(domain, xs[s + 1], out=(xs[s + 1], dls[s], normals[s]))[2]
                 blk.j = j
                 blk.x = xs[: kb + 1]
                 blk.x_prev = xs[:kb].reshape(kb * m, d)
                 blk.x_new = xs[1 : kb + 1].reshape(kb * m, d)
-                blk.dB, blk.push, blk.dl = dBs, pushes[:kb], dls[:kb]
-                blk.hit, blk.normal = hits[:kb], normals[:kb]
+                blk.dB, blk.dl, blk.hit, blk.normal = dBs, dls[:kb], hits[:kb], normals[:kb]
                 for obs in observers:
                     obs.step(blk)
                 xs[0] = xs[kb]

@@ -46,7 +46,7 @@ class Unrolled(PathObserver):
     """Feeds a one-step-at-a-time observer: each engine block unrolled into per-step contexts.
 
     Step j + s of a block starting at step j gets x_prev = x[s], x_new = x[s+1]
-    and row s of dB, push, dl, hit and normal, so reference observers written
+    and row s of dB, dl, hit and normal, so reference observers written
     against single steps run unchanged beside the block observers.
     """
 
@@ -60,7 +60,7 @@ class Unrolled(PathObserver):
         for s in range(len(blk.dl)):
             self.obs.step(SimpleNamespace(
                 j=blk.j + s, h=blk.h, x_prev=blk.x[s], x_new=blk.x[s + 1], dB=blk.dB[s],
-                push=blk.push[s], dl=blk.dl[s], hit=blk.hit[s], normal=blk.normal[s],
+                dl=blk.dl[s], hit=blk.hit[s], normal=blk.normal[s],
             ))
 
     def end_chunk(self, x_final):

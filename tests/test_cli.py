@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from reflectpde import probeval
 from reflectpde.cli import main
 from reflectpde.config import ConfigError, load_config
 from reflectpde.geometry import Domain
@@ -265,6 +266,22 @@ def test_verify_bad_mesh_file_is_a_load_error(tmp_path, capsys):
     code = main(["verify", "--config", cfg, "--field", str(field), "--mesh", str(mesh)])
     assert code == 1
     assert "triangles" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_mesh_off_the_configured_domain(tmp_path, capsys, monkeypatch):
+    # a unit-disk field verified on the disk of radius 2: the paths once ran, then a
+    # start beyond the mesh raised PointLocationError
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write(tmp_path, BASE_A), "--out", str(out)]) == 0
+    capsys.readouterr()
+    runs = []
+    monkeypatch.setattr(probeval, "run_paths", lambda *a, **k: runs.append(a))
+    wide = write(tmp_path, BASE_A.replace("radius = 1.0", "radius = 2.0"), "wide.ini")
+    code = main(["verify", "--config", wide, "--field", str(out / "solution.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and runs == []
+    assert len(err) == 1 and err[0].startswith("cannot load field: ")
+    assert "off the domain's boundary" in err[0]
 
 
 @pytest.mark.parametrize("domain", ["disk", "ellipse"])

@@ -6,9 +6,8 @@ import pytest
 
 from reflectpde import geometry
 from reflectpde.geometry import (
-    BadOrder,
     Domain,
-    boundary_quadrature,
+    boundary_points,
     interior_grid,
     outside,
     project_points,
@@ -32,39 +31,54 @@ def test_projection_examples():
 
 
 def test_boundary_quadrature_uniform_rule():
-    d = Domain.disk()
-    rule = boundary_quadrature(d, 4)
-    nodes = np.array([node for node, _ in rule])
-    weights = np.array([w for _, w in rule])
+    nodes = boundary_points(Domain.disk(), 4)
     angles = np.mod(np.arctan2(nodes[:, 1], nodes[:, 0]), 2 * np.pi)
     assert sorted(angles) == pytest.approx([0, np.pi / 2, np.pi, 3 * np.pi / 2])
-    assert weights == pytest.approx(np.full(4, np.pi / 2))
 
 
 def test_boundary_quadrature_weights_and_cos2():
-    d = Domain.disk()
-    rule = boundary_quadrature(d, 64)
-    total = sum(w for _, w in rule)
-    assert total == pytest.approx(2 * np.pi, rel=1e-14)
-    # analytic oracle: integral of cos^2 over the circle is pi
-    val = sum(w * (node[0] ** 2) for node, w in rule)
-    assert val == pytest.approx(np.pi, abs=1e-10)
+    # the points are the nodes of the trapezoid rule, each of weight 2 pi / m;
+    # analytic oracle: the integral of cos^2 over the circle is pi
+    nodes = boundary_points(Domain.disk(), 64)
+    assert 2 * np.pi * np.mean(nodes[:, 0] ** 2) == pytest.approx(np.pi, abs=1e-10)
 
 
 @pytest.mark.parametrize("m", [8, 16, 33])
 def test_boundary_quadrature_trig_exactness(m):
-    rule = boundary_quadrature(Domain.disk(), m)
-    nodes = np.array([node for node, _ in rule])
-    w = np.array([wt for _, wt in rule])
+    # at equal weights the nodes integrate the trigonometric polynomials of degree < m
+    nodes = boundary_points(Domain.disk(), m)
     theta = np.arctan2(nodes[:, 1], nodes[:, 0])
     for k in range(1, m):
-        assert abs(np.sum(w * np.cos(k * theta))) < 1e-10
-        assert abs(np.sum(w * np.sin(k * theta))) < 1e-10
+        assert abs(np.sum(np.cos(k * theta))) < 1e-10
+        assert abs(np.sum(np.sin(k * theta))) < 1e-10
 
 
-def test_bad_order():
-    with pytest.raises(BadOrder):
-        boundary_quadrature(Domain.disk(), 2)
+def _ref_quadrature_nodes(domain, m):
+    """The nodes of the earlier boundary quadrature rule, whose weights only tests read."""
+    if domain.kind == "ball" and domain.dim == 2:
+        theta = 2.0 * math.pi * np.arange(m) / m
+        r0 = domain.radius
+        return np.stack([r0 * np.cos(theta), r0 * np.sin(theta)], axis=1)
+    if domain.kind == "ellipse":
+        a, b = domain.semi_axes
+        theta = 2.0 * math.pi * np.arange(m) / m
+        return np.stack([a * np.cos(theta), b * np.sin(theta)], axis=1)
+    i = np.arange(m)
+    z = 1.0 - 2.0 * (i + 0.5) / m
+    phi = i * math.pi * (3.0 - math.sqrt(5.0))
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return domain.radius * np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+
+
+@pytest.mark.parametrize("domain", [Domain.disk(), Domain.disk(0.7), Domain.ellipse(2.0, 1.0),
+                                    Domain.ball(3), Domain.ball(3, 1.5)],
+                         ids=["disk", "disk-0.7", "ellipse", "ball", "ball-1.5"])
+def test_boundary_points_are_the_quadrature_nodes_bit_for_bit(domain):
+    # fk_linear_frozen reads sup|H| at these points: its tail bound must not move
+    for m in (3, 8, 32, 33, 500):
+        got = boundary_points(domain, m)
+        assert got.shape == (m, domain.dim)
+        assert got.tobytes() == _ref_quadrature_nodes(domain, m).tobytes()
 
 
 def _unit(rng, n):
@@ -84,8 +98,8 @@ def test_unit_inward_normal():
 def test_ellipse_measures_and_normals():
     e = Domain.ellipse(2.0, 1.0)
     assert e.volume == pytest.approx(2 * np.pi, rel=1e-12)
-    rule = boundary_quadrature(e, 512)
-    assert sum(w for _, w in rule) == pytest.approx(e.boundary_measure, rel=1e-14)
+    nodes = boundary_points(e, 512)
+    assert (nodes[:, 0] / 2) ** 2 + nodes[:, 1] ** 2 == pytest.approx(np.ones(512), abs=1e-14)
     theta = np.linspace(0, 2 * np.pi, 101)
     bpts = np.stack([2 * np.cos(theta), np.sin(theta)], axis=1)
     foot, normal, dist = project_points(e, bpts)
@@ -308,11 +322,12 @@ def test_the_disk_is_the_2_ball(r):
     # the ball formulas give the disk's own, bit for bit
     assert disk.volume == math.pi * r**2
     assert disk.boundary_measure == 2.0 * math.pi * r
-    # the 2-ball has the disk's trapezoid rule; the 4-ball has no rule
-    rule = boundary_quadrature(Domain.ball(2, r), 8)
-    assert sum(w for _, w in rule) == pytest.approx(2.0 * math.pi * r, rel=1e-14)
+    # the 2-ball has the disk's points on its circle; the 4-ball has none
+    nodes = boundary_points(Domain.ball(2, r), 8)
+    assert np.array_equal(nodes, boundary_points(disk, 8))
+    assert np.linalg.norm(nodes, axis=1) == pytest.approx(np.full(8, r), rel=1e-14)
     with pytest.raises(NotImplementedError):
-        boundary_quadrature(Domain.ball(4), 8)
+        boundary_points(Domain.ball(4), 8)
 
 
 def test_ellipse_x1_semi_axis_is_the_longer():
@@ -328,9 +343,7 @@ def test_ball_measures_and_sphere_rule():
     b = Domain.ball(3)
     assert b.volume == pytest.approx(4 * np.pi / 3, rel=1e-12)
     assert b.boundary_measure == pytest.approx(4 * np.pi, rel=1e-12)
-    rule = boundary_quadrature(b, 500)
-    assert sum(w for _, w in rule) == pytest.approx(4 * np.pi, rel=1e-12)
-    nodes = np.array([n for n, _ in rule])
+    nodes = boundary_points(b, 500)
     assert np.allclose(np.linalg.norm(nodes, axis=1), 1.0, atol=1e-12)
 
 

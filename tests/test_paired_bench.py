@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "paired_bench.py"
@@ -52,7 +53,11 @@ def test_setup_split_reads_the_run_record(monkeypatch, tmp_path):
     record = _record(2.0, import_s=0.3, repeats=(0.6, 0.2, 0.25))
     (runs / "fk_ellipse-seed7-trace0.json").write_text(json.dumps(record))
     calls = []
-    monkeypatch.setattr(bench.subprocess, "run", lambda cmd, **kw: calls.append((cmd, kw)))
+    def run(cmd, **kw):  # a process that exits 0, as subprocess.run returns it
+        calls.append((cmd, kw))
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
     row = bench._row(bench._run(tmp_path, "fk_ellipse", 7, 1.0, 0))
     assert calls[0][1]["cwd"] == tmp_path and calls[0][0][-7:] == [
         "fk_ellipse", "--seed", "7", "--seconds", "1.0", "--trace", "0"]
@@ -86,3 +91,48 @@ def test_exit_code_is_one_when_a_run_fails(monkeypatch, tmp_path):
         record = json.loads(out.read_text())
         assert record["runs_ok"] is True
         assert record["other_workloads"]["other"]["runs_ok"] is (where != "other")
+
+
+_FAKE_RUN = """
+import argparse, json, sys
+from pathlib import Path
+
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(flag)
+args = parser.parse_args()
+if {fail} and args.seed != "101":
+    sys.stderr.write("Traceback (most recent call last):\\nRuntimeError: boom\\n")
+    sys.exit(1)
+runs = Path("perfbench") / "runs"
+runs.mkdir(parents=True, exist_ok=True)
+name = f"{{args.workload}}-seed{{args.seed}}-trace{{args.trace}}.json"
+(runs / name).write_text({record!r})
+"""
+
+
+def test_a_run_that_exits_non_zero_is_recorded(monkeypatch, tmp_path):
+    # the change side's run exits 1 on every seed but the first pair's
+    bench = _load()
+    sides = {}
+    for name, fail in (("parent", False), ("change", True)):
+        script = tmp_path / name / "perfbench" / "run.py"
+        script.parent.mkdir(parents=True)
+        script.write_text(_FAKE_RUN.format(fail=fail, record=json.dumps(_record(2.0))))
+        sides[name] = tmp_path / name
+    monkeypatch.setattr(bench, "_export", lambda parent, into: sides)
+    monkeypatch.setattr(bench, "_git", lambda *args: "abc123\n")
+    out = tmp_path / "bench.json"
+    code = bench.main(["--workload", "main", "--pairs", "2", "--traced", "--out", str(out)])
+    assert code == 1
+    record = json.loads(out.read_text())
+    assert record["runs_ok"] is False
+    first, second = record["pairs"]
+    assert first["change"]["correct"] is True and "exit_code" not in first["change"]
+    failed = second["change"]
+    assert failed["correct"] is False and failed["exit_code"] == 1
+    assert failed["stderr_tail"].endswith("RuntimeError: boom\n")
+    assert second["parent"]["correct"] is True
+    assert record["summary"]["wall_s"]["change_wins"] == 0  # the first pair alone
+    assert record["traced_round"]["change"]["exit_code"] == 1
+    assert record["traced_round"]["parent"]["correct"] is True

@@ -94,6 +94,21 @@ def test_decay_fit_needs_two_distinct_times(disk):
     assert report.q_square_sup.tail_bound == float("inf")
 
 
+@pytest.mark.parametrize("T", [0.0, 1e-3], ids=["zero-steps", "one-step"])
+def test_a_zero_horizon_has_the_outcome_of_one_step(disk, T):
+    # no step reaches the first fit step: the estimators once died in np.concatenate
+    p = McParams(10, T, 1e-3, 1)
+    mesh = build_mesh(disk, 0.5)
+    u = FemFunction(mesh, np.zeros(mesh.n_nodes))
+    with pytest.raises(AdmissibilityError):
+        fk_linear_frozen(disk, np.zeros(2), Q_MINUS_ONE, None, ONE, p)
+    with pytest.raises(AdmissibilityError):
+        compare_frozen_at_probes(disk, u, q_only("-1"), p, probes=np.zeros((1, 2)))
+    report = check_conditions_C(disk, q_only("-1"), p, grid_n=1)
+    assert all(c.divergent for c in report.conditions)
+    assert str(report).count("DIVERGENT") == 3
+
+
 def test_admissibility_error_for_flat_weight(disk):
     with pytest.raises(AdmissibilityError):
         fk_linear_frozen(disk, np.zeros(2), ZERO, None, ONE, params(n=50, T=2.0))
@@ -154,22 +169,22 @@ def test_grouped_run_is_the_per_probe_loop_bit_for_bit(monkeypatch, disk, x0, ba
 
     def observer():
         return TimeIntegralObserver(q, F=lambda x: 1.0 + x[:, 1], H=lambda x: 2.0 - x[:, 0],
-                                    c=0.5, fit_steps=[5, 10, 20])
+                                    c=0.5, stops=[5, 10, 20])
 
     monkeypatch.setattr(probeval, "run_paths", lambda *a, **k: run_paths(*a, **k,
                                                                           chunk_size=chunk))
     grouped = observer()
     p = params(n=7, T=0.2, h=1e-2)
     ests, fits = probeval._run_probes(disk, x0, seeds, grouped, p)
-    samples = np.split(np.concatenate(grouped._values[None]), 3)
+    samples = np.split(grouped.samples()[0], 3)
     for g, (seed, est, fit) in enumerate(zip(seeds, ests, fits)):
         alone = observer()
         run_paths(disk, 7, 0.2, 1e-2, seed, [alone], x0=None if x0 is None else x0[g],
                   chunk_size=chunk)
-        want = np.concatenate(alone._values[None])
+        want = alone.samples()[0]
         assert samples[g].tobytes() == want.tobytes()
         assert est == alone.estimate() == Estimate.from_samples(want)
-        means = [np.concatenate(alone._weights[s]).mean() for s in (5, 10, 20)]
+        means = [alone.samples(s)[1].mean() for s in (5, 10, 20)]
         assert fit.values.tobytes() == np.array(means).tobytes()
     assert len({s.tobytes() for s in samples}) == 3  # three streams, not one
 
@@ -315,12 +330,12 @@ def test_weighted_observer_matches_reference(domain, weights):
         "term": RefTerminalObserver(q, Phi, horizons=marks + [n_steps], **weights),
     }
     new = {
-        "time": TimeIntegralObserver(q, F=F, marks=marks, **weights),
-        "bnd": BoundaryIntegralObserver(q, H=H, c=c, marks=marks, **weights),
-        "one": TerminalObserver(q, Phi=ONE, marks=marks, **weights),
-        "term": TerminalObserver(q, Phi=Phi, marks=marks, **weights),
-        "fh": WeightedObserver(q, F=F, H=H, c=c, marks=marks, **weights),
-        "fhphi": WeightedObserver(q, F=F, H=H, Phi=Phi, c=c, marks=marks, **weights),
+        "time": TimeIntegralObserver(q, F=F, stops=marks, **weights),
+        "bnd": BoundaryIntegralObserver(q, H=H, c=c, stops=marks, **weights),
+        "one": TerminalObserver(q, Phi=ONE, stops=marks, **weights),
+        "term": TerminalObserver(q, Phi=Phi, stops=marks, **weights),
+        "fh": WeightedObserver(q, F=F, H=H, c=c, stops=marks, **weights),
+        "fhphi": WeightedObserver(q, F=F, H=H, Phi=Phi, c=c, stops=marks, **weights),
     }
     run_paths(domain, 150, n_steps * 2e-3, 2e-3, seed=13,
               observers=[Unrolled(obs) for obs in ref.values()] + list(new.values()),
@@ -395,7 +410,7 @@ class RefResidualObserver(PathObserver):
                 flux = flux + 2.0 * np.einsum(
                     "pd,pd->p", g_cur[hit], ctx.normal[hit]
                 )
-            self._lt[hit] += flux * ctx.push[hit]
+            self._lt[hit] += flux * (0.5 * ctx.dl[hit])
         self._mg += np.einsum("pd,pd->p", self._gprev, ctx.dB)
         self._qv += np.einsum("pd,pd->p", self._gprev, self._gprev) * ctx.h
         self._uprev = val
@@ -448,18 +463,18 @@ def test_block_observers_match_step_references(monkeypatch, kind):
             "term": RefTerminalObserver(q, Phi, horizons=marks + [n_steps], **weights),
             "fit": RefTerminalObserver(q, None, horizons=fits, **weights),
         }
-        new = {"w": WeightedObserver(q, F=F, H=H, Phi=Phi, c=0.47, marks=marks,
-                                     fit_steps=fits, **weights)}
+        new = {"w": WeightedObserver(q, F=F, H=H, Phi=Phi, c=0.47,
+                                     stops=marks + fits, **weights)}
         if domain.dim == 2:
             ref["time_mesh"] = RefTimeIntegralObserver(q, F_mesh, snapshot_steps=marks)
             ref["bnd_mesh"] = RefBoundaryIntegralObserver(q, H_mesh, snapshot_steps=marks)
-            new["w_mesh"] = WeightedObserver(q, F=F_mesh, H=H_mesh, marks=marks, mesh=mesh)
+            new["w_mesh"] = WeightedObserver(q, F=F_mesh, H=H_mesh, stops=marks, mesh=mesh)
             for key, c in coeffs.items():
                 ref["res_" + key] = RefResidualObserver(u, c, n_end)
                 ref["term_" + key] = RefTerminalObserver(c.q_at, Phi, horizons=[n_end, n_steps],
                                                          **weights)
                 new["res_" + key] = res = ResidualObserver(u, c, n_end)
-                new["term_" + key] = TerminalObserver(res.q_at, Phi=Phi, marks=[n_end], **weights)
+                new["term_" + key] = TerminalObserver(res.q_at, Phi=Phi, stops=[n_end], **weights)
         run_paths(domain, 9, n_steps * 2e-3, 2e-3, seed=31, chunk_size=chunk_size,
                   observers=[Unrolled(obs) for obs in ref.values()] + list(new.values()))
 
@@ -471,23 +486,23 @@ def test_block_observers_match_step_references(monkeypatch, kind):
         for step, want in [(m, cat(ref["time"].snapshots[m]) + cat(ref["bnd"].snapshots[m])
                             + cat(term[m])) for m in marks] + [
                 (None, cat(ref["time"].samples) + cat(ref["bnd"].samples) + cat(term[n_steps]))]:
-            assert np.array_equal(cat(w._values[step]), want)
+            assert np.array_equal(w.samples(step)[0], want)
         for s in fits:
-            assert np.array_equal(cat(w._weights[s]), cat(ref["fit"].records[s]))
+            assert np.array_equal(w.samples(s)[1], cat(ref["fit"].records[s]))
         if domain.dim == 2:
             w = new["w_mesh"]
             for m in marks:
                 want = cat(ref["time_mesh"].snapshots[m]) + cat(ref["bnd_mesh"].snapshots[m])
-                assert np.array_equal(cat(w._values[m]), want)
+                assert np.array_equal(w.samples(m)[0], want)
             want = cat(ref["time_mesh"].samples) + cat(ref["bnd_mesh"].samples)
-            assert np.array_equal(cat(w._values[None]), want)
+            assert np.array_equal(w.samples()[0], want)
             for key in coeffs:
                 got, want = new["res_" + key], ref["res_" + key]
                 for name in ("res_samples", "qv_samples", "mg_samples"):
                     assert np.array_equal(cat(getattr(got, name)), cat(getattr(want, name)))
                 got, want = new["term_" + key], ref["term_" + key].records
-                assert np.array_equal(cat(got._values[n_end]), cat(want[n_end]))
-                assert np.array_equal(cat(got._values[None]), cat(want[n_steps]))
+                assert np.array_equal(got.samples(n_end)[0], cat(want[n_end]))
+                assert np.array_equal(got.samples()[0], cat(want[n_steps]))
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +663,7 @@ def test_conditions_monotone_in_horizon(disk):
     from reflectpde.reflectsim import run_paths
 
     obs = BoundaryIntegralObserver(
-        Q_MINUS_ONE, H=ONE, c=0.5, marks=[1500]
+        Q_MINUS_ONE, H=ONE, c=0.5, stops=[1500]
     )
     run_paths(disk, 300, 6.0, 2e-3, seed=21, observers=[obs], x0=np.zeros(2))
     half = obs.estimate(1500)

@@ -82,7 +82,7 @@ class Recorder(PathObserver):
     def step(self, ctx):
         self.xs.append(ctx.x_new.copy())
         self.steps.append(
-            (ctx.dl.copy(), ctx.push.copy(), ctx.hit.copy(), ctx.normal.copy(), ctx.dB.copy())
+            (ctx.dl.copy(), ctx.hit.copy(), ctx.normal.copy(), ctx.dB.copy())
         )
 
     def end_chunk(self, xf):
@@ -108,7 +108,7 @@ def _check_stored_paths(domain):
             run_paths(domain, 16, 0.6, 1e-3, seed=11, observers=[Unrolled(rec)],
                       chunk_size=chunk_size, block=block)
             for i, p in enumerate(paths):
-                xs, dl, _, _, normal, dB = rec.all[i]
+                xs, dl, _, normal, dB = rec.all[i]
                 for got, want in ((xs, p.states), (dl, p.local_time_increments),
                                   (normal, p.reflection_normals), (dB, p.brownian_increments)):
                     assert np.array_equal(got, want)
@@ -122,9 +122,9 @@ def _check_stored_paths(domain):
         # every step at once: a foot must not depend on the other hits in its batch
         proposals = p.states[:-1] + p.brownian_increments
         out = (proposals.copy(), np.zeros(len(proposals)), np.zeros_like(proposals))
-        x_new, push, hit, normal = _reflect(domain, proposals, out)
+        x_new, dl, hit, normal = _reflect(domain, proposals, out)
         assert np.array_equal(x_new, p.states[1:])
-        assert np.array_equal(2.0 * push, p.local_time_increments)
+        assert np.array_equal(dl, p.local_time_increments)
         assert np.array_equal(normal, p.reflection_normals)
         hits += int(hit.sum())
     assert hits > 50  # the paths do reach the boundary
@@ -205,7 +205,7 @@ def _ref_run(domain, n_paths, T, h_t, seed, chunk_size=2048, block=2048):
                 dB = noise[:, jj, :] * sqh
                 x_new, push, hit, normal = _ref_reflect(domain, x + dB)
                 xs.append(x_new)
-                steps.append((2.0 * push, push, hit, normal, dB))
+                steps.append((2.0 * push, hit, normal, dB))
                 x = x_new
                 j += 1
         fields = [np.stack(f) for f in [xs] + list(zip(*steps))]
@@ -238,9 +238,9 @@ def test_engine_step_matches_the_reference(kind):
                   observers=[Unrolled(rec), ContiguousIncrements()])
         hits = 0
         for i in range(n_paths):
-            xs, dl, push, hit, normal, dB = rec.all[i]
-            rxs, rdl, rpush, rhit, rnormal, rdB = ref[i]
-            for got, want in ((xs, rxs), (dl, rdl), (push, rpush), (hit, rhit), (dB, rdB)):
+            xs, dl, hit, normal, dB = rec.all[i]
+            rxs, rdl, rhit, rnormal, rdB = ref[i]
+            for got, want in ((xs, rxs), (dl, rdl), (hit, rhit), (dB, rdB)):
                 assert np.array_equal(got, want)
             assert np.max(np.abs(normal - rnormal)) <= 1e-15
             hits += int(hit.sum())

@@ -18,8 +18,11 @@ summary holds their medians per side (``setup_split``): ``setup_s`` is the
 import plus the median repeat, so work that moves between the import and the
 first repeat shows there.  ``--other`` runs the same design on more
 workloads, stored under ``other_workloads``; ``--traced`` adds one traced
-round of the main workload per side (seed 1, one second).  The exit code is
-1 when any run was not correct or had failed operations.
+round of the main workload per side (seed 1, one second).  A run whose
+process exits non-zero is kept in the record with its exit code and the
+tail of its stderr, counted as not correct; the summary reads the pairs
+whose two runs both finished.  The exit code is 1 when any run was not
+correct or had failed operations.
 """
 
 from __future__ import annotations
@@ -65,16 +68,32 @@ def _export(parent: str, into: Path) -> dict:
     return sides
 
 
+STDERR_TAIL = 2000  # characters of a failed run's stderr kept in the record
+
+
 def _run(side: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The record that one perfbench/run.py process wrote under ``side``."""
+    """The record that one perfbench/run.py process wrote under ``side``.
+
+    A process that exits non-zero writes none: its exit code and the tail of
+    its stderr stand in for the record.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    subprocess.run(cmd, cwd=side, check=True, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=side, capture_output=True, text=True)
+    if proc.returncode:
+        return {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-STDERR_TAIL:]}
     path = Path(side) / "perfbench" / "runs" / f"{workload}-seed{seed}-trace{trace}.json"
     return json.loads(path.read_text())
 
 
+def _failed(record: dict) -> dict:
+    """The row of a run whose process failed: not correct, with its exit code and stderr."""
+    return {"correct": False, "attempted": 0, "failed": 0, **record}
+
+
 def _row(record: dict) -> dict:
+    if "exit_code" in record:
+        return _failed(record)
     result = record["result"]
     row = {key: result[key] for key in ("correct", "attempted", "failed")}
     row.update({m: result["metrics"][m]["value"] for m in METRICS})
@@ -94,7 +113,11 @@ def _bounds() -> dict:
     return {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
-def _summary(pairs: list, bounds: dict) -> dict:
+def _summary(pairs: list, bounds: dict) -> dict | None:
+    """Quartiles and bound verdicts over the pairs whose two runs finished; None if none did."""
+    pairs = [p for p in pairs if not any("exit_code" in p[side] for side in ("parent", "change"))]
+    if not pairs:
+        return None
     out = {}
     for m in METRICS:
         parent = [p["parent"][m] for p in pairs]
@@ -121,16 +144,17 @@ def _runs_ok(rows) -> bool:
 
 
 def _pairs(sides: dict, workload: str, n_pairs: int, seed: int, seconds: float) -> tuple:
-    pairs, env = [], None
+    pairs, env = [], {}
     for i in range(n_pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed + i, "first": order[0]}
         for name in order:
             record = _run(sides[name], workload, seed + i, seconds, 0)
-            env = record["environment"]
+            env = record.get("environment", env)
             pair[name] = _row(record)
         pairs.append(pair)
-        wall = {name: round(pair[name]["wall_s"], 3) for name in order}
+        wall = {name: round(pair[name]["wall_s"], 3) if "wall_s" in pair[name]
+                else f"exit {pair[name]['exit_code']}" for name in order}
         print(f"{workload} pair {i + 1}/{n_pairs} seed {seed + i}: wall_s {wall}", flush=True)
     return {"n_pairs": n_pairs, "summary": _summary(pairs, _bounds()),
             "runs_ok": _runs_ok(p[side] for p in pairs for side in ("parent", "change")),
@@ -184,11 +208,12 @@ def main(argv=None) -> int:
                            "--seconds 1 --trace 1",
             }
             for name in ("parent", "change"):
-                result = _run(sides[name], args.workload, 1, 1.0, 1)["result"]
-                record["traced_round"][name] = row = {
-                    "correct": result["correct"], "failed": result["failed"],
-                    **{k: v["value"] for k, v in result["metrics"].items()},
+                run = _run(sides[name], args.workload, 1, 1.0, 1)
+                row = _failed(run) if "exit_code" in run else {
+                    "correct": run["result"]["correct"], "failed": run["result"]["failed"],
+                    **{k: v["value"] for k, v in run["result"]["metrics"].items()},
                 }
+                record["traced_round"][name] = row
                 traced.append(row)
         if args.other:
             record["other_workloads"] = {
