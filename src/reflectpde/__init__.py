@@ -9,9 +9,9 @@ with n the inward unit normal.  Stochastic backend: reflecting diffusion with
 boundary local time, driven by one batch engine (``run_paths``) whose
 observers accumulate the path functionals; the star (forward-backward)
 integral of the divergence term, both on stored paths (``star_integral``) and
-as an observer; Feynman-Kac point evaluation of frozen linear problems; and a
-martingale-residual test that verifies a candidate solution along simulated
-paths.
+as an observer; Feynman-Kac point evaluation of frozen linear problems, which
+carries that integral along its weighted paths; and a martingale-residual
+test that verifies a candidate solution along simulated paths.
 """
 
 from .coeffexpr import (
@@ -48,7 +48,6 @@ from .mesh_fem import (
     h1_error,
     h1_norm,
     l2_norm,
-    solve_g_lifting,
     solve_semilinear_g_frozen,
 )
 from .picard import NoContraction, PicardTrace, run_picard

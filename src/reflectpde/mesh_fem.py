@@ -478,16 +478,6 @@ _INNER_BUDGET = 200  # loads the inner fixed point may take before InnerDivergen
 _ANDERSON_DEPTH = 5  # differences kept by the Anderson acceleration of that fixed point
 
 
-def solve_g_lifting(mesh: Mesh, g_quad) -> FemFunction:
-    """Riesz lift of the divergence functional: find G with
-
-        (grad G, grad v) + (G, v) = (g, grad v)   for all P1 test v.
-
-    ``g_quad`` is g at the element quadrature points ``mesh.quad_x``, shape (m, 6, 2).
-    """
-    return FemFunction(mesh, mesh.gram_solve(mesh.gradient_load(g_quad)))
-
-
 class WeakForm:
     """The discretized weak form of one mesh and one ``CoefficientSet``.
 
@@ -631,7 +621,7 @@ def export_mesh(mesh: Mesh, path):
 
 
 class MeshLoadError(ValueError):
-    """Mesh file malformed or truncated."""
+    """Mesh file malformed, truncated, or naming a node it does not have."""
 
 
 def import_mesh(path) -> Mesh:
@@ -641,6 +631,9 @@ def import_mesh(path) -> Mesh:
         nodes = _read_section(src, path, "nodes", 1, 2, float)
         tris = _read_section(src, path, "triangles", 1, 3, np.int64)
         edges = _read_section(src, path, "boundary_edges", 0, 2, np.int64)
+    for tag, cells in (("triangles", tris), ("boundary_edges", edges)):
+        if cells.size and (cells.min() < 0 or cells.max() >= len(nodes)):
+            raise MeshLoadError(f"{path}: section {tag!r} names a node outside 0..{len(nodes) - 1}")
     return Mesh(nodes, tris, edges)
 
 
@@ -692,4 +685,7 @@ def import_field(path, mesh: Mesh) -> FemFunction:
     far = ~np.isclose(mesh.nodes, table[:, 1:3], atol=1e-9).all(axis=1)
     if far.any():
         raise FieldLoadError(f"{path}: node {int(np.argmax(far))} position mismatch")
+    bad = ~np.isfinite(table[:, 3])
+    if bad.any():
+        raise FieldLoadError(f"{path}: node {int(np.argmax(bad))} has the value {table[bad, 3][0]}")
     return FemFunction(mesh, table[:, 3])

@@ -10,15 +10,17 @@ Boundary-constant convention.  All boundary integrals carry a constant
 sigma-normalized local time of :mod:`reflectpde.reflectsim` the analytic
 value is 1/2: the estimator
 
-    u(x0) ~= E^{x0}[ int_0^T w_t F(X_t) dt + c_bd int_0^T w_t H(X_t) dL_t ],
-    w_t = exp(int_0^t q(X_s) ds),
+    u(x0) ~= E^{x0}[ int_0^T w_t F(X_t) dt + c_bd int_0^T w_t (H - 2 <g, n>)(X_t) dL_t
+                     - int_0^T w_t <d g(X_t), dB_t> ],   w_t = exp(int_0^t q(X_s) ds),
 
-solves (1/2) lap u + q u + F = 0 with the inward-flux condition
-<grad u, n> + 2 c_bd H = 0.  Every estimator uses that value, ``DEFAULT_C_BD``;
-only ``fk_linear_frozen`` takes another.  ``calibrate_boundary_constant`` fits
-c_bd against the finite-element solve of the fixed calibration problem
-(q = -1, F = 0, H = 1 on the disk); the fit absorbs the O(sqrt(h_t))
-local-time bias as well, but only a caller that passes it on uses it.
+with the star integral of g last, solves (1/2) lap u + q u - div g + F = 0
+with the inward-flux condition <grad u, n> + 2 c_bd (H - 2 <g, n>) = 0, at
+c_bd = 1/2 the problem's <grad u - 2 g, n> + H = 0.  Every estimator uses that
+value, ``DEFAULT_C_BD``; only ``fk_linear_frozen`` takes another.
+``calibrate_boundary_constant`` fits c_bd against the finite-element solve of
+the fixed calibration problem (q = -1, F = 0, H = 1 on the disk); the fit
+absorbs the O(sqrt(h_t)) local-time bias as well, but only a caller that
+passes it on uses it.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ import numpy as np
 
 from .coeffexpr import CoefficientSet
 from .geometry import Domain, boundary_points, interior_grid
-from .mesh_fem import (
-    FemFunction, WeakForm, build_mesh, solve_g_lifting, solve_semilinear_g_frozen,
-)
+from .mesh_fem import FemFunction, build_mesh, solve_semilinear_g_frozen
 from .reflectsim import Estimate, PathObserver, run_paths
 
 DEFAULT_C_BD = 0.5
@@ -100,15 +100,10 @@ SEED_PROBE_STRIDE = 7            # compare_frozen_at_probes: + 7 i for probe i
 # ---------------------------------------------------------------------------
 # the weighted path functional (engine hook)
 #
-# One observer computes, along every path,
-#
-#     int e^{E} F dt  +  c sum_j e^{E_j} H(X_{j+1}) dL_j  +  e^{E} Phi(X),
-#     E_j = lam t_j + mu L_j + power int_0^{t_j} q,
-#
-# with each of the three terms switched on by passing its function.  The
-# exponent is advanced once per step whatever terms are on; the time and
-# boundary terms accumulate every step and the terminal term is evaluated
-# only where it is read: at the stops and at the horizon.
+# One observer computes the functional of its docstring along every path.  The
+# exponent is advanced once per step whatever terms are on; the time, star and
+# boundary terms accumulate every step and the terminal term is evaluated only
+# where it is read: at the stops and at the horizon.
 
 
 def _phi1(a: np.ndarray) -> np.ndarray:
@@ -150,28 +145,40 @@ def _take(v, rows):
     return tuple(_take(a, rows) for a in v) if isinstance(v, tuple) else v[rows]
 
 
+def _divergence_terms(g_prev, g_cur, dB, hit, normal):
+    """Per step -<g_{j+1} - g_j, dB_j>, and -2 <g_{j+1}, n_j> at the flat indices ``hit``."""
+    star = -np.einsum("pd,pd->p", g_cur - g_prev, dB)
+    return star, -2.0 * np.einsum("pd,pd->p", g_cur[hit], normal)
+
+
 class WeightedObserver(PathObserver):
     """Samples of the weighted path functional and its weight, at stops and the horizon.
 
-    The time term uses the exponential in-step rule: per step the weight
-    factor int_{t_j}^{t_{j+1}} e^{E(s)} ds is taken as
-    e^{E_j} h phi1((lam + power q_j) h), which is exact for frozen q and makes
-    constant-q integrands reproduce their closed forms to rounding error.  The
-    boundary term takes left-node weights and H at the projection foot.  The
-    time and boundary terms keep separate accumulators and are summed only
-    when a value is recorded: with the weight e^{E}, at each of ``stops`` and
-    at the horizon (step None), for ``samples(step)`` and ``estimate(step)``.
-    With a ``mesh``, for data on it, each block's new points are located once,
-    and F and H are called as F(x, at) and H(x, at) with the location
-    ``(tri, (l0, l1, l2))`` of their points that :meth:`Mesh.find_triangles`
-    returns; Phi is always Phi(x).  q, F and H are evaluated once per block on
-    all its points; the sums run step by step, in the order of a
-    one-step-at-a-time loop, so the samples do not depend on the block length.
+    Per path, with E_j = lam t_j + mu L_j + power int_0^{t_j} q, a_j the
+    step's (lam + power q_j) h and g_j = g(X_j), the value is
+
+        sum_j e^{E_j} F_j h phi1(a_j) + c sum_hits e^{E_j} (H_{j+1} - 2 <g_{j+1}, n_j>) dL_j
+            - sum_j e^{E_j} <g_{j+1} - g_j, dB_j> + e^{E} Phi(X),
+
+    each term on when its data is passed.  The time term is the exponential
+    in-step rule, exact for frozen q: constant-q integrands reproduce their
+    closed forms to rounding error.  g enters as :class:`ResidualObserver`'s
+    star and flux terms weighted at the left node, the backward (star)
+    integral by which the paper gives div g its weak meaning (Lyons & Zheng,
+    Asterisque 157-158, 1988).  H and g at a hit are read at the projection
+    foot.  The terms are added up only when a value is recorded, beside the
+    weight e^{E}: at each of ``stops`` and at the horizon (step None), for
+    ``samples(step)`` and ``estimate(step)``.  With a ``mesh``, each block's
+    new points are located once, and F, H and g are called as F(x, at) with
+    the location ``(tri, (l0, l1, l2))`` that :meth:`Mesh.find_triangles`
+    returns; Phi is always Phi(x).  q, F, H and g are evaluated once per
+    block; the sums run in the order of a one-step-at-a-time loop, so the
+    samples do not depend on the block length.
     """
 
     def __init__(self, q, F=None, H=None, Phi=None, c=1.0, lam=0.0, mu=0.0, power=1,
-                 stops=(), mesh=None):
-        self.q, self.F, self.H, self.Phi, self.c = q, F, H, Phi, c
+                 stops=(), mesh=None, g=None):
+        self.q, self.F, self.H, self.Phi, self.g, self.c = q, F, H, Phi, g, c
         self.lam, self.mu, self.power, self.mesh = lam, mu, power, mesh
         self.stops = sorted(set(stops))
         self._records: dict = {step: [] for step in (*self.stops, None)}  # (values, weights)
@@ -179,9 +186,11 @@ class WeightedObserver(PathObserver):
     def start_chunk(self, indices, x0):
         n = len(indices)
         self._expo = np.zeros(n)
-        self._time = None if self.F is None else np.zeros(n)
-        self._bnd = None if self.H is None else np.zeros(n)
+        self._time = None if self.F is None and self.g is None else np.zeros(n)
+        self._bnd = None if self.H is None and self.g is None else np.zeros(n)
         self._at = None if self.mesh is None else self.mesh.find_triangles(x0)
+        if self.g is not None:
+            self._g = np.array(self.g(*((x0,) if self._at is None else (x0, self._at))), float)
 
     def step(self, blk):
         k, m = blk.dl.shape
@@ -198,15 +207,27 @@ class WeightedObserver(PathObserver):
         expo[1:] = a + self.mu * blk.dl
         for s in range(k):  # row by row: np.add.accumulate over axis 0 is slower
             expo[s + 1] += expo[s]
-        if self._time is not None:
-            fv = np.asarray(self.F(*at_prev), dtype=float).reshape(k, m)
-            time = fv * np.exp(expo[:-1]) * blk.h * _phi1(a)
         if self._bnd is not None:
             flat = np.flatnonzero(blk.hit)  # step-major, as the loop met them
             rows, cols = flat // m, flat % m
+        if self.g is not None:
+            gv = np.asarray(self.g(*at_new), dtype=float)
+            star, flux = _divergence_terms(_rows(self._g, gv, m), gv, blk.dB.reshape(k * m, -1),
+                                           flat, blk.normal[rows, cols])
+            self._g = gv[-m:].copy()  # g may return its argument, an engine view
+        if self._time is not None:
+            w, time = np.exp(expo[:-1]), 0.0
+            if self.F is not None:
+                fv = np.asarray(self.F(*at_prev), dtype=float).reshape(k, m)
+                time = fv * w * blk.h * _phi1(a)
+            if self.g is not None:
+                time = time + w * star.reshape(k, m)
+        if self._bnd is not None:
             bnd = np.zeros(0)
             if flat.size:
-                hv = np.asarray(self.H(*_take(at_new, flat)), dtype=float)
+                hv = 0.0 if self.H is None else np.asarray(self.H(*_take(at_new, flat)), float)
+                if self.g is not None:
+                    hv = hv + flux
                 bnd = np.exp(expo[rows, cols]) * hv * self.c * blk.dl[rows, cols]
         # the sums up to each stop, then to the block's end
         stops = [s for s in range(1, k) if blk.j + s in self._records]
@@ -313,25 +334,24 @@ class ResidualObserver(PathObserver):
         u_prev, g_prev = _rows(self._uprev, val, m), _rows(self._gprev, grad, m)
         q_prev = self.q_at(blk.x_prev)[:n]
         f_prev = np.asarray(self.coeffs.f_at(x_prev, u_prev, g_prev), dtype=float)
+        hit = np.flatnonzero(blk.hit[:k])
+        rows, cols = hit // m, hit % m
         sums = [(self._drift, (q_prev * u_prev + f_prev) * blk.h)]
         if not self._g_zero:
             g_cur = self.coeffs.g_at(x_new, val, grad)
-            star = np.einsum("pd,pd->p", g_cur - _rows(self._gpath_prev, g_cur, m), dB)
-            sums.append((self._star, -star))
+            star, gflux = _divergence_terms(_rows(self._gpath_prev, g_cur, m), g_cur, dB,
+                                            hit, blk.normal[rows, cols])
+            sums.append((self._star, star))
             self._gpath_prev = g_cur[-m:]
         sums.append((self._mg, np.einsum("pd,pd->p", g_prev, dB)))
         sums.append((self._qv, np.einsum("pd,pd->p", g_prev, g_prev) * blk.h))
         for acc, terms in sums:
             for row in terms.reshape(k, m):
                 acc += row
-        hit = np.flatnonzero(blk.hit[:k])
         if hit.size:
-            rows, cols = hit // m, hit % m
             flux = -np.asarray(self.coeffs.h_at(x_new[hit], val[hit]), dtype=float)
             if not self._g_zero:
-                flux = flux + 2.0 * np.einsum(
-                    "pd,pd->p", g_cur[hit], blk.normal[rows, cols]
-                )
+                flux = flux - gflux  # -(h - 2 <g, n>)
             np.add.at(self._lt, cols, flux * (0.5 * blk.dl[rows, cols]))
         self._uprev = val[-m:]
         self._gprev = grad[-m:]
@@ -751,41 +771,32 @@ def compare_frozen_at_probes(
 
     Freezes F(x) = f(x, u, grad u), H(x) = h(x, u), g(x) = g(x, u, grad u) at
     the candidate solution and evaluates the resulting linear problem
-    stochastically at the probe points.  The divergence term is removed by
-    the Riesz lift G of g (solve_g_lifting): the shifted unknown v = u - 2G
-    solves the g-free problem with data F + 2 q G + G and the same H, so
-    u(x0) = fk(F + 2qG + G, H) + 2 G(x0), fk as in :func:`fk_linear_frozen`.
-    The observer locates each path-step point once on the mesh of u, so u,
-    grad u and G are read from one set of barycentrics, and a boundary hit
-    reuses its step's location.  All probes share one run, probe i on the
-    seed shifted by ``SEED_PROBE_STRIDE * i``.
+    stochastically at the probe points, by the weighted functional of
+    :class:`WeightedObserver` with c = ``DEFAULT_C_BD``: its time integral of
+    F, its boundary term in H - 2 <g, n>, and its star integral of g, which
+    is left out when g is zero by its form (``Expr.is_zero``).  So the check
+    reads nothing of the finite-element assembly of the term it checks.  The
+    observer locates each path-step point once on the mesh of u, so u and
+    grad u are read from one set of barycentrics, and a boundary hit reuses
+    its step's location.  All probes share one run, probe i on the seed
+    shifted by ``SEED_PROBE_STRIDE * i``.
     """
     if probes is None:
         probes = interior_grid(domain, 5)
     probes = np.asarray(probes, dtype=float)
 
-    G = solve_g_lifting(u.mesh, WeakForm(u.mesh, coeffs).divergence(u.values))
-    q = _StepMemo(coeffs.q_at)  # the observer's q evaluation serves f_tilde too
-
-    def f_tilde(x, at):
-        """F + 2 q G + G, with u and G from the one location ``at`` of x."""
-        val, grad = u.value_grad_at(x, at)
-        f = coeffs.f_at(x, val, grad)
-        return np.asarray(f, dtype=float) + (2.0 * np.asarray(q(x)) + 1.0) * G.value_at(x, at)
-
-    def H(x, at):
-        """h at u, with u from the hits' location ``at``."""
-        return coeffs.h_at(x, u.value_at(x, at))
-
-    obs = TimeIntegralObserver(
-        q, F=f_tilde, H=H, c=DEFAULT_C_BD, stops=_fit_steps(params), mesh=u.mesh
-    )
+    F = lambda x, at: coeffs.f_at(x, *u.value_grad_at(x, at))  # noqa: E731
+    H = lambda x, at: coeffs.h_at(x, u.value_at(x, at))  # noqa: E731
+    g = lambda x, at: coeffs.g_at(x, *u.value_grad_at(x, at))  # noqa: E731
+    g_zero = all(e.is_zero() for e in coeffs.g)
+    obs = TimeIntegralObserver(coeffs.q_at, F=F, H=H, g=None if g_zero else g, c=DEFAULT_C_BD,
+                               stops=_fit_steps(params), mesh=u.mesh)
     seeds = [params.seed + SEED_PROBE_STRIDE * i for i in range(len(probes))]
     ests, _ = _run_probes(domain, probes, seeds, obs, params, must_decay=True)
     return ProbeComparison(
         probes=probes,
         fem_values=np.asarray(u.value_at(probes)),
-        mc_means=np.array([est.mean for est in ests]) + 2.0 * G.value_at(probes),
+        mc_means=np.array([est.mean for est in ests]),
         mc_ses=np.array([est.standard_error for est in ests]),
         allowance=allowance,
     )

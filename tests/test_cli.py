@@ -284,6 +284,56 @@ def test_verify_refuses_a_mesh_off_the_configured_domain(tmp_path, capsys, monke
     assert "off the domain's boundary" in err[0]
 
 
+def _solved_a(tmp_path, capsys):
+    """Corpus A solved into tmp_path/out: the mesh and field lines, the config path."""
+    out = tmp_path / "out"
+    cfg = write(tmp_path, BASE_A)
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    mesh = (out / "mesh.txt").read_text().splitlines(keepends=True)
+    field = (out / "solution.csv").read_text().splitlines(keepends=True)
+    return mesh, field, cfg
+
+
+def _verify_refused(tmp_path, capsys, monkeypatch, cfg, mesh_lines, field_lines):
+    """verify on the given files: its exit code, stderr lines and the path runs it made."""
+    (tmp_path / "m.txt").write_text("".join(mesh_lines))
+    (tmp_path / "f.csv").write_text("".join(field_lines))
+    runs = []
+    monkeypatch.setattr(probeval, "run_paths", lambda *a, **k: runs.append(a))
+    code = main(["verify", "--config", cfg, "--field", str(tmp_path / "f.csv"),
+                 "--mesh", str(tmp_path / "m.txt")])
+    return code, capsys.readouterr().err.splitlines(), runs
+
+
+@pytest.mark.parametrize("section, index", [("triangles", "999999"), ("triangles", "-1"),
+                                            ("boundary_edges", "-1")])
+def test_verify_refuses_a_mesh_naming_a_node_it_does_not_have(
+    tmp_path, capsys, monkeypatch, section, index
+):
+    # 999999 escaped as an IndexError; -1 wrapped to the last node, and the paths ran
+    mesh, field, cfg = _solved_a(tmp_path, capsys)
+    head = next(i for i, line in enumerate(mesh) if line.startswith(section + " "))
+    row = mesh[head + 1].split()
+    row[-2] = index  # a triangle's second node, an edge's first
+    mesh[head + 1] = " ".join(row) + "\n"
+    code, err, runs = _verify_refused(tmp_path, capsys, monkeypatch, cfg, mesh, field)
+    assert code == 1 and runs == []
+    assert len(err) == 1 and err[0].startswith("cannot load field: ")
+    assert section in err[0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_refuses_a_non_finite_field_value(tmp_path, capsys, monkeypatch, value):
+    # a nan value once ran every path and printed nan rows
+    mesh, field, cfg = _solved_a(tmp_path, capsys)
+    field[4] = field[4].rsplit(",", 1)[0] + f",{value}\n"
+    code, err, runs = _verify_refused(tmp_path, capsys, monkeypatch, cfg, mesh, field)
+    assert code == 1 and runs == []
+    assert len(err) == 1 and err[0].startswith("cannot load field: ")
+    assert f"node {field[4].split(',')[0]} " in err[0]
+
+
 @pytest.mark.parametrize("domain", ["disk", "ellipse"])
 def test_simulate_dumps(tmp_path, domain):
     text = BASE_A

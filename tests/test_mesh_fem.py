@@ -28,7 +28,6 @@ from reflectpde.mesh_fem import (
     l2_norm,
     min_angle,
     residual_dual_norm,
-    solve_g_lifting,
     solve_semilinear_g_frozen,
 )
 from reflectpde.reflectsim import PathObserver, run_paths
@@ -135,7 +134,13 @@ def test_mesh_mismatch(meshes):
 
 
 # ---------------------------------------------------------------------------
-# Riesz lift of the divergence functional
+# Riesz lift of the divergence functional: the checks of Mesh.gradient_load and
+# Mesh.gram_solve, which the solve and the dual norms read
+
+
+def solve_g_lifting(mesh, g_quad):
+    """G with (grad G, grad v) + (G, v) = (g, grad v) for all P1 test v; g at mesh.quad_x."""
+    return FemFunction(mesh, mesh.gram_solve(mesh.gradient_load(g_quad)))
 
 
 def test_g_lifting_zero(meshes):
@@ -462,6 +467,22 @@ def test_mesh_load_errors(tmp_path, meshes):
             import_mesh(path)
 
 
+@pytest.mark.parametrize("section, index", [("triangles", 999999), ("triangles", -1),
+                                            ("boundary_edges", -1)])
+def test_mesh_load_refuses_a_node_index_outside_the_nodes(tmp_path, meshes, section, index):
+    # 999999 raised IndexError in Mesh; -1 wrapped silently to the last node
+    path = tmp_path / "mesh.txt"
+    export_mesh(meshes[0.1], path)
+    lines = path.read_text().splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if line.startswith(section + " "))
+    row = lines[head + 1].split()
+    row[-1] = str(index)
+    lines[head + 1] = " ".join(row) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(MeshLoadError, match=section):
+        import_mesh(path)
+
+
 def test_field_load_errors(tmp_path, meshes):
     mesh = meshes[0.1]
     bad = tmp_path / "bad.csv"
@@ -492,7 +513,7 @@ def test_field_import_takes_rows_in_any_order(tmp_path, meshes):
 
 
 @pytest.mark.parametrize("fault", ["duplicate", "negative", "out_of_range", "fraction",
-                                   "unparsable", "short_row", "moved"])
+                                   "unparsable", "short_row", "moved", "nan", "inf"])
 def test_field_import_rejects_bad_rows(tmp_path, meshes, fault):
     mesh = meshes[0.1]
     lines = _field_lines(tmp_path, mesh)
@@ -510,12 +531,14 @@ def test_field_import_rejects_bad_rows(tmp_path, meshes, fault):
         lines[5] = lines[5].rsplit(",", 1)[0] + ",zero\n"
     elif fault == "short_row":
         lines[5] = lines[5].rsplit(",", 1)[0] + "\n"
+    elif fault in ("nan", "inf"):
+        lines[5] = lines[5].rsplit(",", 1)[0] + f",-{fault}\n"
     else:
         i, x, y, v = lines[5].split(",")
         lines[5] = f"{i},{float(x) + 1e-3!r},{y},{v}"
     path = tmp_path / "bad.csv"
     path.write_text("".join(lines))
-    with pytest.raises(FieldLoadError):
+    with pytest.raises(FieldLoadError, match="node 4 " if fault in ("nan", "inf") else ""):
         import_field(path, mesh)
 
 

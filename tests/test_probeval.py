@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from reflectpde import probeval, reflectsim
-from reflectpde.coeffexpr import CoefficientSet
+from reflectpde.coeffexpr import CoefficientSet, StructureConstants, choose_constants
 from reflectpde.geometry import Domain, interior_grid
 from reflectpde.mesh_fem import (
-    FemFunction, Mesh, WeakForm, build_mesh, solve_g_lifting, solve_semilinear_g_frozen,
+    FemFunction, Mesh, WeakForm, build_mesh, solve_semilinear_g_frozen,
 )
 from reflectpde.probeval import (
     AdmissibilityError,
@@ -26,7 +26,8 @@ from reflectpde.probeval import (
     fk_linear_frozen,
     martingale_residual_test,
 )
-from reflectpde.reflectsim import Estimate, PathObserver, run_paths
+from reflectpde.picard import run_picard
+from reflectpde.reflectsim import Estimate, PathObserver, StarObserver, run_paths
 from .conftest import F_A, H_A, Unrolled, count_locations, q_only
 
 Q_MINUS_ONE = lambda x: -np.ones(len(x))  # noqa: E731
@@ -506,6 +507,92 @@ def test_block_observers_match_step_references(monkeypatch, kind):
 
 
 # ---------------------------------------------------------------------------
+# the divergence term: the star integral and the flux, weighted at the left node
+
+
+def _g_field(x):
+    """A vector field in any dimension; it does not vanish on the boundary."""
+    return np.sin(x[:, ::-1]) + 0.5 * x
+
+
+class FluxSum(PathObserver):
+    """sum_j <g(X_{j+1}), n_j> dL_j, one step at a time (n and dL vanish off the hits)."""
+
+    def __init__(self, g):
+        self.g, self.samples = g, []
+
+    def start_chunk(self, indices, x0):
+        self._acc = np.zeros(len(indices))
+
+    def step(self, ctx):
+        self._acc += np.einsum("pd,pd->p", self.g(ctx.x_new), ctx.normal) * ctx.dl
+
+    def end_chunk(self, x_final):
+        self.samples.append(self._acc)
+
+
+@pytest.mark.parametrize("kind", list(EDGE_DOMAINS))
+def test_divergence_term_at_unit_weight_is_the_star_sum_less_the_flux(kind):
+    # q = 0 and lam = mu = 0: every weight is e^0 = 1, and the new term is
+    # StarObserver's sum minus 2 c sum <g, n> dL, path by path
+    domain, c = EDGE_DOMAINS[kind], 0.47
+    obs = WeightedObserver(ZERO, g=_g_field, c=c, stops=[40])
+    star, flux = StarObserver(_g_field), FluxSum(_g_field)
+    run_paths(domain, 50, 0.4, 2e-3, seed=17, observers=[obs, star, Unrolled(flux)],
+              x0=np.full(domain.dim, 0.7 / np.sqrt(domain.dim)), chunk_size=16)
+    values, weights = obs.samples()
+    fluxes = np.concatenate(flux.samples)
+    assert np.count_nonzero(fluxes) > 10  # the paths reach the boundary
+    assert np.all(weights == 1.0)
+    want = np.concatenate(star.samples) - 2.0 * c * fluxes
+    np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
+
+
+class RefDivergenceTerm(PathObserver):
+    """The weighted star and flux sums, one step at a time:
+
+    sum_j e^{E_j} (-<g(X_{j+1}) - g(X_j), dB_j> - 2 c <g(X_{j+1}), n_j> dL_j).
+    """
+
+    def __init__(self, q, g, c, lam, mu, power):
+        self.q, self.g, self.c = q, g, c
+        self.lam, self.mu, self.power = lam, mu, power
+        self.samples = []
+
+    def start_chunk(self, indices, x0):
+        self._expo, self._acc = np.zeros(len(indices)), np.zeros(len(indices))
+        self._g = self.g(x0)
+
+    def step(self, ctx):
+        g = self.g(ctx.x_new)
+        star = -np.einsum("pd,pd->p", g - self._g, ctx.dB)
+        flux = -2.0 * self.c * np.einsum("pd,pd->p", g, ctx.normal) * ctx.dl
+        self._acc += np.exp(self._expo) * (star + flux)
+        self._expo += (self.lam + self.power * self.q(ctx.x_prev)) * ctx.h + self.mu * ctx.dl
+        self._g = g
+
+    def end_chunk(self, x_final):
+        self.samples.append(self._acc)
+
+
+@pytest.mark.parametrize("kind", list(EDGE_DOMAINS))
+def test_weighted_divergence_term_matches_a_step_reference(monkeypatch, kind):
+    # block edges off the stops as in the block test; the block observer sums the
+    # star and flux terms in two accumulators, the reference in one
+    monkeypatch.setattr(reflectsim, "BLOCK_PATH_STEPS", 40)
+    domain = EDGE_DOMAINS[kind]
+    weights = {"lam": 0.3, "mu": -0.2, "power": 2}
+    q = lambda x: -1.0 - 0.5 * x[:, 0] ** 2  # noqa: E731
+    for chunk_size in (1, 2, 2048):
+        obs = WeightedObserver(q, g=_g_field, c=0.47, stops=[6, 26, 50], **weights)
+        ref = RefDivergenceTerm(q, _g_field, 0.47, **weights)
+        run_paths(domain, 9, 101 * 2e-3, 2e-3, seed=31, chunk_size=chunk_size,
+                  observers=[obs, Unrolled(ref)])
+        np.testing.assert_allclose(obs.samples()[0], np.concatenate(ref.samples),
+                                   rtol=1e-12, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # Feynman-Kac estimators
 
 
@@ -594,7 +681,7 @@ def test_calibration_problem_fem_matches_bessel(disk, meshes):
 
 
 def test_fk_with_divergence_against_fem(disk, meshes):
-    # frozen problem with g = x: compare the lifted FK route to the FEM solve
+    # frozen problem with g = x: compare the FK route with its star term to the FEM solve
     coeffs = CoefficientSet.from_strings(
         2, f="1 - x1", g=["x1", "x2"], h="0.5 + x2", q="-1"
     )
@@ -626,7 +713,7 @@ def test_fk_with_divergence_evaluates_q_once_per_step(disk, meshes):
     u = FemFunction(meshes[0.1], np.zeros(meshes[0.1].n_nodes))
     # 20 engine steps in one chunk of 30 paths; the decay fit reads the same run
     compare_frozen_at_probes(disk, u, coeffs, params(n=30, T=0.2, h=1e-2), probes=[[0.0, 0.0]])
-    # each path-step point once: the observer's evaluation, shared with f_tilde
+    # each path-step point once: the observer's evaluation
     assert sum(coeffs.calls) == 20 * 30
 
 
@@ -879,12 +966,11 @@ def test_probe_comparison_locates_once_per_step(monkeypatch, disk, meshes, corpu
     compare_frozen_at_probes(disk, u, corpus_b, params(n=40, T=0.05, h=1e-3), probes=probes)
     n_steps = 50
     # one run of both probes: the 80 start points, each path-step's new point located
-    # once, a block at a time, which u, grad u, G and h all read; then the FEM values
-    # and the shifts 2 G at the probes
-    starts, *blocks, fem, shift = calls
+    # once, a block at a time, which u, grad u, g and h all read; then the FEM values
+    starts, *blocks, fem = calls
     assert starts == len(probes) * 40
     assert sum(blocks) == len(probes) * 40 * n_steps
-    assert fem == shift == len(probes)
+    assert fem == len(probes)
     # the boundary term reads the hits' location from the block's: no call on the hits
     assert h_calls
 
@@ -909,16 +995,34 @@ def test_probe_comparison_evaluates_from_the_points_own_location(
 def test_probe_comparison_smoke(monkeypatch, disk, meshes, corpus_a):
     u = solve_semilinear_g_frozen(meshes[0.05], corpus_a, inner_tol=1e-11)
     p = params(n=600, T=10.0, h=1e-3, seed=11)
-    lifts = []
-
-    def spy_lift(mesh, g_quad):
-        lifts.append(g_quad.shape)
-        return solve_g_lifting(mesh, g_quad)
-
-    monkeypatch.setattr(probeval, "solve_g_lifting", spy_lift)
+    loads = []
+    gradient_load = Mesh.gradient_load
+    monkeypatch.setattr(Mesh, "gradient_load",
+                        lambda self, g_quad: loads.append(g_quad) or gradient_load(self, g_quad))
     cmp = compare_frozen_at_probes(disk, u, corpus_a, p, allowance=0.08)
     assert cmp.passed, str(cmp)
-    assert lifts == [u.mesh.quad_x.shape]  # one lift for all probes
+    assert loads == []  # the check reads nothing of the assembly of the divergence term
+
+
+def test_probe_comparison_catches_a_sign_flipped_divergence_load(monkeypatch, disk, meshes):
+    # the divergence load of the solve times -1 moves u by up to 0.9; the comparison
+    # once removed g by the Riesz lift of that same load, and passed the flipped field
+    coeffs = CoefficientSet.from_strings(2, f="1 - y", g=["0.3*tanh(y) + x1", "x2"],
+                                         h="1 - y", q="-1")
+    consts = choose_constants(
+        StructureConstants(alpha=1.0, beta=1.0, K=0.1, M=4.0, k=0.3, beta_prime=1.0)
+    )
+    p = params(n=400, T=6.0, h=5e-4, seed=5)
+    right = run_picard(disk, coeffs, consts, 0.05, tol=1e-9, mesh=meshes[0.05]).solution
+    cmp_right = compare_frozen_at_probes(disk, right, coeffs, p)
+    # the defect stays in place for the check, as a defect in the assembly would
+    gradient_load = Mesh.gradient_load
+    monkeypatch.setattr(Mesh, "gradient_load", lambda self, g_quad: -gradient_load(self, g_quad))
+    flipped = run_picard(disk, coeffs, consts, 0.05, tol=1e-9, mesh=meshes[0.05]).solution
+    assert np.max(np.abs(flipped.values - right.values)) > 0.5
+    cmp_flipped = compare_frozen_at_probes(disk, flipped, coeffs, p)
+    assert cmp_right.passed, str(cmp_right)
+    assert not cmp_flipped.passed, str(cmp_flipped)
 
 
 def test_probe_verdicts_are_the_pass_rule_per_probe():
