@@ -51,8 +51,12 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _derived_constants(cfg: RunConfig):
-    """choose_constants honoring the override flag; returns (consts, note)."""
+def _derived_constants(cfg: RunConfig, residual_test: bool):
+    """choose_constants honoring the override flag; returns (consts, note).
+
+    The flag waives admissibility for the Picard solve only: with ``residual_test``,
+    whose terminal weight reads the derived lam and mu, inadmissible constants raise.
+    """
     try:
         return (
             choose_constants(
@@ -67,6 +71,11 @@ def _derived_constants(cfg: RunConfig):
     except InadmissibleConstants as err:
         if not cfg.solver.override_admissibility:
             raise
+        if residual_test:
+            raise InadmissibleConstants(
+                f"{err}; --override-admissibility waives admissibility for the Picard solve "
+                "only, and the residual test's terminal weight needs the derived lam and mu"
+            ) from None
         return cfg.consts, f"override: running with inadmissible constants ({err})"
 
 
@@ -126,7 +135,7 @@ def cmd_solve(args) -> int:
     cfg = _load(args)
     _require_2d(cfg, "solve")
     params = _mc_params(cfg) if cfg.solver.backend == "both" else None
-    consts, note = _derived_constants(cfg)
+    consts, note = _derived_constants(cfg, residual_test=params is not None)
     report = validate_structure(
         cfg.domain, cfg.coeffs, cfg.consts,
         budget=cfg.solver.validate_budget, seed=cfg.solver.seed,
@@ -185,7 +194,7 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     _require_2d(cfg, "verify")
     params = _mc_params(cfg)
-    consts, _ = _derived_constants(cfg)
+    consts, _ = _derived_constants(cfg, residual_test=True)
     field_path = Path(args.field)
     mesh_path = Path(args.mesh) if args.mesh else field_path.parent / "mesh.txt"
     try:
@@ -327,7 +336,8 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument(
             "--override-admissibility", action="store_true",
-            help="run even when the structure constants are inadmissible",
+            help="run the Picard solve on inadmissible structure constants (not the residual "
+                 "test of verify or backend = both, which needs the derived lam and mu)",
         )
 
     p = sub.add_parser("solve", help="run the Picard solver")

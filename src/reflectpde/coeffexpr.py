@@ -572,6 +572,10 @@ class CoefficientSet:
     def b_is_zero(self) -> bool:
         return all(e.is_zero() for e in self.b)
 
+    @property
+    def g_is_zero(self) -> bool:
+        return all(e.is_zero() for e in self.g)
+
 
 def _env_yz(y, z) -> dict:
     env = {"y": y}

@@ -351,22 +351,22 @@ class FemFunction:
         """Per triangle: the nodal values (m, 3) and the gradient (m, 2)."""
         return self.values[self.mesh.triangles], self.mesh.tri_gradients(self.values)
 
-    def value_grad_at(self, points, at=None):
+    def value_grad_at(self, points):
         """Field value and (piecewise-constant) gradient at arbitrary points.
 
-        ``at`` is the points' location ``(tri, (l0, l1, l2))`` from
-        :meth:`Mesh.find_triangles` when the caller has it; else the points are
-        located.  On an edge shared by two triangles the gradient may come from
+        Each point is located once, by :meth:`Mesh.find_triangles`, and both are
+        read from its triangle and barycentrics there; the location stays inside
+        this module.  On an edge shared by two triangles the gradient may come from
         either.  Points slightly outside the mesh polygon (e.g. on the curved
         boundary) are evaluated by linear extension of their boundary triangle.
         """
-        t, (l0, l1, l2) = self.mesh.find_triangles(points) if at is None else at
+        t, (l0, l1, l2) = self.mesh.find_triangles(points)
         values, grads = self._tables
         v = values.take(t, axis=0)
         return l0 * v[:, 0] + l1 * v[:, 1] + l2 * v[:, 2], grads.take(t, axis=0)
 
-    def value_at(self, points, at=None):
-        return self.value_grad_at(points, at)[0]
+    def value_at(self, points):
+        return self.value_grad_at(points)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -135,14 +135,7 @@ class _StepMemo:
 
 def _rows(first, rest, m: int):
     """Values at a block's step starts: ``first``, then ``rest`` less its last m rows."""
-    if isinstance(rest, tuple):
-        return tuple(_rows(a, b, m) for a, b in zip(first, rest))
     return np.concatenate([first, rest[:-m]])
-
-
-def _take(v, rows):
-    """The rows ``rows`` of an array; of each array of a tuple, such as a location."""
-    return tuple(_take(a, rows) for a in v) if isinstance(v, tuple) else v[rows]
 
 
 def _divergence_terms(g_prev, g_cur, dB, hit, normal):
@@ -168,18 +161,21 @@ class WeightedObserver(PathObserver):
     Asterisque 157-158, 1988).  H and g at a hit are read at the projection
     foot.  The terms are added up only when a value is recorded, beside the
     weight e^{E}: at each of ``stops`` and at the horizon (step None), for
-    ``samples(step)`` and ``estimate(step)``.  With a ``mesh``, each block's
-    new points are located once, and F, H and g are called as F(x, at) with
-    the location ``(tri, (l0, l1, l2))`` that :meth:`Mesh.find_triangles`
-    returns; Phi is always Phi(x).  q, F, H and g are evaluated once per
-    block; the sums run in the order of a one-step-at-a-time loop, so the
-    samples do not depend on the block length.
+    ``samples(step)`` and ``estimate(step)``.  Without a ``field`` the data
+    are F(x), H(x) and g(x).  With a ``field`` u, a :class:`FemFunction`, they
+    are the coefficient set's functions of (u, grad u), as the paper's BSDE
+    reads the candidate: F(x, u, grad u) at the step starts, g(x, u, grad u)
+    at the step ends and H(x, u) at the hits.  Each block's new points are
+    evaluated once, by ``field.value_grad_at``, and a step's start takes the
+    values of the step before.  Phi is always Phi(x).  q, F, H and g are
+    evaluated once per block; the sums run in the order of a
+    one-step-at-a-time loop, so the samples do not depend on the block length.
     """
 
     def __init__(self, q, F=None, H=None, Phi=None, c=1.0, lam=0.0, mu=0.0, power=1,
-                 stops=(), mesh=None, g=None):
+                 stops=(), field=None, g=None):
         self.q, self.F, self.H, self.Phi, self.g, self.c = q, F, H, Phi, g, c
-        self.lam, self.mu, self.power, self.mesh = lam, mu, power, mesh
+        self.lam, self.mu, self.power, self.field = lam, mu, power, field
         self.stops = sorted(set(stops))
         self._records: dict = {step: [] for step in (*self.stops, None)}  # (values, weights)
 
@@ -188,19 +184,19 @@ class WeightedObserver(PathObserver):
         self._expo = np.zeros(n)
         self._time = None if self.F is None and self.g is None else np.zeros(n)
         self._bnd = None if self.H is None and self.g is None else np.zeros(n)
-        self._at = None if self.mesh is None else self.mesh.find_triangles(x0)
+        self._u = () if self.field is None else self.field.value_grad_at(x0)
         if self.g is not None:
-            self._g = np.array(self.g(*((x0,) if self._at is None else (x0, self._at))), float)
+            self._g = np.array(self.g(x0, *self._u), float)
 
     def step(self, blk):
         k, m = blk.dl.shape
         q = np.asarray(self.q(blk.x_prev), dtype=float).reshape(k, m)
         a = (self.lam + self.power * q) * blk.h
-        at_prev, at_new = (blk.x_prev,), (blk.x_new,)
-        if self._at is not None:
-            at = self.mesh.find_triangles(blk.x_new)
-            at_prev, at_new = (blk.x_prev, _rows(self._at, at, m)), (blk.x_new, at)
-            self._at = _take(at, slice(-m, None))
+        u_prev = u_new = ()  # (u, grad u) at the step starts and ends, with a field
+        if self.field is not None:
+            u_new = self.field.value_grad_at(blk.x_new)
+            u_prev = tuple(_rows(first, v, m) for first, v in zip(self._u, u_new))
+            self._u = tuple(v[-m:] for v in u_new)
         # expo[s]: the exponent before step j + s, advanced as expo += a + mu dl
         expo = np.empty((k + 1, m))
         expo[0] = self._expo
@@ -211,21 +207,22 @@ class WeightedObserver(PathObserver):
             flat = np.flatnonzero(blk.hit)  # step-major, as the loop met them
             rows, cols = flat // m, flat % m
         if self.g is not None:
-            gv = np.asarray(self.g(*at_new), dtype=float)
+            gv = np.asarray(self.g(blk.x_new, *u_new), dtype=float)
             star, flux = _divergence_terms(_rows(self._g, gv, m), gv, blk.dB.reshape(k * m, -1),
                                            flat, blk.normal[rows, cols])
             self._g = gv[-m:].copy()  # g may return its argument, an engine view
         if self._time is not None:
             w, time = np.exp(expo[:-1]), 0.0
             if self.F is not None:
-                fv = np.asarray(self.F(*at_prev), dtype=float).reshape(k, m)
+                fv = np.asarray(self.F(blk.x_prev, *u_prev), dtype=float).reshape(k, m)
                 time = fv * w * blk.h * _phi1(a)
             if self.g is not None:
                 time = time + w * star.reshape(k, m)
         if self._bnd is not None:
             bnd = np.zeros(0)
             if flat.size:
-                hv = 0.0 if self.H is None else np.asarray(self.H(*_take(at_new, flat)), float)
+                u_hit = (u_new[0][flat],) if u_new else ()  # H reads u, not grad u
+                hv = 0.0 if self.H is None else np.asarray(self.H(blk.x_new[flat], *u_hit), float)
                 if self.g is not None:
                     hv = hv + flux
                 bnd = np.exp(expo[rows, cols]) * hv * self.c * blk.dl[rows, cols]
@@ -306,7 +303,7 @@ class ResidualObserver(PathObserver):
         self.res_samples: list = []
         self.qv_samples: list = []
         self.mg_samples: list = []
-        self._g_zero = all(e.is_zero() for e in coeffs.g)
+        self._g_zero = coeffs.g_is_zero
 
     def start_chunk(self, indices, x0):
         val, grad = self.u.value_grad_at(x0)
@@ -776,21 +773,17 @@ def compare_frozen_at_probes(
     F, its boundary term in H - 2 <g, n>, and its star integral of g, which
     is left out when g is zero by its form (``Expr.is_zero``).  So the check
     reads nothing of the finite-element assembly of the term it checks.  The
-    observer locates each path-step point once on the mesh of u, so u and
-    grad u are read from one set of barycentrics, and a boundary hit reuses
-    its step's location.  All probes share one run, probe i on the seed
-    shifted by ``SEED_PROBE_STRIDE * i``.
+    observer takes u as its field: it evaluates u and grad u once at each
+    path-step point, and f, h and g read those values.  All probes share one
+    run, probe i on the seed shifted by ``SEED_PROBE_STRIDE * i``.
     """
     if probes is None:
         probes = interior_grid(domain, 5)
     probes = np.asarray(probes, dtype=float)
 
-    F = lambda x, at: coeffs.f_at(x, *u.value_grad_at(x, at))  # noqa: E731
-    H = lambda x, at: coeffs.h_at(x, u.value_at(x, at))  # noqa: E731
-    g = lambda x, at: coeffs.g_at(x, *u.value_grad_at(x, at))  # noqa: E731
-    g_zero = all(e.is_zero() for e in coeffs.g)
-    obs = TimeIntegralObserver(coeffs.q_at, F=F, H=H, g=None if g_zero else g, c=DEFAULT_C_BD,
-                               stops=_fit_steps(params), mesh=u.mesh)
+    obs = TimeIntegralObserver(coeffs.q_at, F=coeffs.f_at, H=coeffs.h_at,
+                               g=None if coeffs.g_is_zero else coeffs.g_at, c=DEFAULT_C_BD,
+                               stops=_fit_steps(params), field=u)
     seeds = [params.seed + SEED_PROBE_STRIDE * i for i in range(len(probes))]
     ests, _ = _run_probes(domain, probes, seeds, obs, params, must_decay=True)
     return ProbeComparison(

@@ -185,6 +185,30 @@ def test_solve_override_admissibility(tmp_path):
     assert code == 0  # the k = 0 corpus problem still converges
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_override_admissibility_does_not_reach_the_residual_test(
+    tmp_path, capsys, monkeypatch, command
+):
+    # the flag once ran the residual test on the underived constants, lam = mu = nan:
+    # verify exited 4 after every path, on "terminal decay nan@T=... [FAIL]", and solve
+    # with backend = both exited 0 with residual_pass false
+    field = tmp_path / "field"
+    assert main(["solve", "--config", write(tmp_path, BASE_A, "ok.ini"), "--out", str(field)]) == 0
+    capsys.readouterr()
+    text = (BASE_A.replace("k = 0.0", "k = 0.4").replace("n_paths = 300", "n_paths = 200")
+            .replace("step = 1e-3", "step = 2e-3").replace("backend = fem", "backend = both"))
+    runs = []
+    monkeypatch.setattr(probeval, "run_paths", lambda *a, **k: runs.append(a))
+    out = tmp_path / "out"
+    flags = {"verify": ["--field", str(field / "solution.csv")], "solve": []}[command]
+    code = main([command, "--config", write(tmp_path, text), "--out", str(out), *flags,
+                 "--override-admissibility"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3 and runs == [] and not out.exists()
+    assert len(err) == 1 and err[0].startswith("inadmissible constants: ")
+    assert "1/(2*sqrt(2))" in err[0] and "lam and mu" in err[0]
+
+
 def test_solve_config_error_exit_code(tmp_path, capsys):
     cfg = write(tmp_path, BASE_A.replace(f"f = {F_A}", "f = x1 +"))
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -1,4 +1,5 @@
-"""The Monte-Carlo layers import numpy alone; scipy loads with the first mesh."""
+"""Layering: the Monte-Carlo layers import numpy alone, and scipy loads with the first
+mesh; point location stays inside mesh_fem."""
 
 import json
 import os
@@ -47,3 +48,11 @@ def test_monte_carlo_commands_load_no_scipy(tmp_path):
     assert seen["codes"] == [0, 0]
     assert seen["before"] == []
     assert "scipy.spatial" in seen["after"]  # the mesh's Delaunay triangulation
+
+
+def test_only_mesh_fem_locates_points():
+    # a point's location (tri, barycentrics) is mesh_fem's format: the observers read
+    # fields as values through FemFunction.value_grad_at
+    src = Path(reflectpde.__file__).resolve().parent
+    naming = sorted(p.name for p in src.glob("*.py") if "find_triangles" in p.read_text())
+    assert naming == ["mesh_fem.py"]

@@ -727,14 +727,20 @@ def _located(mesh, points, t):
     return t, mesh._barycentric(points[:, 0], points[:, 1], t)
 
 
+def _value_in(fn, located):
+    """The P1 value of ``fn`` read from a location (t, (l0, l1, l2))."""
+    t, lam = located
+    return sum(l * fn.values[fn.mesh.triangles[t, i]] for i, l in enumerate(lam))
+
+
 def _check_against_reference(mesh, ref_t, points):
     """find_triangles against the reference triangles ``ref_t``; returns its triangles."""
     fn = FemFunction(mesh, np.sin(3 * mesh.nodes[:, 0]) + mesh.nodes[:, 1] ** 2)
     at = mesh.find_triangles(points)
     t = at[0]
     assert np.max(np.abs(_scores(mesh, points, t) - _scores(mesh, points, ref_t))) <= 1e-12
-    ref_val = fn.value_at(points, _located(mesh, points, ref_t))
-    assert np.max(np.abs(fn.value_at(points, at) - ref_val)) <= 1e-12
+    ref_val = _value_in(fn, _located(mesh, points, ref_t))
+    assert np.array_equal(fn.value_at(points), _value_in(fn, at))  # read from that location
     assert np.max(np.abs(fn.value_at(points) - ref_val)) <= 1e-12
     # the barycentrics are those of the points in the triangles found
     for lam, exact in zip(at[1], _located(mesh, points, t)[1]):

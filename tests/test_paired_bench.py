@@ -46,6 +46,42 @@ def test_within_bound_reads_the_bounds_of_the_benchmark():
     assert bench._summary(pairs, bounds)["wall_s"]["within_bound"]
 
 
+def _pairs_of(bench, parent_walls, change_walls):
+    return [{"parent": bench._row(_record(p)), "change": bench._row(_record(c))}
+            for p, c in zip(parent_walls, change_walls)]
+
+
+def test_verdict_is_unresolved_where_the_parent_spreads_wider_than_the_bound():
+    bench = _load()
+    bounds = bench._bounds()
+    wall = bounds["wall_s"]
+    # the parent's IQR over its median, 0.3, exceeds the 0.25 bound: within_bound holds,
+    # and so does worse by 30 %, but neither is resolved
+    wide = [1.7, 1.85, 2.0, 2.45, 2.6]
+    assert (2.45 - 1.85) / 2.0 > wall
+    same = bench._summary(_pairs_of(bench, wide, wide), bounds)["wall_s"]
+    assert same["within_bound"] and same["verdict"] == "unresolved"
+    slower = bench._summary(_pairs_of(bench, wide, [1.3 * w for w in wide]), bounds)["wall_s"]
+    assert not slower["within_bound"] and slower["verdict"] == "unresolved"
+    # unless every change run beats every parent run
+    faster = bench._summary(_pairs_of(bench, wide, [w - 1.0 for w in wide]), bounds)["wall_s"]
+    assert faster["verdict"] == "within"
+    touching = [1.6, 1.6, 1.6, 1.6, 1.7]  # the slowest change run ties the fastest parent run
+    assert bench._summary(_pairs_of(bench, wide, touching), bounds)["wall_s"]["verdict"] == (
+        "unresolved")
+
+
+def test_verdict_reads_within_bound_where_the_parent_spread_is_narrow():
+    bench = _load()
+    bounds = bench._bounds()
+    narrow = [2.0, 2.01, 2.02, 2.03, 2.04]
+    same = bench._summary(_pairs_of(bench, narrow, narrow), bounds)
+    assert {same[m]["verdict"] for m in bench.METRICS} == {"within"}
+    slower = bench._summary(_pairs_of(bench, narrow, [1.3 * w for w in narrow]), bounds)
+    assert slower["wall_s"]["verdict"] == "worse" and slower["cpu_s"]["verdict"] == "worse"
+    assert slower["setup_s"]["verdict"] == "within"
+
+
 def test_setup_split_reads_the_run_record(monkeypatch, tmp_path):
     bench = _load()
     runs = tmp_path / "perfbench" / "runs"

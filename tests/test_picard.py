@@ -166,12 +166,11 @@ def test_weighted_norm_matches_monte_carlo(disk, corpus_b, consts_k01, meshes):
     fem = weighted_increment_norms(trace, corpus_b, consts_k01)[0]
     delta = trace.iterates[1] - trace.iterates[0]
 
-    def weight_field(x, at):
-        val, grad = delta.value_grad_at(x, at)
-        return val * val + np.einsum("pd,pd->p", grad, grad)
+    def weight_field(x, u, du):
+        return u * u + np.einsum("pd,pd->p", du, du)
 
     obs = TimeIntegralObserver(
-        corpus_b.q_at, F=weight_field, lam=consts_k01.lam, mu=consts_k01.mu, power=2, mesh=mesh,
+        corpus_b.q_at, F=weight_field, lam=consts_k01.lam, mu=consts_k01.mu, power=2, field=delta,
     )
     run_paths(disk, 400, 2.0, 1e-3, 1, [obs])
     mc = obs.estimate()

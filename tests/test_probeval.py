@@ -447,12 +447,20 @@ def test_block_observers_match_step_references(monkeypatch, kind):
         mesh = build_mesh(domain, 0.15)
         u = FemFunction(mesh, mesh.nodes[:, 0] ** 2 - 0.3 * mesh.nodes[:, 1])
 
-        def F_mesh(x, at=None):  # the gradient tells the triangles apart
-            val, grad = u.value_grad_at(x, at)
-            return val + grad[:, 0] * grad[:, 1]
+        def F_u(x, val, grad):  # the gradient tells the triangles apart
+            return val + grad[:, 0] * grad[:, 1] + x[:, 0]
 
-        def H_mesh(x, at=None):
-            return u.value_at(x, at) + 0.5
+        def H_u(x, val):
+            return val + 0.5 + x[:, 1]
+
+        def g_u(x, val, grad):
+            return np.column_stack([0.1 * np.tanh(val) + x[:, 0], grad[:, 1] - x[:, 1]])
+
+        def fresh(fn):  # the data of the field, with u evaluated afresh at every point
+            return lambda x: fn(x, *u.value_grad_at(x))
+
+        def fresh_h(x):
+            return H_u(x, u.value_at(x))
 
         coeffs = {"g0": CoefficientSet.from_strings(2, f=F_A, g=["0", "0"], h=H_A, q="-1"),
                   "g": CoefficientSet.from_strings(2, f=F_A, g=["0.1*tanh(y)", "x1"], h=H_A,
@@ -467,9 +475,14 @@ def test_block_observers_match_step_references(monkeypatch, kind):
         new = {"w": WeightedObserver(q, F=F, H=H, Phi=Phi, c=0.47,
                                      stops=marks + fits, **weights)}
         if domain.dim == 2:
-            ref["time_mesh"] = RefTimeIntegralObserver(q, F_mesh, snapshot_steps=marks)
-            ref["bnd_mesh"] = RefBoundaryIntegralObserver(q, H_mesh, snapshot_steps=marks)
-            new["w_mesh"] = WeightedObserver(q, F=F_mesh, H=H_mesh, stops=marks, mesh=mesh)
+            ref["time_u"] = RefTimeIntegralObserver(q, fresh(F_u), snapshot_steps=marks,
+                                                    **weights)
+            ref["bnd_u"] = RefBoundaryIntegralObserver(q, fresh_h, c=0.47, snapshot_steps=marks,
+                                                       **weights)
+            ref["div_u"] = RefDivergenceTerm(q, fresh(g_u), 0.47, **weights)
+            new["w_u"] = WeightedObserver(q, F=F_u, H=H_u, c=0.47, stops=marks, field=u,
+                                          **weights)
+            new["div_u"] = WeightedObserver(q, g=g_u, c=0.47, stops=marks, field=u, **weights)
             for key, c in coeffs.items():
                 ref["res_" + key] = RefResidualObserver(u, c, n_end)
                 ref["term_" + key] = RefTerminalObserver(c.q_at, Phi, horizons=[n_end, n_steps],
@@ -491,12 +504,15 @@ def test_block_observers_match_step_references(monkeypatch, kind):
         for s in fits:
             assert np.array_equal(w.samples(s)[1], cat(ref["fit"].records[s]))
         if domain.dim == 2:
-            w = new["w_mesh"]
+            w = new["w_u"]
             for m in marks:
-                want = cat(ref["time_mesh"].snapshots[m]) + cat(ref["bnd_mesh"].snapshots[m])
+                want = cat(ref["time_u"].snapshots[m]) + cat(ref["bnd_u"].snapshots[m])
                 assert np.array_equal(w.samples(m)[0], want)
-            want = cat(ref["time_mesh"].samples) + cat(ref["bnd_mesh"].samples)
+            want = cat(ref["time_u"].samples) + cat(ref["bnd_u"].samples)
             assert np.array_equal(w.samples()[0], want)
+            # the star and flux sums, in two accumulators against the reference's one
+            np.testing.assert_allclose(new["div_u"].samples()[0], cat(ref["div_u"].samples),
+                                       rtol=1e-12, atol=1e-15)
             for key in coeffs:
                 got, want = new["res_" + key], ref["res_" + key]
                 for name in ("res_samples", "qv_samples", "mg_samples"):
@@ -953,43 +969,32 @@ def test_residual_locates_once_per_step(monkeypatch, disk, meshes, corpus_b, con
 
 def test_probe_comparison_locates_once_per_step(monkeypatch, disk, meshes, corpus_b):
     u = FemFunction(meshes[0.1], meshes[0.1].nodes[:, 0] ** 2 + meshes[0.1].nodes[:, 1] ** 2)
-    h_calls = []
-    h_at = CoefficientSet.h_at
+    h_calls, evaluated = [], []
+    h_at, value_grad_at = CoefficientSet.h_at, FemFunction.value_grad_at
 
     def counting_h_at(self, x, y):
         h_calls.append(len(x))
         return h_at(self, x, y)
 
+    def counting_value_grad_at(self, points):
+        evaluated.append(len(points))
+        return value_grad_at(self, points)
+
     monkeypatch.setattr(CoefficientSet, "h_at", counting_h_at)
+    monkeypatch.setattr(FemFunction, "value_grad_at", counting_value_grad_at)
     calls = count_locations(monkeypatch)
     probes = np.array([[0.0, 0.1], [0.8, -0.3]])
     compare_frozen_at_probes(disk, u, corpus_b, params(n=40, T=0.05, h=1e-3), probes=probes)
     n_steps = 50
     # one run of both probes: the 80 start points, each path-step's new point located
-    # once, a block at a time, which u, grad u, g and h all read; then the FEM values
-    starts, *blocks, fem = calls
-    assert starts == len(probes) * 40
-    assert sum(blocks) == len(probes) * 40 * n_steps
-    assert fem == len(probes)
-    # the boundary term reads the hits' location from the block's: no call on the hits
-    assert h_calls
-
-
-def test_probe_comparison_evaluates_from_the_points_own_location(
-    monkeypatch, disk, meshes, corpus_b
-):
-    u = FemFunction(meshes[0.1], meshes[0.1].nodes[:, 0] ** 2 + meshes[0.1].nodes[:, 1] ** 2)
-    probes = np.array([[0.0, 0.1], [0.8, -0.3]])
-    p = params(n=60, T=0.2, seed=4)
-    handed = compare_frozen_at_probes(disk, u, corpus_b, p, probes=probes)
-    # the location the observer hands F and H is the one their points get afresh
-    value_grad_at = FemFunction.value_grad_at
-    monkeypatch.setattr(
-        FemFunction, "value_grad_at", lambda self, points, at=None: value_grad_at(self, points)
-    )
-    fresh = compare_frozen_at_probes(disk, u, corpus_b, p, probes=probes)
-    assert np.array_equal(handed.mc_means, fresh.mc_means)
-    assert np.array_equal(handed.mc_ses, fresh.mc_ses)
+    # and evaluated once, a block at a time, f, g and h reading those values; then the
+    # FEM values
+    for counts in (calls, evaluated):
+        starts, *blocks, fem = counts
+        assert starts == len(probes) * 40
+        assert sum(blocks) == len(probes) * 40 * n_steps
+        assert fem == len(probes)
+    assert h_calls  # the boundary term reads the hits' values from the block's
 
 
 def test_probe_comparison_smoke(monkeypatch, disk, meshes, corpus_a):

@@ -12,7 +12,11 @@ both sides on seed ``--seed + i``; the side that runs first switches with each
 pair.  The record goes to ``BENCH_<workload>.json`` (``--out``): each side's
 median and quartiles of every end-to-end metric, how many pairs each side won,
 the ratio of the medians, whether that ratio is within 1 + the metric's bound
-in ``BENCHMARK.json`` (``within_bound``), and every run made.  Each run also
+in ``BENCHMARK.json`` (``within_bound``), a ``verdict``, and every run made.
+The verdict is ``unresolved`` when the parent's own spread, its IQR over its
+median, is wider than the bound, unless every change run beats every parent
+run: such a metric cannot tell a change from load.  Otherwise it is
+``within`` or ``worse``, by ``within_bound``.  Each run also
 keeps ``import_s`` and ``setup_repeats_s`` from the record it wrote, and the
 summary holds their medians per side (``setup_split``): ``setup_s`` is the
 import plus the median repeat, so work that moves between the import and the
@@ -123,12 +127,15 @@ def _summary(pairs: list, bounds: dict) -> dict | None:
         parent = [p["parent"][m] for p in pairs]
         change = [p["change"][m] for p in pairs]
         sp, sc = _quartiles(parent), _quartiles(change)
+        within = sc["median"] <= (1.0 + bounds[m]) * sp["median"]
+        unresolved = sp["iqr"] > bounds[m] * sp["median"] and not max(change) < min(parent)
         out[m] = {
             "parent": sp, "change": sc,
             "change_wins": sum(c < p for p, c in zip(parent, change)),
             "parent_wins": sum(p < c for p, c in zip(parent, change)),
             "ratio_of_medians": round(sc["median"] / sp["median"], 4),
-            "within_bound": sc["median"] <= (1.0 + bounds[m]) * sp["median"],
+            "within_bound": within,
+            "verdict": "unresolved" if unresolved else "within" if within else "worse",
         }
     out["setup_split"] = {side: {
         "import_s": round(float(np.median([p[side]["import_s"] for p in pairs])), 4),
@@ -156,7 +163,11 @@ def _pairs(sides: dict, workload: str, n_pairs: int, seed: int, seconds: float) 
         wall = {name: round(pair[name]["wall_s"], 3) if "wall_s" in pair[name]
                 else f"exit {pair[name]['exit_code']}" for name in order}
         print(f"{workload} pair {i + 1}/{n_pairs} seed {seed + i}: wall_s {wall}", flush=True)
-    return {"n_pairs": n_pairs, "summary": _summary(pairs, _bounds()),
+    summary = _summary(pairs, _bounds())
+    if summary:
+        print(f"{workload} verdicts: "
+              + ", ".join(f"{m} {summary[m]['verdict']}" for m in METRICS), flush=True)
+    return {"n_pairs": n_pairs, "summary": summary,
             "runs_ok": _runs_ok(p[side] for p in pairs for side in ("parent", "change")),
             "pairs": pairs}, env
 
