@@ -7,7 +7,7 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 from .coeffexpr import CoefficientSet, ExprError, StructureConstants
-from .geometry import Domain
+from .geometry import Domain, check_acceptance
 
 # the keys each domain kind takes besides `kind`; the disk is the 2-ball
 _DOMAIN_KEYS = {"disk": ("radius",), "ball": ("dimension", "radius"), "ellipse": ("a", "b")}
@@ -151,7 +151,8 @@ def load_config(path) -> RunConfig:
         make, args = Domain.ball, (dim, _get_float(dom, "radius", 1.0))
     try:
         domain = make(*args)
-    except ValueError as err:  # a size that is not positive, a ball below 2-d, or b > a
+        check_acceptance(domain)  # every Monte-Carlo command draws uniform points
+    except ValueError as err:  # a size not positive, a ball below 2-d, b > a, or too thin
         raise ConfigError(f"[domain] {err}") from None
 
     dim = domain.dim

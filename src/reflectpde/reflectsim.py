@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, outside, project_points
+from .geometry import Domain, check_acceptance, outside, project_points
 
 LOCAL_TIME_FACTOR = 2.0  # reported dL per unit of projection overshoot
 
@@ -173,7 +173,7 @@ def _reflect(domain: Domain, proposals: np.ndarray, out):
     """
     x_new, dl, normal = out
     hit = outside(domain, proposals)
-    at = np.flatnonzero(hit)  # few hits: indices index faster than the mask
+    at = hit.nonzero()[0]  # few hits: indices index faster than the mask
     if at.size:
         foot, inward, overshoot = project_points(domain, proposals[at])
         x_new[at], normal[at], dl[at] = foot, inward, LOCAL_TIME_FACTOR * overshoot
@@ -328,7 +328,9 @@ def run_paths(
     and the block goes to the observers, its arrays valid only during the
     call.  Raises ValueError when ``n_paths``, ``chunk_size``
     or ``block`` is below 1, when the probes disagree in number or do not
-    divide ``n_paths``, or when a start is not a point of the closed domain.
+    divide ``n_paths``, or when a start is not a point of the closed domain;
+    :class:`~reflectpde.geometry.LowAcceptance` when ``x0`` is None on a domain
+    too thin in its bounding box to draw starts from.
     """
     for name, value in (("n_paths", n_paths), ("chunk_size", chunk_size), ("block", block)):
         if value < 1:
@@ -344,7 +346,9 @@ def run_paths(
     if min(counts) < 1 or counts - {1, n_probes} or n_paths % n_probes:
         raise ValueError(f"seed and x0 must give one probe count that divides n_paths = "
                          f"{n_paths}; got {sorted(counts)}")
-    if starts is not None:
+    if starts is None:
+        check_acceptance(domain)  # _draw_start rejects from the bounding box
+    else:
         bad = np.flatnonzero(~np.isfinite(starts).all(axis=1) | outside(domain, starts)
                              if starts.shape[1] == d else np.ones(len(starts)))
         if len(bad):

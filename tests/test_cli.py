@@ -517,6 +517,22 @@ def test_each_command_checks_what_it_runs(tmp_path, capsys, case, command, backe
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flags", [("check-conditions", []), ("bench", []),
+                                            ("simulate", ["--out", "{tmp}/out"])],
+                         ids=["check-conditions", "bench", "simulate"])
+def test_a_ball_too_thin_in_its_box_is_a_config_error(tmp_path, capsys, command, flags):
+    # each command draws uniform points by rejection from the bounding box, of which
+    # the 20-ball fills 2.5e-8: the draws never finished
+    g = "".join(f"g{i} = 0\n" for i in range(3, 21))
+    cfg = write(tmp_path, SMALL.replace("kind = disk", "kind = ball\ndimension = 20")
+                .replace("g2 = 0\n", "g2 = 0\n" + g))
+    assert main([command, "--config", cfg, *(f.format(tmp=tmp_path) for f in flags)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: [domain] the 20-d ball fills 2.46e-08 of its bounding box, "
+                   "below the 0.0001 that sampling it uniformly by rejection needs"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "old, new",
     [("radius = 1.0", "radius = 1.0\ndimension = 3"),

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from reflectpde import geometry
+from reflectpde import geometry, reflectsim
 from reflectpde.geometry import (
     Domain,
+    LowAcceptance,
     boundary_points,
     interior_grid,
     outside,
     project_points,
+    sample_uniform,
 )
 
 
@@ -314,6 +316,160 @@ def test_newton_feet_do_not_depend_on_the_batch():
     assert np.array_equal(foot, alone)
 
 
+# ---------------------------------------------------------------------------
+# the projection against its earlier numpy form
+#
+# The _prev_* functions are verbatim copies of the earlier outside, Newton
+# projection, secular start, 2-column norm and project_points (renamed only),
+# kept as the bit-for-bit reference for the form with fewer numpy calls.
+
+_TINY = np.finfo(float).tiny
+_G_TOL = 3.0 * np.finfo(float).eps
+
+
+def _prev_norm(pts: np.ndarray) -> np.ndarray:
+    if pts.shape[1] != 2:  # d >= 3 keeps einsum's rounding, not that of a sequential sum
+        return np.sqrt(np.einsum("ij,ij->i", pts, pts))
+    sq = pts * pts  # both columns in one contiguous product
+    return np.sqrt(sq[:, 0] + sq[:, 1])
+
+
+def _prev_outside(domain, pts: np.ndarray) -> np.ndarray:
+    if domain.kind == "ball":
+        return _prev_norm(pts) > domain.radius
+    a, b = domain.semi_axes
+    return 1.0 - (pts[:, 0] / a) ** 2 - (pts[:, 1] / b) ** 2 < 0
+
+
+def _prev_project_ellipse(domain, pts: np.ndarray):
+    a, b = domain.semi_axes
+    ax_, ay_ = np.abs(pts[:, 0]), np.abs(pts[:, 1])
+    c2 = a * a - b * b
+    on_axis = ay_ < 1e-14 * a
+    # points on the major axis up to the evolute's cusp have an off-axis nearest foot
+    medial = on_axis & (ax_ * a <= c2) if c2 > 0 else on_axis & (ax_ == 0.0)
+    any_medial = medial.any()
+    # the engine's hits are all exterior, so it never pays for the masked copies
+    gen = ~medial if any_medial else slice(None)
+    gx, gy = (ax_[gen], ay_[gen]) if any_medial else (ax_, ay_)
+
+    foot = np.empty_like(pts)
+    if gx.size:
+        A, B = a * gx, b * gy
+        s = _prev_secular_start(a, b, A, B)
+        # outside the ellipse the root has t >= 0, that is s >= b^2
+        s = np.where((gx / a) ** 2 + (gy / b) ** 2 > 1.0, np.maximum(s, b * b), s)
+        for _ in range(12):  # a cap well above the seven checks the sweep needed
+            sc = s + c2
+            fx, fy = A / sc, B / s
+            fx2, fy2 = fx * fx, fy * fy
+            g = fx2 + fy2 - 1.0
+            # a converged foot stays put, so it does not depend on its batch
+            open_ = np.abs(g) > _G_TOL
+            if not open_.any():
+                break
+            s = np.where(open_, s + g / (2.0 * (fx2 / sc + fy2 / s)), s)
+        foot[gen, 0] = a * fx
+        foot[gen, 1] = b * fy
+    np.copysign(foot, pts, out=foot)
+    if any_medial:
+        if c2 > 0:
+            mx = np.minimum(a * a * ax_[medial] / c2, a)
+            my = b * np.sqrt(np.maximum(0.0, 1.0 - (mx / a) ** 2))  # tie-break: positive y
+        else:
+            # circle written as an ellipse: center resolves along the first axis
+            mx, my = a, 0.0
+        foot[medial, 0] = np.where(pts[medial, 0] >= 0, mx, -mx)
+        foot[medial, 1] = my
+    return foot
+
+
+def _prev_secular_start(a, b, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    d = A - (a * a - b * b)
+    beta = B * math.sqrt((a * a - b * b) / 2.0)  # sqrt(K)
+    # _TINY keeps 0 / 0 out on the major axis beyond the cusp (B = 0, e <= 0)
+    cusp = beta / np.sqrt(np.cbrt(beta) ** 2 + np.maximum(-d, 0.0) + _TINY)
+    return np.maximum(np.maximum(B, d), cusp)
+
+
+def _prev_project_points(domain, x) -> tuple:
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if domain.kind == "ball":
+        r0 = domain.radius
+        r = _prev_norm(pts)
+        foot = pts * (r0 / np.where(r > 0, r, np.inf))[:, None]
+        foot[:, 0][r == 0] = r0  # tie-break at the exact center; faster than [r == 0, 0]
+        return foot, -foot / r0, np.abs(r - r0)
+    foot = _prev_project_ellipse(domain, pts)
+    a, b = domain.semi_axes
+    normal = foot / np.array([-a * a, -b * b])  # -(x/a^2, y/b^2): inward at the foot
+    normal /= _prev_norm(normal)[:, None]
+    dist = _prev_norm(pts - foot)
+    return foot, normal, dist
+
+
+def _engine_hits(domain, monkeypatch):
+    """The points that a short run of the path engine projects, one batch per step."""
+    batches = []
+
+    def record(dom, x):
+        batches.append(np.array(x))
+        return project_points(dom, x)
+
+    monkeypatch.setattr(reflectsim, "project_points", record)
+    reflectsim.run_paths(domain, 512, 0.1, 1e-3, 7, [])  # uniform starts
+    monkeypatch.undo()
+    return batches
+
+
+def _sweep(domain, rng):
+    """Box points, the axes, the cusp, medial-axis points and the exact center."""
+    a, b = domain.semi_axes[:2]
+    d = domain.dim
+    box = rng.uniform(-1.3 * a, 1.3 * a, (4000, d))
+    box[:1000] *= np.exp(rng.uniform(-30.0, 1.0, (1000, 1)))  # down to the center
+    s = np.linspace(-2.0 * a, 2.0 * a, 41)
+    axes = np.zeros((len(s) * d, d))
+    for i in range(d):
+        axes[i * len(s) : (i + 1) * len(s), i] = s
+    pts = [box, axes, np.zeros((1, d)), -np.zeros((1, d))]
+    if domain.kind == "ellipse":
+        cusp = (a * a - b * b) / a
+        near = np.array([cusp, 0.0]) + rng.uniform(-1e-6, 1e-6, (200, 2))
+        near[:20, 1] = rng.choice([-1.0, 1.0], 20) * np.logspace(-13.8, -8, 20) * a
+        medial = np.stack([rng.uniform(-1.0, 1.0, 200) * max(cusp, 1e-3),
+                           rng.choice([-2e-14, 2e-14, -0.0, 0.0, 1e-300], 200) * a], axis=1)
+        pts += [near, medial, [[cusp, 0.0], [-cusp, 0.0], [np.nextafter(cusp, 2.0), 1e-300]]]
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("domain", [Domain.ellipse(1.5, 1.0), Domain.ellipse(2.0, 1.0),
+                                    Domain.ellipse(1.0, 1.0), Domain.disk(), Domain.disk(0.7),
+                                    Domain.ball(3, 1.5)],
+                         ids=["ellipse", "ellipse-2", "circle", "disk", "disk-0.7", "ball"])
+def test_projection_is_the_previous_form_bit_for_bit(domain, monkeypatch):
+    rng = np.random.default_rng(36)
+    hits = _engine_hits(domain, monkeypatch)
+    assert sum(map(len, hits)) > 1000  # a few hundred steps of a few hits each
+    sweep = _sweep(domain, rng)
+    # the engine's batches one by one; the sweep whole, in small batches and point by point
+    batches = hits + [sweep] + np.array_split(sweep, 97) + [sweep[i : i + 1] for i in range(300)]
+    for pts in batches:
+        assert np.array_equal(outside(domain, pts), _prev_outside(domain, pts))
+        for new, prev in zip(project_points(domain, pts), _prev_project_points(domain, pts)):
+            assert np.array_equal(new, prev)
+            assert np.array_equal(np.signbit(new), np.signbit(prev))
+    # the exact center keeps its tie-break: (0, b) on the ellipse, else the first axis
+    a, b = domain.semi_axes[:2]
+    want = np.zeros(domain.dim)
+    if a > b:
+        want[1] = b
+    else:
+        want[0] = a
+    for center in (np.zeros((1, domain.dim)), -np.zeros((1, domain.dim))):
+        assert np.array_equal(project_points(domain, center)[0], [want])
+
+
 @pytest.mark.parametrize("r", [1.0, 0.7, 1.5, 0.3])
 def test_the_disk_is_the_2_ball(r):
     disk = Domain.disk(r)
@@ -353,6 +509,19 @@ def test_sampling_and_grid_deterministic():
     b = interior_grid(d, 16)
     assert np.array_equal(a, b)
     assert np.all(np.linalg.norm(a, axis=1) < 1.0)
+
+
+def test_uniform_sampling_refuses_a_ball_too_thin_in_its_box():
+    # rejection from the box accepts |D| / (2r)^n of the draws: 2.5e-8 on the 20-ball,
+    # where interior_grid never returned
+    for n in (14, 20, 64):
+        with pytest.raises(LowAcceptance, match=f"the {n}-d ball fills"):
+            interior_grid(Domain.ball(n), 32)
+        with pytest.raises(LowAcceptance, match="below the 0.0001"):
+            sample_uniform(Domain.ball(n, 0.5), 1, np.random.default_rng(0))
+    # the 13-ball accepts 1.1e-4 of its draws
+    grid = interior_grid(Domain.ball(13), 4)
+    assert grid.shape == (4, 13) and not outside(Domain.ball(13), grid).any()
 
 
 def test_gamma_is_scipys_bit_for_bit_in_every_ball_dimension():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -512,8 +513,17 @@ def test_field_import_takes_rows_in_any_order(tmp_path, meshes):
     assert np.array_equal(u.values, mesh.nodes[:, 0] - mesh.nodes[:, 1])
 
 
-@pytest.mark.parametrize("fault", ["duplicate", "negative", "out_of_range", "fraction",
-                                   "unparsable", "short_row", "moved", "nan", "inf"])
+_INDICES = "node indices are not 0..{}, each once"
+# the message each fault must raise, {} the last node's index
+_FIELD_FAULTS = {
+    "duplicate": _INDICES, "negative": _INDICES, "out_of_range": _INDICES,
+    "fraction": _INDICES, "unparsable": "rows are not four numbers",
+    "short_row": "rows are not four numbers", "moved": "node 4 position mismatch",
+    "nan": "node 4 has the value nan", "inf": "node 4 has the value -inf",
+}
+
+
+@pytest.mark.parametrize("fault", list(_FIELD_FAULTS))
 def test_field_import_rejects_bad_rows(tmp_path, meshes, fault):
     mesh = meshes[0.1]
     lines = _field_lines(tmp_path, mesh)
@@ -538,7 +548,7 @@ def test_field_import_rejects_bad_rows(tmp_path, meshes, fault):
         lines[5] = f"{i},{float(x) + 1e-3!r},{y},{v}"
     path = tmp_path / "bad.csv"
     path.write_text("".join(lines))
-    with pytest.raises(FieldLoadError, match="node 4 " if fault in ("nan", "inf") else ""):
+    with pytest.raises(FieldLoadError, match=re.escape(_FIELD_FAULTS[fault].format(n - 1))):
         import_field(path, mesh)
 
 

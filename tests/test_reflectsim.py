@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reflectpde import geometry
-from reflectpde.geometry import Domain
+from reflectpde.geometry import Domain, LowAcceptance
 from reflectpde.reflectsim import (
     Estimate,
     LocalTimeObserver,
@@ -285,6 +285,16 @@ def test_run_paths_rejects_starts_off_the_closed_domain(kind):
     rec = Recorder()
     run_paths(domain, len(starts), 0.01, 1e-3, 1, [Unrolled(rec)], x0=starts)
     assert all(np.array_equal(rec.all[i][0][0], x) for i, x in enumerate(starts))
+
+
+def test_run_paths_refuses_uniform_starts_on_a_ball_too_thin_in_its_box():
+    # _draw_start rejects from the bounding box, of which the 20-ball fills 2.5e-8:
+    # drawing the starts never finished
+    ball = Domain.ball(20)
+    with pytest.raises(LowAcceptance, match="the 20-d ball fills 2.46e-08"):
+        run_paths(ball, 4, 0.01, 1e-3, 1, [NoPaths()])
+    # given starts draw nothing from the box
+    assert run_paths(ball, 2, 0.01, 1e-3, 1, [], x0=np.zeros(20)) == 10
 
 
 def test_run_paths_probes_of_one_seed_share_its_streams(disk):
